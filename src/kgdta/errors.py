@@ -45,7 +45,7 @@ class DimMismatch(KgdtaError):
 
 
 class ParseError(KgdtaError):
-    """Malformed external embedding table or dataset file."""
+    """Malformed external embedding table, dataset file or checkpoint."""
 
 
 class NonFinite(KgdtaError):

@@ -121,10 +121,6 @@ class HandlerRegistry:
         return list(self._handlers)
 
 
-def register_handler(registry: HandlerRegistry, handler: Handler) -> HandlerRegistry:
-    return registry.register(handler)
-
-
 def default_registry(
     sequence_dim: int = 128,
     text_dim: int = 128,
@@ -160,9 +156,6 @@ class EmbeddingTable:
 
     def get(self, node_id: NodeId) -> np.ndarray:
         return self.entries[node_id][1]
-
-    def modality_of(self, node_id: NodeId) -> str:
-        return self.entries[node_id][0]
 
     def merge(self, other: "EmbeddingTable") -> "EmbeddingTable":
         for modality, dim in other.dims.items():

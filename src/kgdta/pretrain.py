@@ -18,6 +18,7 @@ excluded from both the objectives and message passing (merge identity first via
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -29,12 +30,15 @@ from .errors import (
     ExhaustedCandidates,
     InvalidK,
     NonFinite,
+    ParseError,
     UnknownRelation,
 )
 from .gnn import (
     FlowPolicy,
     GnnParams,
     HistoricalStore,
+    array_from_doc,
+    array_to_doc,
     build_mp,
     encode_layers,
     init_gnn_params,
@@ -55,7 +59,7 @@ from .handlers import EmbeddingTable, NUMBER_MODALITY
 from .numerics import Tensor
 from .util import average_ranks, substream
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 META_RELATIONS = (RDF_TYPE, SAME_AS)
 
 SCORE_KINDS = ("distmult", "transe", "classifier")
@@ -703,9 +707,9 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
         "score": {
             "kind": ckpt.score_fn.kind,
             "margin": ckpt.score_fn.margin,
-            "relations": {r: w.data.tolist() for r, w in sorted(ckpt.score_fn.rel_emb.items())},
+            "relations": {r: array_to_doc(w.data) for r, w in sorted(ckpt.score_fn.rel_emb.items())},
             "classifier": (
-                {k: v.data.tolist() for k, v in sorted(ckpt.score_fn.clf.items())}
+                {k: array_to_doc(v.data) for k, v in sorted(ckpt.score_fn.clf.items())}
                 if ckpt.score_fn.clf is not None
                 else None
             ),
@@ -714,7 +718,7 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
             {
                 "lambda": ckpt.regression.lam,
                 "heads": {
-                    r: {"w": w.data.tolist(), "b": b.data.tolist()}
+                    r: {"w": array_to_doc(w.data), "b": array_to_doc(b.data)}
                     for r, (w, b) in sorted(ckpt.regression.heads.items())
                 },
             }
@@ -728,27 +732,73 @@ def checkpoint_to_json(ckpt: Checkpoint) -> str:
 
 
 def checkpoint_from_json(text: str) -> Checkpoint:
-    doc = json.loads(text)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    """Decode and validate a checkpoint document. Anything malformed raises
+    ParseError: invalid JSON, another version, a missing or mistyped field, an
+    array whose shape disagrees with the encoder dims, or a non-finite value."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"checkpoint is not valid JSON: {exc}") from None
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ParseError(
+            f"unsupported checkpoint version {version!r} (expected {CHECKPOINT_VERSION}); "
+            "re-run `kgdta pretrain` to write a current one"
+        )
+    try:
+        return _checkpoint_from_doc(doc)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ParseError(f"malformed checkpoint: {detail}") from None
+
+
+def _finite_number(value, name: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ParseError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _checkpoint_from_doc(doc: dict) -> Checkpoint:
     params = params_from_dict(doc["gnn"])
+    out_dim = params.out_dim
     raw_score = doc["score"]
+    kind = raw_score["kind"]
+    if kind not in SCORE_KINDS:
+        raise ParseError(f"unknown score kind {kind!r}")
+    raw_clf = raw_score["classifier"]
+    if (kind == "classifier") != (raw_clf is not None):
+        raise ParseError("score.classifier must be present exactly when the kind is classifier")
+    clf = None
+    if raw_clf is not None:
+        w1 = array_from_doc(raw_clf["w1"], (3 * out_dim, None), "score.classifier.w1")
+        hidden = w1.shape[1]
+        clf = {
+            "w1": nm.param(w1),
+            "b1": nm.param(array_from_doc(raw_clf["b1"], (hidden,), "score.classifier.b1")),
+            "w2": nm.param(array_from_doc(raw_clf["w2"], (hidden, 1), "score.classifier.w2")),
+            "b2": nm.param(array_from_doc(raw_clf["b2"], (1,), "score.classifier.b2")),
+        }
     fn = ScoreFn(
-        kind=raw_score["kind"],
-        rel_emb={r: nm.param(np.array(w)) for r, w in raw_score["relations"].items()},
-        margin=raw_score["margin"],
-        clf=(
-            {k: nm.param(np.array(v)) for k, v in raw_score["classifier"].items()}
-            if raw_score["classifier"] is not None
-            else None
-        ),
+        kind=kind,
+        rel_emb={
+            r: nm.param(array_from_doc(w, (out_dim,), f"score.relations.{r}"))
+            for r, w in raw_score["relations"].items()
+        },
+        margin=_finite_number(raw_score["margin"], "score.margin"),
+        clf=clf,
     )
     regression = None
-    if doc.get("regression") is not None:
+    if doc["regression"] is not None:
         raw = doc["regression"]
         regression = RegressionHeads(
-            {r: (nm.param(np.array(h["w"])), nm.param(np.array(h["b"]))) for r, h in raw["heads"].items()},
-            raw["lambda"],
+            {
+                r: (
+                    nm.param(array_from_doc(h["w"], (out_dim, 1), f"regression.heads.{r}.w")),
+                    nm.param(array_from_doc(h["b"], (1,), f"regression.heads.{r}.b")),
+                )
+                for r, h in raw["heads"].items()
+            },
+            _finite_number(raw["lambda"], "regression.lambda"),
         )
     return Checkpoint(params, fn, regression, policy_from_dict(doc["policy"]), doc.get("meta", {}))
 
@@ -760,4 +810,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str):
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"checkpoint {path} is not UTF-8 text: {exc}") from None
+    return checkpoint_from_json(text)

@@ -1,3 +1,4 @@
+import base64
 import json
 import shutil
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 from kgdta.cli import main
 from kgdta.downstream import save_affinity_tsv
+from kgdta.gnn import array_from_doc, array_to_doc
 from kgdta.schema import parse_ntriples
 from kgdta.synthetic import make_planted_world
 
@@ -147,6 +149,82 @@ def test_infer_outputs_two_json_lines(tmp_path, capsys):
 def test_infer_unknown_modality_usage_error(tmp_path, capsys):
     code, _, _ = run(["infer", "--ckpt", "x.json", "--modality", "image", "--value", "v"], capsys)
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    _, kg = _write_world_nt(tmp)
+    ckpt = tmp / "c.json"
+    assert main(["pretrain", "--graph", str(kg), "--seed", "1", "--out", str(ckpt), *PRETRAIN_SMALL]) == 0
+    return ckpt.read_text(encoding="utf-8")
+
+
+def _edit(change):
+    def apply(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc, sort_keys=True).encode("utf-8")
+    return apply
+
+
+def _decoded(leaf):
+    return array_from_doc(leaf, (None,) * len(leaf["shape"]), "leaf")
+
+
+def _set_nan(leaf):
+    values = _decoded(leaf)
+    values.flat[0] = float("nan")
+    leaf.update(array_to_doc(values))
+
+
+def _drop_row(leaf):
+    """Remove the last row (the last entry of a vector)."""
+    leaf.update(array_to_doc(_decoded(leaf)[:-1]))
+
+
+def _first(mapping):
+    return mapping[min(mapping)]
+
+
+def _cut_blob(leaf):
+    leaf["f8"] = base64.b64encode(base64.b64decode(leaf["f8"])[:-8]).decode("ascii")
+
+
+def _as_version_1(doc):
+    def lists(node):
+        if isinstance(node, dict) and set(node) == {"shape", "f8"}:
+            return _decoded(node).tolist()
+        if isinstance(node, dict):
+            return {k: lists(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [lists(v) for v in node]
+        return node
+
+    doc.update(lists(doc), version=1)
+
+
+MALFORMED_CHECKPOINTS = {
+    "nan_in_layer_bias": _edit(lambda doc: _set_nan(doc["gnn"]["layers"][0]["bias"])),
+    "weight_one_row_short": _edit(lambda doc: _drop_row(doc["gnn"]["layers"][0]["self"])),
+    "blob_shorter_than_shape": _edit(lambda doc: _cut_blob(doc["gnn"]["layers"][1]["self"])),
+    "projection_bias_short": _edit(lambda doc: _drop_row(_first(doc["gnn"]["projections"])["b"])),
+    "score_relation_short": _edit(lambda doc: _drop_row(_first(doc["score"]["relations"]))),
+    "invalid_json": lambda text: text[:-1].encode("utf-8"),
+    "not_utf8": lambda text: text.encode("utf-16"),
+    "missing_gnn_layers": _edit(lambda doc: doc["gnn"].pop("layers")),
+    "version_99": _edit(lambda doc: doc.update(version=99)),
+    "version_1_document": _edit(_as_version_1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_infer_malformed_checkpoint_exit_3(case, checkpoint_text, tmp_path, capsys):
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_bytes(MALFORMED_CHECKPOINTS[case](checkpoint_text))
+    code, out, err_out = run(["infer", "--ckpt", str(ckpt), "--modality", "smiles", "--value", "CCO"], capsys)
+    assert code == 3, err_out
+    assert err_out.startswith("data error:") and out == ""
 
 
 def test_benchmark_end_to_end(tmp_path, capsys):

@@ -22,10 +22,12 @@ from kgdta.pretrain import (
     evaluate_link_auc,
     init_score_fn,
     link_auc,
+    load_checkpoint,
     numeric_triples,
     partition,
     pretrain_loss,
     sample_negatives,
+    save_checkpoint,
     score,
     sequential_pretrain,
     train,
@@ -417,16 +419,48 @@ def test_sequential_warm_start_and_vocabulary_growth():
     assert phases == {0, 1}
 
 
-def test_checkpoint_roundtrip():
-    world, table = small_world()
+def _checkpoint_arrays(ckpt):
+    named = {**ckpt.params.named_parameters(), **ckpt.score_fn.named_parameters()}
+    if ckpt.regression is not None:
+        named.update(ckpt.regression.named_parameters())
+    return {name: t.data for name, t in named.items()}
+
+
+def test_checkpoint_roundtrip(tmp_path):
+    world, _ = small_world()
+    graph = world.graph
+    # a numeric attribute, so the checkpoint holds regression heads too
+    proteins = [n for n in graph.entities() if n.modality == "protein"]
+    for i, prot in enumerate(proteins):
+        graph.add_triple(prot, Relation("length", RelationKind.DATA), attribute_node("number", float(i)))
+    table = compute_initial_embeddings(graph, small_registry(), entity_dim=16)
     cfg = PretrainConfig(score_fn="classifier", epochs=2, lr=1e-3, seed=6, regression=True, **SMALL_DIMS)
-    result = train(world.graph, table, cfg)
+    result = train(graph, table, cfg)
     ckpt = Checkpoint.from_result(result)
+    # extremes of float64 that a decimal round trip could lose
+    extremes = np.array([-0.0, 5e-324, 1.7e308, -1.7e308])
+    ckpt.params.layers[0].bias.data[: len(extremes)] = extremes
     text = checkpoint_to_json(ckpt)
     back = checkpoint_from_json(text)
     assert checkpoint_to_json(back) == text
     assert back.score_fn.kind == "classifier"
     assert back.regression is not None
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, str(path))
+    assert path.read_text(encoding="utf-8") == text
+    loaded = load_checkpoint(str(path))
+    assert checkpoint_to_json(loaded) == text
+
+    before, after = _checkpoint_arrays(ckpt), _checkpoint_arrays(loaded)
+    assert set(after) == set(before)
+    assert {name.split("/")[0] for name in after} == {"proj", "layer0", "layer1", "score", "reg"}
+    for name, data in after.items():
+        assert data.dtype == np.float64 and data.shape == before[name].shape, name
+        assert data.tobytes() == before[name].tobytes(), name
+        # grad_check perturbs parameters in place
+        assert data.flags.writeable and data.flags.owndata, name
+    assert np.signbit(loaded.params.layers[0].bias.data[0])
 
 
 def test_link_auc_against_brute_force():
