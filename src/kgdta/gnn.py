@@ -12,9 +12,13 @@ A flow policy can restrict which relations may deliver messages into governed
 entity modalities (e.g. proteins listen only to their sequence attribute), which
 keeps pretraining consistent with inference-time inputs.
 
-Encoding is computed over the scope's 2-hop closure only, so a node's embedding
-depends on nothing outside its receptive field; out-of-scope neighbors at layers
->= 1 read from a historical store when one is provided (partitioned training).
+Messages travel along the sparse edge list of the graph's integer index: one
+weighted scatter-add (`numerics.segment_sum`) per relation and layer, never an
+n x n matrix.
+Encoding covers the scope plus its one-hop, flow-permitted in-neighbors only,
+because out-of-scope neighbors at layers >= 1 read from a historical store when
+one is provided (partitioned training) and zeros otherwise. Full-graph embeddings
+thus still depend on exactly the two-hop neighborhood.
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ from . import numerics as nm
 from .errors import MissingProjection, MissingRelationWeight, ParseError
 from .graph import (
     CATEGORICAL,
-    RDF_TYPE,
+    GraphIndex,
     MultimodalGraph,
-    Node,
     NodeId,
-    NodeKind,
     Relation,
     RelationKind,
     attribute_node,
@@ -79,11 +81,16 @@ class FlowPolicy:
             allowed = {"protein": {"sequence"}, "drug": {"smiles"}}
         return FlowPolicy("controlled", {m: frozenset(v) for m, v in allowed.items()})
 
-    def blocks(self, node: Node, relation: str) -> bool:
-        if self.mode != "controlled" or node.kind is not NodeKind.ENTITY:
-            return False
-        allowed = self.allowed_inbound.get(node.modality)
-        return allowed is not None and relation not in allowed
+    def blocked(self, index: GraphIndex) -> np.ndarray:
+        """Per message edge of `index`: True when the policy drops it, i.e. its
+        receiver is a governed entity and its relation is not allowed inbound."""
+        allowed = self.allowed_inbound if self.mode == "controlled" else {}
+        closed = np.array(  # (modality, relation) -> does the policy close it
+            [[m in allowed and r not in allowed[m] for r in index.relations] for m in index.modalities],
+            dtype=bool,
+        ).reshape(len(index.modalities), len(index.relations))
+        receiver = index.receiver
+        return closed[index.modality[receiver], index.relation] & index.is_entity[receiver]
 
 
 @dataclass
@@ -187,18 +194,27 @@ class HistoricalStore:
 
 @dataclass
 class MpGraph:
-    """Message-passing structure for (graph, scope, policy): the scope's 2-hop
-    closure in canonical (sorted NodeId) order, with per-relation dense adjacency
-    already mean-normalized and flow-masked."""
+    """Message-passing structure for (graph, scope, policy).
+
+    Rows are the closure: the scope plus every sender of a flow-permitted edge into
+    the scope, in canonical (sorted NodeId) order. Edges are flat arrays over closure
+    rows, one entry per permitted message into a scope row, sorted by (relation,
+    receiver, sender): `relations[relation[e]]` carries row `sender[e]` into row
+    `receiver[e]`, scaled by `weight[e]`, the receiver's 1/degree under that
+    relation (mean aggregation). Memory is O(closure + edges), never O(closure^2).
+    """
 
     node_ids: list[NodeId]
-    nodes: list[Node]
     index: dict[NodeId, int]
     scope_rows: np.ndarray
     out_rows: np.ndarray
     scope_ids: list[NodeId]
     out_ids: list[NodeId]
-    adjacency: dict[str, np.ndarray]
+    relations: list[str]
+    relation: np.ndarray
+    receiver: np.ndarray
+    sender: np.ndarray
+    weight: np.ndarray
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
 
 
@@ -206,72 +222,43 @@ def build_mp(
     graph: MultimodalGraph,
     scope: set[NodeId] | list[NodeId] | None,
     policy: FlowPolicy,
-    n_hops: int = 2,
 ) -> MpGraph:
-    neighbors: dict[NodeId, set[NodeId]] = {nid: set() for nid in graph.nodes}
-    pairs: dict[str, dict[tuple[NodeId, NodeId], None]] = {}
-    for triple in graph.triples():
-        if triple.relation.name == RDF_TYPE:
-            continue
-        rel_pairs = pairs.setdefault(triple.relation.name, {})
-        rel_pairs[(triple.target, triple.source)] = None  # target receives from source
-        rel_pairs[(triple.source, triple.target)] = None  # and vice versa
-        neighbors[triple.source].add(triple.target)
-        neighbors[triple.target].add(triple.source)
-
+    """Closure, edges and projected rows for encoding `scope` (None: every node)."""
+    gi = graph.index()
     if scope is None:
-        closure = set(graph.nodes)
-        scope_set = closure
+        in_scope = np.ones(len(gi.node_ids), dtype=bool)
     else:
-        scope_set = set(scope)
-        closure = set(scope_set)
-        frontier = set(scope_set)
-        for _ in range(n_hops):
-            frontier = {u for v in frontier for u in neighbors[v]} - closure
-            closure |= frontier
+        in_scope = np.zeros(len(gi.node_ids), dtype=bool)
+        in_scope[[gi.position[nid] for nid in scope]] = True
+    live = np.flatnonzero(in_scope[gi.receiver] & ~policy.blocked(gi))
+    in_closure = in_scope.copy()
+    in_closure[gi.sender[live]] = True
+    closure = np.flatnonzero(in_closure)
+    node_ids = [gi.node_ids[i] for i in closure.tolist()]
+    scope_mask = in_scope[closure]
+    scope_rows = np.flatnonzero(scope_mask)
+    out_rows = np.flatnonzero(~scope_mask)
 
-    node_ids = sorted(closure)
-    nodes = [graph.nodes[nid] for nid in node_ids]
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-
-    in_scope = np.array([nid in scope_set for nid in node_ids], dtype=bool)
-    scope_rows = np.nonzero(in_scope)[0]
-    out_rows = np.nonzero(~in_scope)[0]
-
-    adjacency: dict[str, np.ndarray] = {}
-    for rel in sorted(pairs):
-        A = np.zeros((n, n), dtype=np.float64)
-        recv, send = [], []
-        for (v, u) in pairs[rel]:
-            if v in index and u in index:
-                recv.append(index[v])
-                send.append(index[u])
-        if not recv:
-            continue
-        recv = np.array(recv, dtype=np.intp)
-        send = np.array(send, dtype=np.intp)
-        deg = np.bincount(recv, minlength=n).astype(np.float64)
-        A[recv, send] = 1.0 / deg[recv]
-        for i, node in enumerate(nodes):
-            if policy.blocks(node, rel):
-                A[i, :] = 0.0
-        adjacency[rel] = A
-
-    attr_rows: dict[str, list[int]] = {}
-    for i, node in enumerate(nodes):
-        if node.kind is NodeKind.ATTRIBUTE and node.modality != CATEGORICAL:
-            attr_rows.setdefault(node.modality, []).append(i)
+    # entities and categorical attributes start at zero; the rest are projected
+    modality = np.where(gi.is_entity[closure], -1, gi.modality[closure])
+    attr_rows = {
+        gi.modalities[m]: np.flatnonzero(modality == m)
+        for m in sorted(set(modality.tolist()) - {-1})  # codes follow sorted modality names
+        if gi.modalities[m] != CATEGORICAL
+    }
     return MpGraph(
         node_ids=node_ids,
-        nodes=nodes,
-        index=index,
+        index={nid: i for i, nid in enumerate(node_ids)},
         scope_rows=scope_rows,
         out_rows=out_rows,
-        scope_ids=[node_ids[i] for i in scope_rows],
-        out_ids=[node_ids[i] for i in out_rows],
-        adjacency=adjacency,
-        attr_rows={m: np.array(r, dtype=np.intp) for m, r in sorted(attr_rows.items())},
+        scope_ids=[node_ids[i] for i in scope_rows.tolist()],
+        out_ids=[node_ids[i] for i in out_rows.tolist()],
+        relations=gi.relations,
+        relation=gi.relation[live],
+        receiver=np.searchsorted(closure, gi.receiver[live]),
+        sender=np.searchsorted(closure, gi.sender[live]),
+        weight=gi.weight[live],
+        attr_rows=attr_rows,
     )
 
 
@@ -282,7 +269,10 @@ def encode_layers(
     history: HistoricalStore | None = None,
 ) -> list[Tensor]:
     """Forward pass. Returns per-layer tensors whose rows follow mp.scope_rows order
-    for layers >= 1; layer 0 covers the whole closure."""
+    for layers >= 1; layer 0 covers the whole closure.
+
+    Relation r adds (A_r h) W_r, where A_r h, the mean of each receiver's messages
+    under r, is one `segment_sum` over r's edges."""
     n = len(mp.node_ids)
     pieces = []
     for modality, rows in mp.attr_rows.items():
@@ -295,6 +285,12 @@ def encode_layers(
 
     outputs: list[Tensor] = [h_full]
     dims = [params.proj_dim, params.hidden_dim, params.out_dim]
+    runs = np.searchsorted(mp.relation, np.arange(len(mp.relations) + 1)).tolist()
+    edges = [
+        (rel, mp.sender[lo:hi], mp.receiver[lo:hi], mp.weight[lo:hi])
+        for rel, lo, hi in zip(mp.relations, runs, runs[1:])
+        if lo < hi
+    ]
     h_scope: Tensor | None = None
     for l, layer in enumerate(params.layers):
         if l > 0:
@@ -308,9 +304,9 @@ def encode_layers(
                 fill.append((mp.out_rows, hist))
             h_full = nm.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
-        for rel in sorted(mp.adjacency):
-            msg = nm.matmul(nm.matmul(nm.constant(mp.adjacency[rel]), h_full), layer.weight_for(rel))
-            z = nm.add(z, msg)
+        for rel, sender, receiver, weight in edges:
+            mean = nm.segment_sum(h_full, sender, receiver, weight, n)
+            z = nm.add(z, nm.matmul(mean, layer.weight_for(rel)))
         h_next_full = nm.relu(nm.add(z, layer.bias))
         h_scope = nm.gather_rows(h_next_full, mp.scope_rows)
         outputs.append(h_scope)
@@ -327,7 +323,7 @@ def encode(
 ) -> dict[NodeId, np.ndarray]:
     """Embed the scope nodes (default: all) given initial embeddings and parameters."""
     policy = policy or FlowPolicy.unrestricted()
-    mp = build_mp(graph, scope, policy, n_hops=len(params.layers))
+    mp = build_mp(graph, scope, policy)
     final = encode_layers(mp, initial, params, history)[-1]
     return {nid: final.data[i].copy() for i, nid in enumerate(mp.scope_ids)}
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import KindViolation, ModalityConflict
 from .util import fnv1a64
 
@@ -96,6 +98,73 @@ def attribute_node(modality: str, value: str | float, namespace: str = "attr") -
     return Node(NodeId(namespace, f"{digest:016x}"), modality, NodeKind.ATTRIBUTE, value)
 
 
+@dataclass(frozen=True, eq=False)
+class GraphIndex:
+    """Integer view of a graph, shared by everything that walks its structure.
+
+    Node i is `node_ids[i]`, and ints follow canonical (sorted `NodeId`) order, so
+    sorting ints sorts ids. Node i has modality `modalities[modality[i]]`.
+    `sources`/`targets` hold every triple's endpoints in insertion order.
+
+    Message edges are the triples other than `rdf:type`, each in both directions,
+    deduplicated and sorted by (relation, receiver, sender): each relation's edges
+    form one run, a receiver's edges under one relation list its neighbours in
+    order, and no sum over them depends on triple insertion order. Edge e carries
+    `relations[relation[e]]` from `sender[e]` to `receiver[e]`, with `weight[e]` =
+    1 / (number of senders of that receiver under that relation).
+    """
+
+    node_ids: list[NodeId]
+    position: dict[NodeId, int]
+    is_entity: np.ndarray
+    modalities: list[str]
+    modality: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    relations: list[str]
+    relation: np.ndarray
+    receiver: np.ndarray
+    sender: np.ndarray
+    weight: np.ndarray
+
+
+def _build_index(graph: "MultimodalGraph") -> GraphIndex:
+    node_ids = sorted(graph.nodes, key=lambda nid: (nid.namespace, nid.local_id))
+    position = {nid: i for i, nid in enumerate(node_ids)}
+    nodes = [graph.nodes[nid] for nid in node_ids]
+    modalities = sorted({node.modality for node in nodes})
+    modality_code = {m: k for k, m in enumerate(modalities)}
+    relations = sorted(set(graph.by_relation) - {RDF_TYPE})
+    relation_code = {name: k for k, name in enumerate(relations)}
+    n = max(len(nodes), 1)
+    sources, targets, keys = [], [], []
+    for source, name, target in graph._triples:
+        s, t = position[source], position[target]
+        sources.append(s)
+        targets.append(t)
+        r = relation_code.get(name)
+        if r is not None:  # one int per edge, ordered as (relation, receiver, sender)
+            keys += ((r * n + t) * n + s, (r * n + s) * n + t)
+    segments, sender = np.divmod(np.unique(np.array(keys, dtype=np.intp)), n)
+    # segments are sorted, so each (relation, receiver) run's length is its degree
+    degree = np.searchsorted(segments, segments, "right") - np.searchsorted(segments, segments, "left")
+    relation, receiver = np.divmod(segments, n)
+    return GraphIndex(
+        node_ids=node_ids,
+        position=position,
+        is_entity=np.array([node.kind is NodeKind.ENTITY for node in nodes], dtype=bool),
+        modalities=modalities,
+        modality=np.array([modality_code[node.modality] for node in nodes], dtype=np.intp),
+        sources=np.array(sources, dtype=np.intp),
+        targets=np.array(targets, dtype=np.intp),
+        relations=relations,
+        relation=relation,
+        receiver=receiver,
+        sender=sender,
+        weight=1.0 / degree,
+    )
+
+
 class MultimodalGraph:
     """Mutable multimodal KG. Single writer; queries are pure."""
 
@@ -107,6 +176,7 @@ class MultimodalGraph:
         self.relation_kinds: dict[str, RelationKind] = {}
         # canonical id -> ids merged away by resolve_same_as
         self.aliases: dict[NodeId, tuple[NodeId, ...]] = {}
+        self._index: GraphIndex | None = None  # built on demand, dropped on mutation
 
     # -- mutation ---------------------------------------------------------
 
@@ -126,6 +196,7 @@ class MultimodalGraph:
                     f"node {node.id}: conflicting literal {existing.value!r} vs {node.value!r}"
                 )
             return existing
+        self._index = None
         self.nodes[node.id] = node
         self.by_modality.setdefault(node.modality, []).append(node.id)
         return node
@@ -147,6 +218,7 @@ class MultimodalGraph:
         self.relation_kinds.setdefault(relation.name, relation.kind)
         triple = Triple(source.id, relation, target.id)
         if triple.key not in self._triples:
+            self._index = None
             self._triples[triple.key] = triple
             self.by_relation.setdefault(relation.name, []).append(triple)
         return self
@@ -167,6 +239,12 @@ class MultimodalGraph:
 
     def attributes(self) -> list[Node]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.ATTRIBUTE]
+
+    def index(self) -> GraphIndex:
+        """The integer index of the graph as it is now; rebuilt after any change."""
+        if self._index is None:
+            self._index = _build_index(self)
+        return self._index
 
     def triple_keys(self) -> set[tuple[str, str, str]]:
         """Hashable view used by tests and merge code for set comparisons."""

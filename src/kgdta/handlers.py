@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimMismatch, MissingHandler, NonFinite, ParseError
 from .graph import CATEGORICAL, MultimodalGraph, NodeId, NodeKind
-from .util import fnv1a64
+from .util import FNV64_OFFSET, FNV64_PRIME
 
 SEQUENCE_MODALITY = "protein_sequence"
 SMILES_MODALITY = "smiles"
@@ -30,13 +30,40 @@ SEQUENCE_TRUNCATION = 1022
 FINGERPRINT_DIM = 2048
 
 
+def _ngram_hashes(value: str, sizes: list[int]) -> np.ndarray:
+    """FNV-1a 64 of the UTF-8 bytes of every character n-gram of `value`, one run per
+    entry of `sizes` (in that order), each run by start character.
+
+    An n-gram's hash continues the hash of its (n - 1)-gram prefix, so step s feeds
+    each start's running hash the bytes of character start + s - 1 only.
+    """
+    data = np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
+    if len(data) == len(value):  # ASCII: one byte per character
+        first, widest = data, 1
+    else:
+        starts = np.flatnonzero((data & 0xC0) != 0x80)  # continuation bytes are 10xxxxxx
+        ends = np.append(starts[1:], len(data))
+        first, widest = data[starts], int((ends - starts).max())
+    running = np.full(len(first), FNV64_OFFSET, dtype=np.uint64)
+    runs = []
+    for size in range(1, min(max(sizes), len(first)) + 1):
+        running = (running[: len(first) - size + 1] ^ first[size - 1 :]) * FNV64_PRIME
+        for t in range(1, widest):  # the continuation bytes of multi-byte characters
+            lo, hi = starts[size - 1 :], ends[size - 1 :]
+            more = np.flatnonzero(lo + t < hi)
+            running[more] = (running[more] ^ data[lo[more] + t]) * FNV64_PRIME
+        runs += [running] * sizes.count(size)
+    return np.concatenate(runs) if runs else np.zeros(0, dtype=np.uint64)
+
+
 def hashed_ngram_embed(
     value: str,
     n: int | Iterable[int],
     dim: int,
     binary: bool = False,
 ) -> np.ndarray:
-    """Hash character n-grams of `value` into `dim` buckets.
+    """Hash character n-grams of `value` into `dim` buckets: n-gram g goes to bucket
+    `fnv1a64(g) % dim`, hashing its UTF-8 bytes.
 
     Binary mode sets hit buckets to 1 (fingerprint-like); counting mode accumulates
     counts and L2-normalizes. The empty string maps to the zero vector.
@@ -50,14 +77,11 @@ def hashed_ngram_embed(
     vec = np.zeros(dim, dtype=np.float64)
     if not value:
         return vec
-    for size in sizes:
-        for i in range(len(value) - size + 1):
-            bucket = fnv1a64(value[i : i + size]) % dim
-            if binary:
-                vec[bucket] = 1.0
-            else:
-                vec[bucket] += 1.0
-    if not binary:
+    buckets = (_ngram_hashes(value, sizes) % np.uint64(dim)).astype(np.intp)
+    if binary:
+        vec[buckets] = 1.0
+    else:
+        vec += np.bincount(buckets, minlength=dim)
         norm = math.sqrt(float(np.dot(vec, vec)))
         if norm > 0.0:
             vec /= norm

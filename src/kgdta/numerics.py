@@ -74,11 +74,12 @@ def _as_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
     out = Tensor(data)
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
-    if tracked:
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
+    for p in parents:  # a loop, not a generator: every op pays for this check
+        if p.requires_grad or p._parents:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._grad_fn = grad_fn
+            break
     return out
 
 
@@ -193,6 +194,39 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return (ga,)
 
     return _make(a.data[idx], (a,), grad_fn)
+
+
+def segment_sum(
+    a,
+    rows: np.ndarray,
+    segments: np.ndarray,
+    weights: np.ndarray,
+    n_segments: int,
+) -> Tensor:
+    """Weighted scatter-add of rows: out[s] = sum of weights[e] * a[rows[e]] over the
+    entries e with segments[e] == s, added in entry order; segments nobody hits are
+    zero. This is the sparse (n_segments x len(a)) matrix with `weights` at
+    (segments, rows) times `a`, so the backward pass is the transposed scatter,
+    grad_a[rows[e]] += weights[e] * g[segments[e]].
+
+    `rows` and `segments` are int arrays and `weights` a float64 array, all 1-d and
+    of one length.
+    """
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"segment_sum needs a 2-d tensor, got {a.data.shape}")
+    if not rows.shape == segments.shape == weights.shape:
+        raise ShapeMismatch(f"segment_sum: {rows.shape} rows, {segments.shape} segments, {weights.shape} weights")
+    weights = weights[:, None]
+    data = np.zeros((n_segments, a.data.shape[1]), dtype=np.float64)
+    np.add.at(data, segments, weights * a.data[rows])
+
+    def grad_fn(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, rows, weights * g[segments])
+        return (ga,)
+
+    return _make(data, (a,), grad_fn)
 
 
 def assemble_rows(

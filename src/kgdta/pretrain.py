@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -356,7 +357,9 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
     """Balance-first greedy multi-seed BFS over entities; attribute nodes co-locate
     with their lexicographically smallest incident entity. Entity counts per part
     differ by at most one."""
-    entities = sorted(n.id for n in graph.entities())
+    gi = graph.index()
+    n_all = len(gi.node_ids)
+    entities = np.flatnonzero(gi.is_entity).tolist()  # ints in sorted-id order
     n = len(entities)
     if k < 1 or k > max(n, 1):
         raise InvalidK(f"k={k} out of range for {n} entities")
@@ -365,46 +368,43 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
 
     assignment: dict[NodeId, int] = {}
     if n:
-        adjacency: dict[NodeId, list[NodeId]] = {e: [] for e in entities}
-        seen_edges = set()
-        for t in graph.triples():
-            if t.relation.name in META_RELATIONS:
-                continue
-            if t.source in adjacency and t.target in adjacency:
-                for a, b in ((t.source, t.target), (t.target, t.source)):
-                    if (a, b) not in seen_edges:
-                        seen_edges.add((a, b))
-                        adjacency[a].append(b)
-        for e in adjacency:
-            adjacency[e] = sorted(adjacency[e])
+        # entity neighbours of each entity over domain relations, sorted and unique
+        meta = [c for c, name in enumerate(gi.relations) if name in META_RELATIONS]
+        keep = gi.is_entity[gi.receiver] & gi.is_entity[gi.sender] & ~np.isin(gi.relation, meta)
+        receiver, sender = np.divmod(np.unique(gi.receiver[keep] * n_all + gi.sender[keep]), n_all)
+        bounds = np.searchsorted(receiver, np.arange(n_all + 1)).tolist()
+        sender = sender.tolist()
 
         seed_rows = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
-        queues: list[list[NodeId]] = [[entities[i]] for i in seed_rows]
+        queues = [deque([entities[i]]) for i in seed_rows]
         sizes = [0] * k
         cursor = 0  # scan position for fresh seeds
-        assigned: set[NodeId] = set()
-        while len(assigned) < n:
+        assigned = [False] * n_all
+        for _ in range(n):
             p = min(range(k), key=lambda i: (sizes[i], i))
             node = None
             while queues[p]:
-                cand = queues[p].pop(0)
-                if cand not in assigned:
+                cand = queues[p].popleft()
+                if not assigned[cand]:
                     node = cand
                     break
             if node is None:
-                while entities[cursor] in assigned:
+                while assigned[entities[cursor]]:
                     cursor += 1
                 node = entities[cursor]
-            assigned.add(node)
-            assignment[node] = p
+            assigned[node] = True
+            assignment[gi.node_ids[node]] = p
             sizes[p] += 1
-            queues[p].extend(u for u in adjacency[node] if u not in assigned)
+            queues[p].extend(u for u in sender[bounds[node] : bounds[node + 1]] if not assigned[u])
 
-    for node in graph.attributes():
-        incident = sorted(
-            t.source for t in graph.triples() if t.target == node.id and t.source in assignment
-        )
-        assignment[node.id] = assignment[incident[0]] if incident else 0
+    # one pass over the triples: the smallest entity pointing at each attribute
+    smallest = np.full(n_all, n_all, dtype=np.intp)
+    to_attr = ~gi.is_entity[gi.targets]
+    np.minimum.at(smallest, gi.targets[to_attr], gi.sources[to_attr])
+    for nid, node in graph.nodes.items():
+        if node.kind is NodeKind.ATTRIBUTE:
+            first = int(smallest[gi.position[nid]])
+            assignment[nid] = assignment[gi.node_ids[first]] if first < n_all else 0
     return PartitionPlan(k, assignment)
 
 
@@ -559,6 +559,8 @@ def train(
     reg_triples_all: list[tuple[NodeId, str, float]] = []
     if cfg.regression:
         reg_triples_all = numeric_triples(graph)
+        if not reg_triples_all:
+            raise EmptyTrainingSet("the regression objective needs a numeric-attribute triple")
         reg_relations = sorted({rel for _, rel, _ in reg_triples_all})
         regression = init_regression_heads(
             reg_relations, cfg.out_dim, substream(cfg.seed, "init_reg"), cfg.reg_lambda

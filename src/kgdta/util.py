@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = 0x100000001B3
+FNV64_OFFSET = 0xCBF29CE484222325
+FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -13,10 +13,10 @@ def fnv1a64(data: str | bytes) -> int:
     """64-bit FNV-1a hash. Stable across platforms and processes."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    h = _FNV64_OFFSET
+    h = FNV64_OFFSET
     for byte in data:
         h ^= byte
-        h = (h * _FNV64_PRIME) & _MASK64
+        h = (h * FNV64_PRIME) & _MASK64
     return h
 
 

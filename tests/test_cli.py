@@ -131,6 +131,18 @@ def test_pretrain_restricted_links(tmp_path, capsys):
     assert doc["policy"]["mode"] == "controlled"
 
 
+def test_pretrain_regression_without_numeric_attribute_exit_3(tmp_path, capsys):
+    _, kg = _write_world_nt(tmp_path)  # the planted world has no numeric attribute
+    out = tmp_path / "r.json"
+    code, _, err = run(
+        ["pretrain", "--graph", str(kg), "--seed", "0", "--out", str(out), "--regression", *PRETRAIN_SMALL],
+        capsys,
+    )
+    assert code == 3
+    assert "data error:" in err and "numeric-attribute" in err
+    assert not out.exists()
+
+
 def test_infer_outputs_two_json_lines(tmp_path, capsys):
     _, kg = _write_world_nt(tmp_path)
     ckpt = tmp_path / "c.json"

@@ -148,6 +148,152 @@ def test_permutation_invariance_of_insertion_order():
         assert np.array_equal(out1[nid], out2[nid])
 
 
+def test_insertion_order_is_bitwise_irrelevant_with_many_same_relation_neighbors():
+    """Sums of three or more messages depend on their order in floating point, so
+    only a canonical edge order makes encoding independent of insertion order."""
+    prot = entity("uniprot", "P1", "protein")
+    attrs = [attribute_node("protein_sequence", s) for s in ("AAA", "CCC", "DDD", "EEE")]
+    drugs = [entity("drugbank", f"D{i}", "drug") for i in range(3)]
+    triples = [(prot, SEQ, a) for a in attrs] + [(d, BIND, prot) for d in drugs]
+    rng = substream(6, "vectors")
+    vectors = {str(a.id): rng.normal(size=5) for a in attrs}
+    params = init_gnn_params({"protein_sequence": 5}, ["sequence", "binding_to"], substream(6, "init"), 4, 6, 6)
+    outputs = []
+    for order in ([0, 1, 2, 3, 4, 5, 6], [6, 3, 1, 5, 0, 4, 2], [2, 0, 3, 1, 6, 5, 4]):
+        g = MultimodalGraph()
+        for i in order:
+            g.add_triple(*triples[i])
+        table = EmbeddingTable()
+        for node in g.nodes.values():
+            table.put(node.id, node.modality, vectors.get(str(node.id), np.zeros(4)))
+        outputs.append(encode(g, table, params))
+    for out in outputs[1:]:
+        assert out.keys() == outputs[0].keys()
+        for nid in out:
+            assert out[nid].tobytes() == outputs[0][nid].tobytes(), nid
+
+
+def test_build_mp_sees_nodes_and_triples_added_after_an_earlier_build():
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    seq = attribute_node("protein_sequence", "MKTAY")
+    g = MultimodalGraph()
+    g.add_triple(p1, SEQ, seq)
+    g.add_node(p2)
+    before = build_mp(g, None, FlowPolicy.unrestricted())
+    g.add_triple(p2, BIND, p1)  # between nodes the index already holds
+    between = build_mp(g, None, FlowPolicy.unrestricted())
+    g.add_node(entity("uniprot", "P3", "protein"))
+    after = build_mp(g, None, FlowPolicy.unrestricted())
+    assert [len(mp.receiver) for mp in (before, between, after)] == [2, 4, 4]
+    assert [len(mp.node_ids) for mp in (before, between, after)] == [3, 3, 4]
+
+    fresh = MultimodalGraph()
+    fresh.add_triple(p2, BIND, p1)
+    fresh.add_triple(p1, SEQ, seq)
+    fresh.add_node(entity("uniprot", "P3", "protein"))
+    params = identity_params()
+    vectors = {str(seq.id): np.array([1.0, -2.0, 0.5])}
+    mutated = encode(g, table_for(g, vectors), params)
+    rebuilt = encode(fresh, table_for(fresh, vectors), params)
+    assert mutated.keys() == rebuilt.keys()
+    for nid in mutated:
+        assert np.array_equal(mutated[nid], rebuilt[nid])
+
+
+def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
+    """The R-GCN layer formula on dense per-relation matrices rebuilt from the
+    MpGraph edge arrays: h' = relu(h W_self + sum_r A_r h W_r + b)."""
+    n = len(mp.node_ids)
+    dims = [params.proj_dim, params.hidden_dim, params.out_dim]
+    h = np.zeros((n, dims[0]))
+    for modality, rows in mp.attr_rows.items():
+        w, b = params.projections[modality]
+        h[rows] = np.stack([table.get(mp.node_ids[i]) for i in rows]) @ w.data + b.data
+    dense = {}
+    for k, rel in enumerate(mp.relations):
+        edges = mp.relation == k
+        if edges.any():
+            A = np.zeros((n, n))
+            A[mp.receiver[edges], mp.sender[edges]] = mp.weight[edges]
+            dense[rel] = A
+    outputs = []
+    for l, layer in enumerate(params.layers):
+        if l > 0:
+            h = np.zeros((n, dims[l]))
+            h[mp.scope_rows] = outputs[-1]
+            if history is not None:
+                h[mp.out_rows] = history.rows(l - 1, mp.out_ids, dims[l])
+        z = h @ layer.w_self.data + layer.bias.data
+        for rel, A in dense.items():
+            z = z + A @ h @ layer.weight_for(rel).data
+        outputs.append(np.maximum(z, 0.0)[mp.scope_rows])
+    return outputs
+
+
+def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
+    from kgdta.pretrain import partition, trainable_relations
+    from kgdta.synthetic import make_planted_world
+
+    registry = default_registry(sequence_dim=8, text_dim=8, fingerprint_dim=16)
+    worlds = [
+        make_planted_world(n_drugs=13, n_proteins=12, seed=1).graph,
+        make_planted_world(n_drugs=10, n_proteins=8, seed=2).graph,
+        make_planted_world(n_drugs=60, n_proteins=40, latent_dim=8, edge_density=0.3,
+                           kg_pair_fraction=0.5, seed=0).graph,
+    ]
+    worst = 0.0
+    for g in worlds:
+        table = compute_initial_embeddings(g, registry, entity_dim=16)
+        dims = {m: table.dims[m] for m in ("protein_sequence", "smiles")}
+        params = init_gnn_params(dims, trainable_relations(g), substream(8, "init"), 16, 12, 12)
+        plan = partition(g, 3, substream(8, "partition"))
+        history = HistoricalStore(2)
+        rng = substream(8, "history")
+        ids = sorted(g.nodes)
+        history.update(0, ids, rng.normal(size=(len(ids), 12)))
+        for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
+            for scope, hist in ((None, None), (set(plan.nodes_of(1)), None), (set(plan.nodes_of(2)), history)):
+                mp = build_mp(g, scope, policy)
+                # every edge feeds a scope row, and each receiver's weights per relation average
+                assert set(mp.receiver.tolist()) <= set(mp.scope_rows.tolist())
+                sums = {}
+                for k, v, w in zip(mp.relation.tolist(), mp.receiver.tolist(), mp.weight.tolist()):
+                    sums[k, v] = sums.get((k, v), 0.0) + w
+                assert all(abs(total - 1.0) < 1e-12 for total in sums.values())
+                sparse = encode_layers(mp, table, params, hist)
+                for got, want in zip(sparse[1:], dense_reference(mp, table, params, hist)):
+                    worst = max(worst, float(np.max(np.abs(got.data - want))))
+    assert worst <= 1e-12, worst
+
+
+def test_full_graph_edges_are_the_triples_both_ways():
+    from kgdta.synthetic import make_planted_world
+
+    g = make_planted_world(n_drugs=6, n_proteins=5, seed=4).graph
+    g.add_triple(entity("uniprot", "P0", "protein"), Relation("rdf:type", RelationKind.OBJECT),
+                 entity("class", "Protein", "class"))
+    mp = build_mp(g, None, FlowPolicy.unrestricted())
+    got = {
+        (mp.relations[k], mp.node_ids[v], mp.node_ids[u])
+        for k, v, u in zip(mp.relation.tolist(), mp.receiver.tolist(), mp.sender.tolist())
+    }
+    want = {(t.relation.name, t.target, t.source) for t in g.triples() if t.relation.name != "rdf:type"}
+    want |= {(rel, u, v) for rel, v, u in want}
+    assert got == want
+    assert len(mp.receiver) == len(got)
+    # controlled: only the allowed relation reaches a governed entity, and a policy
+    # entry for an attribute modality governs nothing
+    allowed = {"protein": {"sequence"}, "drug": {"smiles"}, "smiles": {"sequence"}}
+    controlled = build_mp(g, None, FlowPolicy.controlled(allowed))
+    kept = set()
+    for k, v, u in zip(controlled.relation.tolist(), controlled.receiver.tolist(), controlled.sender.tolist()):
+        kept.add((controlled.relations[k], controlled.node_ids[v], controlled.node_ids[u]))
+    for rel, v, u in want:
+        node = g.nodes[v]
+        governed = node.kind.value == "entity" and node.modality in allowed
+        assert ((rel, v, u) in kept) == (not governed or rel in allowed[node.modality])
+
+
 def test_locality_two_hop_ball():
     def build(extra_attr_value):
         g = MultimodalGraph()

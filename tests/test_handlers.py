@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdta.errors import DimMismatch, MissingHandler, NonFinite, ParseError
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, attribute_node, entity
@@ -15,6 +19,7 @@ from kgdta.handlers import (
     sequence_embed,
     smiles_fingerprint,
 )
+from kgdta.util import fnv1a64
 
 
 def reference_fnv1a64(s: str) -> int:
@@ -23,6 +28,34 @@ def reference_fnv1a64(s: str) -> int:
     for b in s.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def scalar_ngram_embed(value, sizes, dim, binary):
+    """The per-n-gram loop form of `hashed_ngram_embed`, hashing with `util.fnv1a64`."""
+    vec = np.zeros(dim)
+    for size in sizes:
+        for i in range(len(value) - size + 1):
+            bucket = fnv1a64(value[i : i + size]) % dim
+            vec[bucket] = 1.0 if binary else vec[bucket] + 1.0
+    norm = math.sqrt(float(np.dot(vec, vec)))
+    if not binary and norm > 0.0:
+        vec /= norm
+    return vec
+
+
+SPECIAL_STRINGS = ["", "C", "é", "😀", "a😀b", "ü€𝄞", "e\u0301", "CCO😀😀c1ccccc1", "日本語のテキスト"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(SPECIAL_STRINGS), st.text(max_size=30)),
+    st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    st.sampled_from([1, 7, 64, 2048]),
+    st.booleans(),
+)
+def test_hashed_ngram_embed_is_bit_exact_with_the_scalar_loop(value, sizes, dim, binary):
+    fast = hashed_ngram_embed(value, sizes, dim, binary=binary)
+    assert fast.tobytes() == scalar_ngram_embed(value, sizes, dim, binary).tobytes()
 
 
 def test_bigrams_of_cco_land_in_reference_buckets():

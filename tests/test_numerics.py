@@ -172,3 +172,37 @@ def test_bce_nonnegative(ps, label_bits):
 
 def test_mse_value():
     assert nm.mse(nm.constant([1.0, 2.0]), np.array([0.0, 0.0])).item() == 2.5
+
+
+def test_segment_sum_is_a_sparse_product_and_passes_finite_differences():
+    rng = np.random.default_rng(3)
+    # repeated (segment, row) pairs accumulate; segments 2 and 4 receive nothing
+    rows = np.array([0, 2, 2, 1, 3, 0, 0])
+    segments = np.array([1, 1, 0, 3, 3, 3, 3])
+    weights = rng.uniform(0.2, 1.0, size=7)
+    a = rng.normal(size=(4, 3))
+    dense = np.zeros((5, 4))
+    for r, s, w in zip(rows, segments, weights):
+        dense[s, r] += w
+    out = nm.segment_sum(nm.constant(a), rows, segments, weights, 5)
+    assert out.data.shape == (5, 3)
+    assert np.max(np.abs(out.data - dense @ a)) <= 1e-14
+    assert not out.data[[2, 4]].any()
+
+    params = {"a": nm.param(a)}
+    probe = rng.normal(size=(5, 3))
+
+    def f(p):
+        return nm.sum_all(nm.mul(nm.segment_sum(p["a"], rows, segments, weights, 5), nm.constant(probe)))
+
+    assert nm.grad_check(f, params) < 1e-8
+    # the backward pass is the transposed scatter
+    assert np.max(np.abs(params["a"].grad - dense.T @ probe)) <= 1e-14
+
+
+def test_segment_sum_rejects_mismatched_edge_arrays():
+    a = nm.constant(np.ones((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        nm.segment_sum(a, np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]), 2)
+    with pytest.raises(ShapeMismatch):
+        nm.segment_sum(nm.constant(np.ones(3)), np.array([0]), np.array([0]), np.array([1.0]), 2)

@@ -251,7 +251,46 @@ def test_partition_cover_and_balance(g, k):
     assert sum(counts) == len(entities)
     assert max(counts) - min(counts) <= 1
     for a in g.attributes():
-        assert a.id in plan.assignment
+        # an attribute joins the part of its smallest incident entity (part 0 if none)
+        incident = sorted(t.source for t in g.triples() if t.target == a.id)
+        assert plan.assignment[a.id] == (plan.assignment[incident[0]] if incident else 0)
+
+
+def reference_partition(graph, k, rng):
+    """Partitioning written over NodeId sets and lists, as a loop-form oracle."""
+    entities = sorted(n.id for n in graph.entities())
+    assignment = {}
+    if entities:
+        adjacency = {e: set() for e in entities}
+        for t in graph.triples():
+            if t.relation.name not in ("rdf:type", "sameAs") and t.target in adjacency:
+                adjacency[t.source].add(t.target)
+                adjacency[t.target].add(t.source)
+        seed_rows = sorted(int(i) for i in rng.choice(len(entities), size=k, replace=False))
+        queues = [[entities[i]] for i in seed_rows]
+        sizes = [0] * k
+        while len(assignment) < len(entities):
+            p = min(range(k), key=lambda i: (sizes[i], i))
+            fresh = [c for c in queues[p] if c not in assignment]
+            node = fresh[0] if fresh else next(e for e in entities if e not in assignment)
+            queues[p] = queues[p][queues[p].index(node) + 1 :] if fresh else []
+            assignment[node] = p
+            sizes[p] += 1
+            queues[p] += [u for u in sorted(adjacency[node]) if u not in assignment]
+    for node in graph.attributes():
+        incident = sorted(t.source for t in graph.triples() if t.target == node.id)
+        assignment[node.id] = assignment[incident[0]] if incident else 0
+    return assignment
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_triples=16), st.integers(1, 4), st.integers(0, 1000))
+def test_partition_matches_the_reference_loop(g, k, seed):
+    if k > max(len(g.entities()), 1):
+        return
+    plan = partition(g, k, substream(seed, "partition"))
+    expected = reference_partition(g, k, substream(seed, "partition"))
+    assert list(plan.assignment.items()) == list(expected.items())
 
 
 # --- training ---------------------------------------------------------------------------
@@ -364,6 +403,13 @@ def test_empty_training_set_raises():
         train(g, table, PretrainConfig(epochs=1, **SMALL_DIMS))
 
 
+def test_regression_without_numeric_attribute_raises():
+    world, table = small_world()
+    assert not numeric_triples(world.graph)
+    with pytest.raises(EmptyTrainingSet):
+        train(world.graph, table, PretrainConfig(epochs=1, regression=True, **SMALL_DIMS))
+
+
 def test_regression_objective_trains():
     g = MultimodalGraph()
     rng = substream(0, "mkfix")
@@ -426,14 +472,17 @@ def _checkpoint_arrays(ckpt):
     return {name: t.data for name, t in named.items()}
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    world, _ = small_world()
-    graph = world.graph
-    # a numeric attribute, so the checkpoint holds regression heads too
+def with_protein_lengths(graph):
+    """Give every protein a numeric `length` attribute, so regression heads exist."""
     proteins = [n for n in graph.entities() if n.modality == "protein"]
     for i, prot in enumerate(proteins):
         graph.add_triple(prot, Relation("length", RelationKind.DATA), attribute_node("number", float(i)))
-    table = compute_initial_embeddings(graph, small_registry(), entity_dim=16)
+    return graph, compute_initial_embeddings(graph, small_registry(), entity_dim=16)
+
+
+def test_checkpoint_roundtrip(tmp_path):
+    world, _ = small_world()
+    graph, table = with_protein_lengths(world.graph)
     cfg = PretrainConfig(score_fn="classifier", epochs=2, lr=1e-3, seed=6, regression=True, **SMALL_DIMS)
     result = train(graph, table, cfg)
     ckpt = Checkpoint.from_result(result)
@@ -484,12 +533,13 @@ def test_evaluate_link_auc_smoke():
 
 
 def test_loss_gradients_pass_finite_differences_all_scorers():
-    world, table = small_world(n_drugs=4, n_proteins=3)
-    graph = world.graph
+    world, _ = small_world(n_drugs=4, n_proteins=3)
+    graph, table = with_protein_lengths(world.graph)
     for kind in ("distmult", "transe", "classifier"):
         cfg = PretrainConfig(score_fn=kind, epochs=0, seed=11, regression=True, **SMALL_DIMS)
         result = train(graph, table, cfg)
         named = result.named_parameters()
+        assert {"reg/length/w", "reg/length/b"} <= set(named)
         rng = substream(12, "jitter", kind)
         for p in named.values():
             # random small parameters, scaled so no gradient component sits down at
