@@ -18,7 +18,7 @@ from kgdta.gnn import (
     policy_from_dict,
     policy_to_dict,
 )
-from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, attribute_node, entity
+from kgdta.graph import MultimodalGraph, NodeId, NodeKind, Relation, RelationKind, attribute_node, entity
 from kgdta.handlers import EmbeddingTable, compute_initial_embeddings, default_registry
 from kgdta.util import substream
 
@@ -290,7 +290,7 @@ def test_full_graph_edges_are_the_triples_both_ways():
         kept.add((controlled.relations[k], controlled.node_ids[v], controlled.node_ids[u]))
     for rel, v, u in want:
         node = g.nodes[v]
-        governed = node.kind.value == "entity" and node.modality in allowed
+        governed = node.kind is NodeKind.ENTITY and node.modality in allowed
         assert ((rel, v, u) in kept) == (not governed or rel in allowed[node.modality])
 
 
