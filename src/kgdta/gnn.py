@@ -202,10 +202,11 @@ class MpGraph:
     receiver, sender): `relations[relation[e]]` carries row `sender[e]` into row
     `receiver[e]`, scaled by `weight[e]`, the receiver's 1/degree under that
     relation (mean aggregation). Memory is O(closure + edges), never O(closure^2).
+    `projected` also counts attributes whose only edge into the scope is blocked:
+    they send nothing, but their modality must still have a projection.
     """
 
     node_ids: list[NodeId]
-    index: dict[NodeId, int]
     scope_rows: np.ndarray
     out_rows: np.ndarray
     scope_ids: list[NodeId]
@@ -216,6 +217,7 @@ class MpGraph:
     sender: np.ndarray
     weight: np.ndarray
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
+    projected: list[str]  # non-categorical attribute modalities in or next to the scope
 
 
 def build_mp(
@@ -230,7 +232,8 @@ def build_mp(
     else:
         in_scope = np.zeros(len(gi.node_ids), dtype=bool)
         in_scope[[gi.position[nid] for nid in scope]] = True
-    live = np.flatnonzero(in_scope[gi.receiver] & ~policy.blocked(gi))
+    into_scope = in_scope[gi.receiver]
+    live = np.flatnonzero(into_scope & ~policy.blocked(gi))
     in_closure = in_scope.copy()
     in_closure[gi.sender[live]] = True
     closure = np.flatnonzero(in_closure)
@@ -246,9 +249,11 @@ def build_mp(
         for m in sorted(set(modality.tolist()) - {-1})  # codes follow sorted modality names
         if gi.modalities[m] != CATEGORICAL
     }
+    near = in_scope.copy()
+    near[gi.sender[into_scope]] = True
+    codes = sorted(set(gi.modality[near & ~gi.is_entity].tolist()))
     return MpGraph(
         node_ids=node_ids,
-        index={nid: i for i, nid in enumerate(node_ids)},
         scope_rows=scope_rows,
         out_rows=out_rows,
         scope_ids=[node_ids[i] for i in scope_rows.tolist()],
@@ -259,6 +264,7 @@ def build_mp(
         sender=np.searchsorted(closure, gi.sender[live]),
         weight=gi.weight[live],
         attr_rows=attr_rows,
+        projected=[gi.modalities[m] for m in codes if gi.modalities[m] != CATEGORICAL],
     )
 
 
@@ -273,11 +279,12 @@ def encode_layers(
 
     Relation r adds (A_r h) W_r, where A_r h, the mean of each receiver's messages
     under r, is one `segment_sum` over r's edges."""
+    for modality in mp.projected:
+        if modality not in params.projections:
+            raise MissingProjection(modality)
     n = len(mp.node_ids)
     pieces = []
     for modality, rows in mp.attr_rows.items():
-        if modality not in params.projections:
-            raise MissingProjection(modality)
         w, b = params.projections[modality]
         X = np.stack([table.get(mp.node_ids[i]) for i in rows])
         pieces.append((rows, nm.add(nm.matmul(nm.constant(X), w), b)))

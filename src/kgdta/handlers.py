@@ -31,19 +31,16 @@ FINGERPRINT_DIM = 2048
 
 
 def _ngram_hashes(value: str, sizes: list[int]) -> np.ndarray:
-    """FNV-1a 64 of the UTF-8 bytes of every character n-gram of `value`, one run per
-    entry of `sizes` (in that order), each run by start character.
+    """FNV-1a 64 of the UTF-8 bytes of every character n-gram of the non-empty `value`,
+    one run per entry of `sizes` (in that order), each run by start character.
 
     An n-gram's hash continues the hash of its (n - 1)-gram prefix, so step s feeds
     each start's running hash the bytes of character start + s - 1 only.
     """
     data = np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
-    if len(data) == len(value):  # ASCII: one byte per character
-        first, widest = data, 1
-    else:
-        starts = np.flatnonzero((data & 0xC0) != 0x80)  # continuation bytes are 10xxxxxx
-        ends = np.append(starts[1:], len(data))
-        first, widest = data[starts], int((ends - starts).max())
+    starts = np.flatnonzero((data & 0xC0) != 0x80)  # continuation bytes are 10xxxxxx
+    ends = np.concatenate((starts[1:], [len(data)]))
+    first, widest = data[starts], int((ends - starts).max())
     running = np.full(len(first), FNV64_OFFSET, dtype=np.uint64)
     runs = []
     for size in range(1, min(max(sizes), len(first)) + 1):

@@ -78,7 +78,7 @@ def test_single_neighbor_identity_weights_gives_relu_v():
     params = identity_params()
     mp = build_mp(g, None, FlowPolicy.unrestricted())
     layers = encode_layers(mp, table_for(g, {str(attr.id): v}), params)
-    row = mp.index[prot.id]
+    row = mp.node_ids.index(prot.id)
     # layer 1 entity output: relu(W_self*0 + mean over the single neighbor of I@v)
     assert np.array_equal(layers[1].data[mp.scope_rows.tolist().index(row)], np.maximum(v, 0.0))
 
@@ -94,7 +94,7 @@ def test_mean_aggregation_over_two_neighbors():
     params = identity_params()
     mp = build_mp(g, None, FlowPolicy.unrestricted())
     layers = encode_layers(mp, table_for(g, {str(a1.id): v1, str(a2.id): v2}), params)
-    row = list(mp.scope_rows).index(mp.index[prot.id])
+    row = list(mp.scope_rows).index(mp.node_ids.index(prot.id))
     assert np.allclose(layers[1].data[row], (v1 + v2) / 2.0)
 
 
@@ -370,6 +370,20 @@ def test_missing_projection_raises():
     del params.projections["protein_sequence"]
     with pytest.raises(MissingProjection):
         encode(g, table_for(g, {}), params)
+
+
+def test_missing_projection_raises_for_a_neighbor_whose_messages_are_blocked():
+    g = MultimodalGraph()
+    prot = entity("uniprot", "P1", "protein")
+    g.add_triple(prot, TXT, attribute_node("text", "a kinase"))
+    params = identity_params()
+    del params.projections["text"]
+    policy = FlowPolicy.controlled()  # proteins listen to `sequence` only
+    assert build_mp(g, [prot.id], policy).node_ids == [prot.id]
+    with pytest.raises(MissingProjection):
+        encode(g, table_for(g, {}), params, policy, scope=[prot.id])
+    with pytest.raises(MissingProjection):
+        infer(params, policy, "a kinase", "text", default_registry(), "comment", "protein")
 
 
 def test_historical_store_feeds_out_of_scope_neighbors():
