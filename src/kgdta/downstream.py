@@ -53,6 +53,8 @@ class AffinityDataset:
         for row in self.rows:
             if not math.isfinite(row.affinity):
                 raise ParseError(f"dataset {self.name!r}: non-finite affinity for {row.drug!r}")
+            if row.time is not None and not math.isfinite(row.time):
+                raise ParseError(f"dataset {self.name!r}: non-finite time for {row.drug!r}")
 
 
 def load_affinity_tsv(path: str, name: str | None = None) -> AffinityDataset:

@@ -11,7 +11,6 @@ speed here: float64 everywhere, no threading assumptions beyond BLAS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -70,6 +69,10 @@ def constant(data) -> Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
@@ -136,7 +139,12 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
-    return _make(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+    def grad_fn(g):
+        # a constant operand (e.g. an input batch) gets no gradient, so no product for it
+        return (g @ b.data.T if _needs_grad(a) else None, a.data.T @ g if _needs_grad(b) else None)
+
+    return _make(data, (a, b), grad_fn)
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -182,16 +190,30 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return _make(data, tensors, grad_fn)
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """out[index[e]] += values[e] for every entry e, added in entry order into an
+    (n_rows, width) block of zeros. Each cell sums its terms in the same order as a
+    row-at-a-time unbuffered add would, so the result is bit for bit the same; the work
+    is one `np.bincount` over the flat cell numbers `row * width + column`."""
+    index = np.asarray(index, dtype=np.intp)
+    width = values.shape[1]
+    # one reduction checks both ends: read as unsigned, a negative index is huge
+    if index.size and index.view(np.uintp).max() >= n_rows:
+        raise IndexError(f"scatter index out of range for {n_rows} rows")
+    cells = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=n_rows * width)
+    return out.reshape(n_rows, width)
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeMismatch(f"gather_rows needs a 2-d tensor, got {a.data.shape}")
     idx = np.asarray(idx, dtype=np.intp)
+    n_rows = a.data.shape[0]
 
     def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (_scatter_add(idx, g, n_rows),)
 
     return _make(a.data[idx], (a,), grad_fn)
 
@@ -218,13 +240,11 @@ def segment_sum(
     if not rows.shape == segments.shape == weights.shape:
         raise ShapeMismatch(f"segment_sum: {rows.shape} rows, {segments.shape} segments, {weights.shape} weights")
     weights = weights[:, None]
-    data = np.zeros((n_segments, a.data.shape[1]), dtype=np.float64)
-    np.add.at(data, segments, weights * a.data[rows])
+    data = _scatter_add(segments, weights * a.data[rows], n_segments)
+    n_rows = a.data.shape[0]
 
     def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, rows, weights * g[segments])
-        return (ga,)
+        return (_scatter_add(rows, weights * g[segments], n_rows),)
 
     return _make(data, (a,), grad_fn)
 
@@ -452,11 +472,21 @@ def grad_check(
 # -- optimizer --------------------------------------------------------------------
 
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """Adam's moments for one fixed set of parameters, as flat float64 buffers.
+
+    The names, shapes and offsets into the buffers are fixed by the first step.
+    """
+
+    def __init__(self, params: Mapping[str, Tensor]):
+        self.layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+        size = 0
+        for name, p in params.items():
+            self.layout[name] = (size, p.data.shape)
+            size += p.data.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step = 0
 
 
 def adam_step(
@@ -468,25 +498,48 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[Mapping[str, Tensor], AdamState]:
-    """Standard Adam update, in place on the parameter tensors."""
+    """Standard Adam update. A parameter missing from `grads` is stepped with a zero
+    gradient. Each parameter gets a new `.data` array, a slice of one buffer per step;
+    the arrays it had before are never written."""
     if state is None:
-        state = AdamState()
+        state = AdamState(params)
+    if len(params) != len(state.layout):
+        raise ShapeMismatch(f"adam: {len(params)} params, state holds {len(state.layout)}")
+    # two flat buffers per step, not kept in the state: g holds the gradients, s the
+    # step and then the new parameters
+    g, s = np.empty_like(state.m), np.empty_like(state.m)
+    for name, p in params.items():
+        offset, shape = state.layout.get(name, (None, None))
+        if shape != p.data.shape:
+            raise ShapeMismatch(f"adam: param {name!r} of shape {p.data.shape} does not match the state ({shape})")
+        n = p.data.size
+        if name in grads:
+            grad = np.asarray(grads[name], dtype=np.float64)
+            if grad.shape != shape:
+                raise ShapeMismatch(f"adam: grad shape {grad.shape} != param shape {shape} ({name})")
+            g[offset : offset + n] = grad.reshape(-1)
+        else:
+            g[offset : offset + n] = 0.0
     state.step += 1
     t = state.step
+    # the per-element operation sequence of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    # p = p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), done in place
+    np.multiply(g, 1.0 - beta1, out=s)
+    np.multiply(state.m, beta1, out=state.m)
+    np.add(state.m, s, out=state.m)
+    np.multiply(g, g, out=g)
+    np.multiply(g, 1.0 - beta2, out=g)
+    np.multiply(state.v, beta2, out=state.v)
+    np.add(state.v, g, out=state.v)
+    np.divide(state.m, 1.0 - beta1**t, out=s)
+    np.multiply(s, lr, out=s)
+    np.divide(state.v, 1.0 - beta2**t, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, eps, out=g)
+    np.divide(s, g, out=s)
     for name, p in params.items():
-        g = np.asarray(grads.get(name, np.zeros_like(p.data)), dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"adam: grad shape {g.shape} != param shape {p.data.shape} ({name})")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        offset, shape = state.layout[name]
+        new = s[offset : offset + p.data.size]
+        np.subtract(p.data.reshape(-1), new, out=new)
+        p.data = new.reshape(shape)
     return params, state

@@ -287,6 +287,20 @@ def test_benchmark_infeasible_split_exit_3(tmp_path, capsys):
     assert "drug" in err_out
 
 
+def test_benchmark_nonfinite_time_exit_3(tmp_path, capsys):
+    data = tmp_path / "nan_time.tsv"
+    rows = [f"C{i}\tM{i}\t{float(i)}\t{t}" for i, t in enumerate(["0.1", "0.2", "nan", "0.8", "0.9"])]
+    data.write_text("smiles\tsequence\taffinity\ttime\n" + "\n".join(rows) + "\n")
+    code, out, err_out = run(
+        ["benchmark", "--dataset", str(data), "--split", "temporal:0.5", "--ckpts", str(tmp_path / "c.json"),
+         "--seeds", "0", "--seed", "0", "--out", str(tmp_path / "rep")],
+        capsys,
+    )
+    assert code == 3, err_out
+    assert err_out.startswith("data error:") and "non-finite time" in err_out and out == ""
+    assert not (tmp_path / "rep.jsonl").exists()
+
+
 def test_full_pipeline_on_fixture_schema(workdir, capsys):
     """build-kg (with merge + sameAs resolution) -> pretrain (regression, restricted
     links, flow control) -> infer, all through the CLI on heterogeneous fixtures."""

@@ -310,6 +310,19 @@ def test_dataset_rejects_nonfinite():
         AffinityDataset("bad", [AffinityRow("C", "M", float("nan"))])
 
 
+@pytest.mark.parametrize("bad_time", ["nan", "inf", "-inf"])
+def test_affinity_tsv_rejects_nonfinite_time(tmp_path, bad_time):
+    # a non-finite time fails every threshold comparison, so the temporal split would drop its row
+    lines = ["smiles\tsequence\taffinity\ttime"]
+    lines += [f"C{i}\tM{i}\t{float(i)}\t{t}" for i, t in enumerate(["0.1", "0.2", bad_time, "0.8", "0.9"])]
+    path = tmp_path / "bad_time.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-finite time"):
+        load_affinity_tsv(str(path))
+    with pytest.raises(ParseError):
+        AffinityDataset("bad", [AffinityRow("C", "M", 1.0, float(bad_time))])
+
+
 # --- benchmark harness ---------------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdta.errors import NonFinite, ShapeMismatch
@@ -206,3 +206,153 @@ def test_segment_sum_rejects_mismatched_edge_arrays():
         nm.segment_sum(a, np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]), 2)
     with pytest.raises(ShapeMismatch):
         nm.segment_sum(nm.constant(np.ones(3)), np.array([0]), np.array([0]), np.array([1.0]), 2)
+
+
+# -- the bincount scatter-add against np.add.at -----------------------------------------
+
+
+def _add_at_reference(index, values, n_rows):
+    out = np.zeros((n_rows, values.shape[1]))
+    np.add.at(out, index, values)
+    return out
+
+
+@st.composite
+def scatter_cases(draw):
+    """Row count, width, and a possibly empty, unsorted, repeating list of
+    (row, segment) index pairs, plus a seed for the float values."""
+    n_rows = draw(st.integers(1, 6))
+    n_segments = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_segments - 1)), max_size=25))
+    rows = np.array([r for r, _ in pairs], dtype=np.intp)
+    segments = np.array([s for _, s in pairs], dtype=np.intp)
+    return n_rows, n_segments, width, rows, segments, draw(st.integers(0, 2**32 - 1))
+
+
+def _values(seed, shape):
+    # magnitudes spread over many orders, so any change in summation order shows
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_cases())
+def test_segment_sum_is_bit_identical_to_add_at(case):
+    n_rows, n_segments, width, rows, segments, seed = case
+    a = _values(seed, (n_rows, width))
+    weights = _values(seed + 1, rows.shape)
+    probe = _values(seed + 2, (n_segments, width))
+    p = nm.param(a)
+    out = nm.segment_sum(p, rows, segments, weights, n_segments)
+    expected = _add_at_reference(segments, weights[:, None] * a[rows], n_segments)
+    assert out.data.shape == (n_segments, width)
+    assert out.data.tobytes() == expected.tobytes()
+    nm.backward(nm.sum_all(nm.mul(out, nm.constant(probe))))
+    expected_grad = _add_at_reference(rows, weights[:, None] * probe[segments], n_rows)
+    assert p.grad.tobytes() == expected_grad.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_cases())
+def test_gather_rows_backward_is_bit_identical_to_add_at(case):
+    n_rows, _, width, rows, _, seed = case
+    p = nm.param(_values(seed, (n_rows, width)))
+    probe = _values(seed + 1, (len(rows), width))
+    nm.backward(nm.sum_all(nm.mul(nm.gather_rows(p, rows), nm.constant(probe))))
+    assert p.grad.tobytes() == _add_at_reference(rows, probe, n_rows).tobytes()
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_scatter_rejects_out_of_range_and_negative_indices(bad):
+    a = nm.param(np.ones((3, 2)))
+    with pytest.raises(IndexError):
+        nm.segment_sum(a, np.array([0, 1]), np.array([0, bad]), np.array([1.0, 1.0]), 3)
+    with pytest.raises(IndexError):
+        nm._scatter_add(np.array([0, bad]), np.ones((2, 2)), 3)
+    if bad < 0:
+        # the forward gathers wrap -1 as numpy indexing does; their backward scatters do not
+        out = nm.segment_sum(a, np.array([0, bad]), np.array([0, 1]), np.array([1.0, 1.0]), 3)
+        with pytest.raises(IndexError):
+            nm.backward(nm.sum_all(out))
+        with pytest.raises(IndexError):
+            nm.backward(nm.sum_all(nm.gather_rows(a, np.array([2, bad]))))
+
+
+# -- matmul with a constant operand -----------------------------------------------------
+
+
+def test_matmul_skips_the_gradient_of_a_constant_operand():
+    rng = np.random.default_rng(5)
+    x = nm.constant(rng.normal(size=(6, 4)))
+    w = nm.param(rng.normal(size=(4, 3)))
+    probe = rng.normal(size=(6, 3))
+    out = nm.matmul(x, w)
+    grad_x, _ = out._grad_fn(probe)
+    assert grad_x is None  # no product is spent on the constant's gradient
+    nm.backward(nm.sum_all(nm.mul(out, nm.constant(probe))))
+    assert x.grad is None
+    assert w.grad.tobytes() == (x.data.T @ probe).tobytes()
+
+    w2 = nm.param(w.data.copy())
+    nm.backward(nm.sum_all(nm.mul(nm.matmul(w2.data.T.copy(), w2), nm.constant(probe[:3]))))
+    assert w2.grad.tobytes() == (w2.data @ probe[:3]).tobytes()
+
+    square = {"a": nm.param(rng.normal(size=(3, 3)))}
+    assert nm.grad_check(lambda p: nm.sum_all(nm.matmul(p["a"], p["a"])), square) < 1e-8
+
+
+# -- fused Adam against the per-parameter update -----------------------------------------
+
+
+def _reference_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam the flat update replaced, kept here as its oracle."""
+    state["step"] += 1
+    t = state["step"]
+    for name, p in params.items():
+        g = np.asarray(grads.get(name, np.zeros_like(p.data)), dtype=np.float64)
+        m = state["m"].get(name, np.zeros_like(p.data))
+        v = state["v"].get(name, np.zeros_like(p.data))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state["m"][name] = m
+        state["v"][name] = v
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_fused_adam_is_bit_identical_to_the_per_parameter_update():
+    rng = np.random.default_rng(11)
+    init = {"s": np.array(0.7), "vec": rng.normal(size=5), "mat": rng.normal(size=(3, 4)), "idle": rng.normal(size=2)}
+    fused = {name: nm.param(x.copy()) for name, x in init.items()}
+    ref = {name: nm.param(x.copy()) for name, x in init.items()}
+    ref_state = {"m": {}, "v": {}, "step": 0}
+    state = None
+    held = fused["vec"].data
+    for step in range(25):
+        # "idle" never has a gradient; the others get a fresh, widely scaled one
+        grads = {name: rng.normal(size=x.shape) * 10.0 ** rng.integers(-6, 3) for name, x in init.items() if name != "idle"}
+        _, state = nm.adam_step(fused, grads, state, lr=0.01 * (1 + step % 3))
+        _reference_adam(ref, grads, ref_state, lr=0.01 * (1 + step % 3))
+        for name in init:
+            assert fused[name].data.shape == init[name].shape
+            assert fused[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+    assert state.step == 25
+    assert held.tobytes() == init["vec"].tobytes()  # a new array each step, never written in place
+
+
+def test_fused_adam_state_is_fixed_to_its_parameters():
+    p = {"w": nm.param(np.ones(3)), "b": nm.param(np.zeros(2))}
+    _, state = nm.adam_step(p, {}, None, lr=0.1)
+    with pytest.raises(ShapeMismatch):
+        nm.adam_step({"w": p["w"]}, {}, state, lr=0.1)
+    with pytest.raises(ShapeMismatch):
+        nm.adam_step({"w": p["w"], "c": nm.param(np.zeros(2))}, {}, state, lr=0.1)
+    with pytest.raises(ShapeMismatch):
+        nm.adam_step({"w": p["w"], "b": nm.param(np.zeros(3))}, {}, state, lr=0.1)
+    with pytest.raises(ShapeMismatch):
+        nm.adam_step({"w": p["w"], "b": nm.param(np.zeros((1, 2)))}, {}, state, lr=0.1)
+    # the same names in another order address the same moments
+    nm.adam_step({"b": p["b"], "w": p["w"]}, {"w": np.ones(3)}, state, lr=0.1)
+    assert state.step == 2
