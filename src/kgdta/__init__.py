@@ -46,7 +46,6 @@ from .pretrain import (
     pretrain_loss,
     sample_negatives,
     save_checkpoint,
-    score,
     sequential_pretrain,
     train,
 )

@@ -172,24 +172,15 @@ def init_gnn_params(
 
 
 class HistoricalStore:
-    """Last-computed per-layer embeddings kept in host memory (partitioned training)."""
+    """Last-computed per-layer embeddings of every node of a graph, kept in host
+    memory for partitioned training: `layers[l]` is an (n_nodes x dims[l]) array
+    indexed by the graph's index ints. A row never written reads as zeros."""
 
-    def __init__(self, n_layers: int = 2):
-        self.layers: list[dict[NodeId, np.ndarray]] = [{} for _ in range(n_layers)]
+    def __init__(self, n_nodes: int, dims: list[int]):
+        self.layers = [np.zeros((n_nodes, d)) for d in dims]
 
-    def rows(self, layer: int, node_ids: list[NodeId], dim: int) -> np.ndarray:
-        out = np.zeros((len(node_ids), dim), dtype=np.float64)
-        store = self.layers[layer]
-        for i, nid in enumerate(node_ids):
-            vec = store.get(nid)
-            if vec is not None:
-                out[i] = vec
-        return out
-
-    def update(self, layer: int, node_ids: list[NodeId], values: np.ndarray):
-        store = self.layers[layer]
-        for i, nid in enumerate(node_ids):
-            store[nid] = values[i].copy()
+    def update(self, layer: int, nodes: np.ndarray, values: np.ndarray):
+        self.layers[layer][nodes] = values
 
 
 @dataclass
@@ -197,7 +188,8 @@ class MpGraph:
     """Message-passing structure for (graph, scope, policy).
 
     Rows are the closure: the scope plus every sender of a flow-permitted edge into
-    the scope, in canonical (sorted NodeId) order. Edges are flat arrays over closure
+    the scope, in canonical (sorted NodeId) order; row i is node `closure[i]` of
+    the graph's index, with id `node_ids[i]`. Edges are flat arrays over closure
     rows, one entry per permitted message into a scope row, sorted by (relation,
     receiver, sender): `relations[relation[e]]` carries row `sender[e]` into row
     `receiver[e]`, scaled by `weight[e]`, the receiver's 1/degree under that
@@ -207,10 +199,9 @@ class MpGraph:
     """
 
     node_ids: list[NodeId]
+    closure: np.ndarray
     scope_rows: np.ndarray
     out_rows: np.ndarray
-    scope_ids: list[NodeId]
-    out_ids: list[NodeId]
     relations: list[str]
     relation: np.ndarray
     receiver: np.ndarray
@@ -218,6 +209,13 @@ class MpGraph:
     weight: np.ndarray
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
     projected: list[str]  # non-categorical attribute modalities in or next to the scope
+
+    def row_of(self, n_nodes: int) -> np.ndarray:
+        """Per index node of the graph: its row in `encode_layers`' scope outputs,
+        or -1 outside the scope."""
+        row_of = np.full(n_nodes, -1, dtype=np.intp)
+        row_of[self.closure[self.scope_rows]] = np.arange(len(self.scope_rows))
+        return row_of
 
 
 def build_mp(
@@ -254,10 +252,9 @@ def build_mp(
     codes = sorted(set(gi.modality[near & ~gi.is_entity].tolist()))
     return MpGraph(
         node_ids=node_ids,
+        closure=closure,
         scope_rows=scope_rows,
         out_rows=out_rows,
-        scope_ids=[node_ids[i] for i in scope_rows.tolist()],
-        out_ids=[node_ids[i] for i in out_rows.tolist()],
         relations=gi.relations,
         relation=gi.relation[live],
         receiver=np.searchsorted(closure, gi.receiver[live]),
@@ -304,7 +301,7 @@ def encode_layers(
             fill = [(mp.scope_rows, h_scope)]
             if len(mp.out_rows):
                 hist = (
-                    history.rows(l - 1, mp.out_ids, dims[l])
+                    history.layers[l - 1][mp.closure[mp.out_rows]]
                     if history is not None
                     else np.zeros((len(mp.out_rows), dims[l]))
                 )
@@ -332,7 +329,7 @@ def encode(
     policy = policy or FlowPolicy.unrestricted()
     mp = build_mp(graph, scope, policy)
     final = encode_layers(mp, initial, params, history)[-1]
-    return {nid: final.data[i].copy() for i, nid in enumerate(mp.scope_ids)}
+    return {mp.node_ids[r]: final.data[i].copy() for i, r in enumerate(mp.scope_rows.tolist())}
 
 
 def infer(

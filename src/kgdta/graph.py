@@ -104,7 +104,8 @@ class GraphIndex:
 
     Node i is `node_ids[i]`, and ints follow canonical (sorted `NodeId`) order, so
     sorting ints sorts ids. Node i has modality `modalities[modality[i]]`.
-    `sources`/`targets` hold every triple's endpoints in insertion order.
+    `triples` holds every triple as a (source, relation code, target) row, in
+    insertion order; an `rdf:type` triple, which has no code, has relation -1.
 
     Message edges are the triples other than `rdf:type`, each in both directions,
     deduplicated and sorted by (relation, receiver, sender): each relation's edges
@@ -119,8 +120,7 @@ class GraphIndex:
     is_entity: np.ndarray
     modalities: list[str]
     modality: np.ndarray
-    sources: np.ndarray
-    targets: np.ndarray
+    triples: np.ndarray
     relations: list[str]
     relation: np.ndarray
     receiver: np.ndarray
@@ -137,13 +137,12 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
     relations = sorted(set(graph.by_relation) - {RDF_TYPE})
     relation_code = {name: k for k, name in enumerate(relations)}
     n = max(len(nodes), 1)
-    sources, targets, keys = [], [], []
+    rows, keys = [], []
     for source, name, target in graph._triples:
         s, t = position[source], position[target]
-        sources.append(s)
-        targets.append(t)
-        r = relation_code.get(name)
-        if r is not None:  # one int per edge, ordered as (relation, receiver, sender)
+        r = relation_code.get(name, -1)
+        rows.append((s, r, t))
+        if r >= 0:  # one int per edge, ordered as (relation, receiver, sender)
             keys += ((r * n + t) * n + s, (r * n + s) * n + t)
     segments, sender = np.divmod(np.unique(np.array(keys, dtype=np.intp)), n)
     # segments are sorted, so each (relation, receiver) run's length is its degree
@@ -155,8 +154,7 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
         is_entity=np.array([node.kind is NodeKind.ENTITY for node in nodes], dtype=bool),
         modalities=modalities,
         modality=np.array([modality_code[node.modality] for node in nodes], dtype=np.intp),
-        sources=np.array(sources, dtype=np.intp),
-        targets=np.array(targets, dtype=np.intp),
+        triples=np.array(rows, dtype=np.intp).reshape(-1, 3),
         relations=relations,
         relation=relation,
         receiver=receiver,
@@ -227,9 +225,6 @@ class MultimodalGraph:
 
     def triples(self) -> list[Triple]:
         return list(self._triples.values())
-
-    def has_triple(self, source: NodeId, relation_name: str, target: NodeId) -> bool:
-        return (source, relation_name, target) in self._triples
 
     def num_triples(self) -> int:
         return len(self._triples)

@@ -224,7 +224,7 @@ def import_external_embeddings(path: str) -> EmbeddingTable:
         if len(values) != dim:
             raise DimMismatch(f"{path}:{lineno}: expected {dim} floats, got {len(values)}")
         if not all(math.isfinite(v) for v in values):
-            raise NonFinite(f"{path}:{lineno}: non-finite component")
+            raise ParseError(f"{path}:{lineno}: non-finite component")
         if ":" in key:
             namespace, local = key.split(":", 1)
             node_id = NodeId(namespace, local)

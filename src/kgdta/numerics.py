@@ -190,6 +190,14 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return _make(data, tensors, grad_fn)
 
 
+def _take_rows(data: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """data[index] along the first axis, raising IndexError for an index outside
+    [0, len(data)); numpy indexing would read a negative index from the end."""
+    if index.size and index.min() < 0:
+        raise IndexError(f"negative row index for {data.shape[0]} rows")
+    return data.take(index, axis=0)
+
+
 def _scatter_add(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """out[index[e]] += values[e] for every entry e, added in entry order into an
     (n_rows, width) block of zeros. Each cell sums its terms in the same order as a
@@ -215,7 +223,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     def grad_fn(g):
         return (_scatter_add(idx, g, n_rows),)
 
-    return _make(a.data[idx], (a,), grad_fn)
+    return _make(_take_rows(a.data, idx), (a,), grad_fn)
 
 
 def segment_sum(
@@ -240,7 +248,7 @@ def segment_sum(
     if not rows.shape == segments.shape == weights.shape:
         raise ShapeMismatch(f"segment_sum: {rows.shape} rows, {segments.shape} segments, {weights.shape} weights")
     weights = weights[:, None]
-    data = _scatter_add(segments, weights * a.data[rows], n_segments)
+    data = _scatter_add(segments, weights * _take_rows(a.data, rows), n_segments)
     n_rows = a.data.shape[0]
 
     def grad_fn(g):
@@ -342,6 +350,7 @@ def mse(pred, target) -> Tensor:
     return _make(np.asarray((diff * diff).mean()), (pred,), lambda g: (g * 2.0 * diff / n,))
 
 
+# not called by the library: the reference that bce_with_logits is tested against
 def bce(pred, labels) -> Tensor:
     """Binary cross-entropy on probabilities in (0,1)."""
     pred = _as_tensor(pred)

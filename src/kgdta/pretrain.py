@@ -51,6 +51,7 @@ from .gnn import (
 from .graph import (
     RDF_TYPE,
     SAME_AS,
+    GraphIndex,
     MultimodalGraph,
     NodeId,
     NodeKind,
@@ -149,115 +150,120 @@ def score_logits(fn: ScoreFn, relation: str, h_src: Tensor, h_tgt: Tensor) -> Te
     return nm.rowsum(nm.add(nm.matmul(hidden, fn.clf["w2"]), fn.clf["b2"]))
 
 
-def score(fn: ScoreFn, h, relation: str, t) -> float:
-    """Probability for a single triple given its endpoint embeddings."""
-    h = np.asarray(h, dtype=np.float64).reshape(1, -1)
-    t = np.asarray(t, dtype=np.float64).reshape(1, -1)
-    logits = score_logits(fn, relation, nm.constant(h), nm.constant(t))
-    return float(nm.sigmoid(logits).data[0])
-
-
 # --- negatives -----------------------------------------------------------------
 
 
 @dataclass
 class AdmissibleSets:
-    """Observed source/target node sets per relation, in sorted order."""
+    """Observed source and target node ints per relation code, each sorted, for
+    triples given as (source, relation code, target) int rows over `n_nodes` nodes
+    and `n_relations` relation codes."""
 
-    by_relation: dict[str, tuple[list[NodeId], list[NodeId]]]
+    by_relation: dict[int, tuple[np.ndarray, np.ndarray]]
+    n_nodes: int
+    n_relations: int
 
     @staticmethod
-    def from_triples(triples) -> "AdmissibleSets":
-        sources: dict[str, set[NodeId]] = {}
-        targets: dict[str, set[NodeId]] = {}
-        for t in triples:
-            sources.setdefault(t.relation.name, set()).add(t.source)
-            targets.setdefault(t.relation.name, set()).add(t.target)
-        return AdmissibleSets(
-            {r: (sorted(sources[r]), sorted(targets[r])) for r in sorted(sources)}
-        )
+    def from_rows(rows: np.ndarray, n_nodes: int, n_relations: int) -> "AdmissibleSets":
+        by_relation = {
+            r: (np.unique(rows[at, 0]), np.unique(rows[at, 2])) for r, at in _relation_groups(rows[:, 1])
+        }
+        return AdmissibleSets(by_relation, n_nodes, n_relations)
+
+    def keys(self, rows: np.ndarray) -> set[int]:
+        """One int per row, (source * n_relations + relation) * n_nodes + target."""
+        return set(((rows[:, 0] * self.n_relations + rows[:, 1]) * self.n_nodes + rows[:, 2]).tolist())
 
 
 def sample_negatives(
-    positives: list[Triple],
+    positives: np.ndarray,
     sets: AdmissibleSets,
     ratio: int = 1,
     rng: np.random.Generator | None = None,
-    forbidden: set | None = None,
-) -> list[Triple]:
-    """`ratio` corruptions per positive, resampling one endpoint uniformly from the
-    relation's admissible set; never emits a triple in `forbidden` (default: the
-    given positives)."""
+    forbidden: set[int] | None = None,
+) -> np.ndarray:
+    """`ratio` corruptions per positive row, resampling one endpoint uniformly from
+    the relation's admissible set; never emits a row whose key (`sets.keys`) is in
+    `forbidden` (default: the given positives)."""
     if rng is None:
         rng = np.random.default_rng(0)
     if forbidden is None:
-        forbidden = {t.key for t in positives}
-    out: list[Triple] = []
-    for t in positives:
-        for _ in range(ratio):
-            out.append(_corrupt(t, sets, forbidden, rng))
-    return out
+        forbidden = sets.keys(positives)
+    out = [
+        _corrupt(s, r, t, sets, forbidden, rng)
+        for s, r, t in positives.tolist()
+        for _ in range(ratio)
+    ]
+    return np.array(out, dtype=np.intp).reshape(-1, 3)
 
 
-def _corrupt(t: Triple, sets: AdmissibleSets, forbidden: set, rng) -> Triple:
-    sources, targets = sets.by_relation[t.relation.name]
+def _corrupt(s: int, r: int, t: int, sets: AdmissibleSets, forbidden: set[int], rng) -> tuple[int, int, int]:
+    sources, targets = sets.by_relation[r]
+    n, base = sets.n_nodes, r * sets.n_nodes  # key = (source * R + r) * N + target
+    stride = sets.n_relations * n
     for _ in range(32):
         if int(rng.integers(0, 2)) == 0:
-            cand = Triple(sources[int(rng.integers(len(sources)))], t.relation, t.target)
+            cand = (int(sources[int(rng.integers(len(sources)))]), r, t)
         else:
-            cand = Triple(t.source, t.relation, targets[int(rng.integers(len(targets)))])
-        if cand.key not in forbidden:
+            cand = (s, r, int(targets[int(rng.integers(len(targets)))]))
+        if cand[0] * stride + base + cand[2] not in forbidden:
             return cand
-    # rejection failed: enumerate the admissible complement exactly
-    pool = [
-        Triple(s, t.relation, t.target) for s in sources
-        if (s, t.relation.name, t.target) not in forbidden
-    ]
-    pool += [
-        Triple(t.source, t.relation, tt) for tt in targets
-        if (t.source, t.relation.name, tt) not in forbidden
-    ]
+    # rejection failed: enumerate the admissible complement exactly, sources first
+    pool = [(u, r, t) for u in sources.tolist() if u * stride + base + t not in forbidden]
+    pool += [(s, r, v) for v in targets.tolist() if s * stride + base + v not in forbidden]
     if not pool:
         raise ExhaustedCandidates(
-            f"no admissible corruption exists for {t.key} (degenerate fixture?)"
+            f"no admissible corruption exists for triple row {(s, r, t)} (degenerate fixture?)"
         )
     return pool[int(rng.integers(len(pool)))]
+
+
+def _relation_groups(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(code, positions of the rows with that relation code), ascending by code,
+    each group's positions in row order. Codes follow sorted relation names."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(codes)]
+    return [(int(ordered[lo]), order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def triple_rows(graph: MultimodalGraph, triples: list[Triple]) -> np.ndarray:
+    """(source, relation code, target) int rows of `triples` over `graph.index()`."""
+    gi = graph.index()
+    code = {name: k for k, name in enumerate(gi.relations)}
+    rows = [(gi.position[t.source], code[t.relation.name], gi.position[t.target]) for t in triples]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
 
 
 # --- loss ------------------------------------------------------------------------
 
 
 class EmbeddingView:
-    """Final-layer embeddings: differentiable rows for in-scope nodes, constant
-    fallback rows (historical or zero) for everything else."""
+    """Final-layer embeddings by index node: differentiable rows of `h` for nodes
+    in scope (`row_of[node]` >= 0), constant rows of `fallback` (historical) or
+    zeros for everything else."""
 
-    def __init__(self, h: Tensor, index: dict[NodeId, int], fallback: dict[NodeId, np.ndarray] | None = None):
+    def __init__(self, h: Tensor, row_of: np.ndarray, fallback: np.ndarray | None = None):
         self.h = h
-        self.index = index
-        self.fallback = fallback or {}
+        self.row_of = row_of
+        self.fallback = fallback
         self.dim = h.data.shape[1]
+        self.covers_all = bool(row_of.size) and row_of.min() >= 0
 
-    def rows(self, node_ids: list[NodeId]) -> Tensor:
-        pos_in, idx_in, pos_out = [], [], []
-        for i, nid in enumerate(node_ids):
-            j = self.index.get(nid)
-            if j is None:
-                pos_out.append(i)
-            else:
-                pos_in.append(i)
-                idx_in.append(j)
-        if not pos_out:
-            return nm.gather_rows(self.h, np.array(idx_in, dtype=np.intp))
+    def rows(self, nodes: np.ndarray) -> Tensor:
+        rows = self.row_of.take(nodes)
+        if self.covers_all or (inside := rows >= 0).all():
+            return nm.gather_rows(self.h, rows)
+        pos_in, pos_out = np.flatnonzero(inside), np.flatnonzero(~inside)
         pieces = []
-        if pos_in:
-            pieces.append((np.array(pos_in, dtype=np.intp), nm.gather_rows(self.h, np.array(idx_in, dtype=np.intp))))
-        const = np.zeros((len(pos_out), self.dim))
-        for row, i in enumerate(pos_out):
-            vec = self.fallback.get(node_ids[i])
-            if vec is not None:
-                const[row] = vec
-        pieces.append((np.array(pos_out, dtype=np.intp), const))
-        return nm.assemble_rows(len(node_ids), self.dim, pieces)
+        if len(pos_in):
+            pieces.append((pos_in, nm.gather_rows(self.h, rows[pos_in])))
+        if self.fallback is None:
+            const = np.zeros((len(pos_out), self.dim))
+        else:
+            const = self.fallback[nodes[pos_out]]
+        pieces.append((pos_out, const))
+        return nm.assemble_rows(len(nodes), self.dim, pieces)
 
 
 @dataclass
@@ -274,13 +280,14 @@ class RegressionHeads:
         return named
 
 
-def numeric_triples(graph: MultimodalGraph) -> list[tuple[NodeId, str, float]]:
-    out = []
-    for t in graph.triples():
-        node = graph.nodes[t.target]
-        if node.kind is NodeKind.ATTRIBUTE and node.modality == NUMBER_MODALITY:
-            out.append((t.source, t.relation.name, float(node.value)))
-    return out
+def numeric_triples(graph: MultimodalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The triples whose target is a numeric attribute, as int rows over
+    `graph.index()` in insertion order, and their numeric values."""
+    gi = graph.index()
+    numeric = ~gi.is_entity & (np.array(gi.modalities) == NUMBER_MODALITY)[gi.modality]
+    rows = gi.triples[numeric[gi.triples[:, 2]] & (gi.triples[:, 1] >= 0)]
+    values = np.array([float(graph.nodes[gi.node_ids[t]].value) for t in rows[:, 2].tolist()])
+    return rows, values
 
 
 def init_regression_heads(relations: list[str], dim: int, rng: np.random.Generator, lam: float = 1.0) -> RegressionHeads:
@@ -292,48 +299,43 @@ def init_regression_heads(relations: list[str], dim: int, rng: np.random.Generat
 
 
 def pretrain_loss(
-    positives: list[Triple],
-    negatives: list[Triple],
+    positives: np.ndarray,
+    negatives: np.ndarray,
     view: EmbeddingView,
     fn: ScoreFn,
+    relations: list[str],
     regression: RegressionHeads | None = None,
-    regression_triples: list[tuple[NodeId, str, float]] | None = None,
+    regression_triples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Bernoulli NLL over positive and corrupted triples, plus (optionally) the mean
-    squared error of the numeric-attribute heads, weighted by the regression lambda."""
-    groups: dict[str, tuple[list[Triple], list[Triple]]] = {}
-    for t in positives:
-        groups.setdefault(t.relation.name, ([], []))[0].append(t)
-    for t in negatives:
-        groups.setdefault(t.relation.name, ([], []))[1].append(t)
+    squared error of the numeric-attribute heads, weighted by the regression lambda.
+
+    Triples are (source, relation code, target) int rows, relation code k naming
+    `relations[k]`; `regression_triples` is such rows with their target values, as
+    `numeric_triples` returns them. Each relation's group lists its positives, then
+    its negatives, and groups are summed in relation-name order."""
+    n_reg = 0 if regression is None or regression_triples is None else len(regression_triples[1])
     total_examples = len(positives) + len(negatives)
-    if total_examples == 0 and (not regression or not regression_triples):
+    if total_examples == 0 and n_reg == 0:
         raise EmptyTrainingSet("loss over nothing")
 
+    batch = np.concatenate([positives, negatives])
+    labels = np.zeros(total_examples)
+    labels[: len(positives)] = 1.0
     loss = nm.constant(np.array(0.0))
-    for rel in sorted(groups):
-        pos, neg = groups[rel]
-        batch = pos + neg
-        h_src = view.rows([t.source for t in batch])
-        h_tgt = view.rows([t.target for t in batch])
-        logits = score_logits(fn, rel, h_src, h_tgt)
-        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        group_loss = nm.bce_with_logits(logits, labels)
-        loss = nm.add(loss, nm.scale(group_loss, len(batch) / total_examples))
+    for code, at in _relation_groups(batch[:, 1]):
+        group = batch.take(at, axis=0)
+        logits = score_logits(fn, relations[code], view.rows(group[:, 0]), view.rows(group[:, 2]))
+        group_loss = nm.bce_with_logits(logits, labels[at])
+        loss = nm.add(loss, nm.scale(group_loss, len(at) / total_examples))
 
-    if regression is not None and regression_triples:
-        by_rel: dict[str, list[tuple[NodeId, float]]] = {}
-        for src, rel, value in regression_triples:
-            by_rel.setdefault(rel, []).append((src, value))
-        n_reg = sum(len(v) for v in by_rel.values())
+    if n_reg:
+        rows, values = regression_triples
         reg_loss = nm.constant(np.array(0.0))
-        for rel in sorted(by_rel):
-            entries = by_rel[rel]
-            w, b = regression.heads[rel]
-            h = view.rows([src for src, _ in entries])
-            pred = nm.add(nm.rowsum(nm.matmul(h, w)), b)
-            target = np.array([v for _, v in entries])
-            reg_loss = nm.add(reg_loss, nm.scale(nm.mse(pred, target), len(entries) / n_reg))
+        for code, at in _relation_groups(rows[:, 1]):
+            w, b = regression.heads[relations[code]]
+            pred = nm.add(nm.rowsum(nm.matmul(view.rows(rows[at, 0]), w)), b)
+            reg_loss = nm.add(reg_loss, nm.scale(nm.mse(pred, values[at]), len(at) / n_reg))
         loss = nm.add(loss, nm.scale(reg_loss, regression.lam))
 
     if not np.isfinite(loss.data):
@@ -399,8 +401,9 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
 
     # one pass over the triples: the smallest entity pointing at each attribute
     smallest = np.full(n_all, n_all, dtype=np.intp)
-    to_attr = ~gi.is_entity[gi.targets]
-    np.minimum.at(smallest, gi.targets[to_attr], gi.sources[to_attr])
+    sources, targets = gi.triples[:, 0], gi.triples[:, 2]
+    to_attr = ~gi.is_entity[targets]
+    np.minimum.at(smallest, targets[to_attr], sources[to_attr])
     for nid, node in graph.nodes.items():
         if node.kind is NodeKind.ATTRIBUTE:
             first = int(smallest[gi.position[nid]])
@@ -466,13 +469,18 @@ def trainable_relations(graph: MultimodalGraph) -> list[str]:
     return sorted({t.relation.name for t in graph.triples() if t.relation.name not in META_RELATIONS})
 
 
-def _split_positives(filtered: list[Triple], cfg: PretrainConfig) -> tuple[list[Triple], list[Triple]]:
-    perm = substream(cfg.seed, "split").permutation(len(filtered))
-    n_train = int(round(cfg.train_val * len(filtered)))
-    n_train = min(max(n_train, 1), len(filtered))
-    train = [filtered[int(i)] for i in perm[:n_train]]
-    val = [filtered[int(i)] for i in perm[n_train:]]
-    return train, val
+def _admitted(gi: GraphIndex, link_filter: LinkFilter) -> np.ndarray:
+    """Positions, in insertion order, of the triples `link_filter` admits."""
+    codes = [k for k, name in enumerate(gi.relations) if link_filter.admits(name)]
+    return np.flatnonzero(np.isin(gi.triples[:, 1], codes))
+
+
+def _split_positives(n: int, cfg: PretrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Train and validation positions among `n` admitted triples."""
+    perm = substream(cfg.seed, "split").permutation(n)
+    n_train = int(round(cfg.train_val * n))
+    n_train = min(max(n_train, 1), n)
+    return perm[:n_train], perm[n_train:]
 
 
 def _final_embeddings(
@@ -480,34 +488,18 @@ def _final_embeddings(
     initial: EmbeddingTable,
     params: GnnParams,
     policy: FlowPolicy,
-) -> tuple[Tensor, dict[NodeId, int]]:
+) -> EmbeddingView:
     mp = build_mp(graph, None, policy)
     layers = encode_layers(mp, initial, params)
-    return layers[-1], {nid: i for i, nid in enumerate(mp.scope_ids)}
+    return EmbeddingView(layers[-1], mp.row_of(len(graph.index().node_ids)))
 
 
-def score_triples(
-    embeddings: dict[NodeId, np.ndarray] | EmbeddingView,
-    fn: ScoreFn,
-    triples: list[Triple],
-) -> np.ndarray:
-    """Probabilities for a triple batch; plain arrays in, plain arrays out."""
-    if isinstance(embeddings, EmbeddingView):
-        view = embeddings
-    else:
-        ids = sorted(embeddings)
-        h = nm.constant(np.stack([embeddings[i] for i in ids]) if ids else np.zeros((0, 1)))
-        view = EmbeddingView(h, {nid: i for i, nid in enumerate(ids)})
-    out = np.zeros(len(triples))
-    by_rel: dict[str, list[int]] = {}
-    for i, t in enumerate(triples):
-        by_rel.setdefault(t.relation.name, []).append(i)
-    for rel in sorted(by_rel):
-        rows = by_rel[rel]
-        h_src = view.rows([triples[i].source for i in rows])
-        h_tgt = view.rows([triples[i].target for i in rows])
-        probs = nm.sigmoid(score_logits(fn, rel, h_src, h_tgt)).data
-        out[rows] = probs
+def score_triples(view: EmbeddingView, fn: ScoreFn, rows: np.ndarray, relations: list[str]) -> np.ndarray:
+    """Probabilities for a batch of (source, relation code, target) int rows."""
+    out = np.zeros(len(rows))
+    for code, at in _relation_groups(rows[:, 1]):
+        h_src, h_tgt = view.rows(rows[at, 0]), view.rows(rows[at, 2])
+        out[at] = nm.sigmoid(score_logits(fn, relations[code], h_src, h_tgt)).data
     return out
 
 
@@ -535,12 +527,16 @@ def train(
     fresh weights.
     """
     t_start = time.monotonic()
-    filtered = [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)]
-    if not filtered:
+    gi = graph.index()
+    n_nodes = len(gi.node_ids)
+    admitted = _admitted(gi, cfg.link_filter)
+    if not len(admitted):
         raise EmptyTrainingSet("no triples admitted by the link filter")
-    train_pos, val_pos = _split_positives(filtered, cfg)
-    sets = AdmissibleSets.from_triples(filtered)
-    forbidden = {t.key for t in filtered}
+    train_at, val_at = _split_positives(len(admitted), cfg)
+    rows = gi.triples[admitted]
+    train_pos, val_pos = rows[train_at], rows[val_at]
+    sets = AdmissibleSets.from_rows(rows, n_nodes, len(gi.relations))
+    forbidden = sets.keys(rows)
 
     plan = partition(graph, cfg.partitions, substream(cfg.seed, "partition"))
     relations = trainable_relations(graph)
@@ -556,12 +552,12 @@ def train(
         cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"), cfg.clf_hidden, cfg.margin
     )
     regression = None
-    reg_triples_all: list[tuple[NodeId, str, float]] = []
+    reg_rows, reg_values = rows[:0], np.zeros(0)
     if cfg.regression:
-        reg_triples_all = numeric_triples(graph)
-        if not reg_triples_all:
+        reg_rows, reg_values = numeric_triples(graph)
+        if not len(reg_values):
             raise EmptyTrainingSet("the regression objective needs a numeric-attribute triple")
-        reg_relations = sorted({rel for _, rel, _ in reg_triples_all})
+        reg_relations = [gi.relations[k] for k, _ in _relation_groups(reg_rows[:, 1])]
         regression = init_regression_heads(
             reg_relations, cfg.out_dim, substream(cfg.seed, "init_reg"), cfg.reg_lambda
         )
@@ -576,15 +572,15 @@ def train(
             if src is not None and src.data.shape == tensor.data.shape:
                 tensor.data = src.data.copy()
 
-    history = HistoricalStore(len(params.layers))
+    history = HistoricalStore(n_nodes, [params.hidden_dim, params.out_dim])
     mps = [build_mp(graph, set(plan.nodes_of(p)), cfg.policy) for p in range(plan.k)]
-    train_by_part: list[list[Triple]] = [[] for _ in range(plan.k)]
-    for t in train_pos:
-        train_by_part[plan.assignment[t.source]].append(t)
-    reg_by_part: list[list[tuple[NodeId, str, float]]] = [[] for _ in range(plan.k)]
-    for src, rel, value in reg_triples_all:
-        reg_by_part[plan.assignment[src]].append((src, rel, value))
+    part_of = np.array([plan.assignment[nid] for nid in gi.node_ids], dtype=np.intp)
+    train_by_part = [train_pos[part_of[train_pos[:, 0]] == p] for p in range(plan.k)]
+    reg_part = part_of[reg_rows[:, 0]]
+    reg_by_part = [(reg_rows[reg_part == p], reg_values[reg_part == p]) for p in range(plan.k)]
 
+    scopes = [mp.closure[mp.scope_rows] for mp in mps]
+    row_ofs = [mp.row_of(n_nodes) for mp in mps]
     state = None
     log: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -594,18 +590,13 @@ def train(
         for p in range(plan.k):
             mp = mps[p]
             layers = encode_layers(mp, initial, params, history)
-            view = EmbeddingView(
-                layers[-1],
-                {nid: i for i, nid in enumerate(mp.scope_ids)},
-                history.layers[-1],
-            )
+            view = EmbeddingView(layers[-1], row_ofs[p], history.layers[-1])
             pos_p = train_by_part[p]
-            reg_p = reg_by_part[p] if regression is not None else None
-            if pos_p or reg_p:
+            if len(pos_p) or len(reg_by_part[p][1]):
                 negs = sample_negatives(
                     pos_p, sets, cfg.negative_ratio, substream(cfg.seed, "neg", epoch, p), forbidden
                 )
-                loss = pretrain_loss(pos_p, negs, view, fn, regression, reg_p)
+                loss = pretrain_loss(pos_p, negs, view, fn, gi.relations, regression, reg_by_part[p])
                 nm.zero_grads(named)
                 nm.backward(loss)
                 _, state = nm.adam_step(named, nm.collect_grads(named), state, cfg.lr)
@@ -613,22 +604,24 @@ def train(
             else:
                 train_loss = None  # partition holds no training triples
             for l, h_layer in enumerate(layers[1:]):
-                history.update(l, mp.scope_ids, h_layer.data)
+                history.update(l, scopes[p], h_layer.data)
             epoch_rows.append({"epoch": epoch, "partition": p, "train_loss": train_loss})
         val_loss = _validation_loss(graph, initial, params, fn, cfg, val_pos, sets, forbidden, epoch)
         for row in epoch_rows:
             row["val_loss"] = val_loss
             log.append(row)
-    return TrainResult(params, fn, regression, history, log, train_pos, val_pos, relations, cfg)
+    triples = graph.triples()
+    train_triples = [triples[i] for i in admitted[train_at].tolist()]
+    val_triples = [triples[i] for i in admitted[val_at].tolist()]
+    return TrainResult(params, fn, regression, history, log, train_triples, val_triples, relations, cfg)
 
 
 def _validation_loss(graph, initial, params, fn, cfg, val_pos, sets, forbidden, epoch):
-    if not val_pos:
+    if not len(val_pos):
         return None
-    h, index = _final_embeddings(graph, initial, params, cfg.policy)
-    view = EmbeddingView(h, index)
+    view = _final_embeddings(graph, initial, params, cfg.policy)
     negs = sample_negatives(val_pos, sets, cfg.negative_ratio, substream(cfg.seed, "valneg", epoch), forbidden)
-    return float(pretrain_loss(val_pos, negs, view, fn).data)
+    return float(pretrain_loss(val_pos, negs, view, fn, graph.index().relations).data)
 
 
 def evaluate_link_auc(
@@ -640,14 +633,14 @@ def evaluate_link_auc(
 ) -> float:
     """Held-out AUC: validation positives vs fresh admissible corruptions."""
     cfg = result.config
-    filtered = [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)]
-    sets = AdmissibleSets.from_triples(filtered)
-    forbidden = {t.key for t in filtered}
-    h, index = _final_embeddings(graph, initial, result.params, cfg.policy)
-    view = EmbeddingView(h, index)
-    negs = sample_negatives(result.val_triples, sets, ratio, substream(seed, "auc_neg"), forbidden)
-    pos_scores = score_triples(view, result.score_fn, result.val_triples)
-    neg_scores = score_triples(view, result.score_fn, negs)
+    gi = graph.index()
+    rows = gi.triples[_admitted(gi, cfg.link_filter)]
+    sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
+    view = _final_embeddings(graph, initial, result.params, cfg.policy)
+    val_rows = triple_rows(graph, result.val_triples)
+    negs = sample_negatives(val_rows, sets, ratio, substream(seed, "auc_neg"), sets.keys(rows))
+    pos_scores = score_triples(view, result.score_fn, val_rows, gi.relations)
+    neg_scores = score_triples(view, result.score_fn, negs, gi.relations)
     return link_auc(pos_scores, neg_scores)
 
 

@@ -47,6 +47,7 @@ from kgdta.pretrain import (
     sample_negatives,
     train,
     trainable_relations,
+    triple_rows,
 )
 from kgdta.schema import parse_ntriples, to_ntriples
 from kgdta.synthetic import make_planted_world
@@ -106,17 +107,18 @@ def test_01_gradient_suite():
             for p in named.values():
                 # random small parameters away from relu kinks
                 p.data = p.data + rng.normal(size=p.data.shape) * 0.15
-            filtered = [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)]
-            train_pos, _ = _split_positives(filtered, cfg)
-            sets = AdmissibleSets.from_triples(filtered)
-            negs = sample_negatives(train_pos, sets, 1, substream(23, "neg"), {t.key for t in filtered})
+            gi = graph.index()
+            filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+            train_pos = filtered[_split_positives(len(filtered), cfg)[0]]
+            sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
+            negs = sample_negatives(train_pos, sets, 1, substream(23, "neg"), sets.keys(filtered))
             reg_triples = numeric_triples(graph) if with_regression else None
             mp = build_mp(graph, None, cfg.policy)
 
             def objective(p):
                 layers = encode_layers(mp, table, result.params)
-                view = EmbeddingView(layers[-1], {nid: i for i, nid in enumerate(mp.scope_ids)})
-                return pretrain_loss(train_pos, negs, view, result.score_fn,
+                view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+                return pretrain_loss(train_pos, negs, view, result.score_fn, gi.relations,
                                      result.regression, reg_triples)
 
             err = nm.grad_check(objective, named)
@@ -199,10 +201,11 @@ def test_03_gas_consistency():
     result = train(graph, table, cfg)
 
     # full-batch reference loop: no partition plan, no historical store
-    filtered = [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)]
-    train_pos, _ = _split_positives(filtered, cfg)
-    sets = AdmissibleSets.from_triples(filtered)
-    forbidden = {t.key for t in filtered}
+    gi = graph.index()
+    filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+    train_pos = filtered[_split_positives(len(filtered), cfg)[0]]
+    sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
+    forbidden = sets.keys(filtered)
     relations = trainable_relations(graph)
     from kgdta.pretrain import _attr_modality_dims
 
@@ -216,9 +219,9 @@ def test_03_gas_consistency():
     max_loss_diff = 0.0
     for epoch in range(cfg.epochs):
         layers = encode_layers(mp, table, params)
-        view = EmbeddingView(layers[-1], {nid: i for i, nid in enumerate(mp.scope_ids)})
+        view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
         negs = sample_negatives(train_pos, sets, 1, substream(cfg.seed, "neg", epoch, 0), forbidden)
-        loss = pretrain_loss(train_pos, negs, view, fn)
+        loss = pretrain_loss(train_pos, negs, view, fn, gi.relations)
         max_loss_diff = max(max_loss_diff, abs(float(loss.data) - result.log[epoch]["train_loss"]))
         nm.zero_grads(named)
         nm.backward(loss)
@@ -349,14 +352,21 @@ def test_07_negative_sampling_contract():
         positives = g.triples()
         if not positives:
             continue
-        sets = AdmissibleSets.from_triples(positives)
+        gi = g.index()
+        rows = triple_rows(g, positives)
+        sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
         keys = {t.key for t in positives}
+        # the admissible sets, as node ids, per relation name
+        named_sets = {
+            gi.relations[r]: ([gi.node_ids[i] for i in srcs], [gi.node_ids[i] for i in tgts])
+            for r, (srcs, tgts) in sets.by_relation.items()
+        }
         try:
-            negs = sample_negatives(positives, sets, 1, substream(72, "neg", trial))
+            negs = sample_negatives(rows, sets, 1, substream(72, "neg", trial))
         except ExhaustedCandidates:
             # only legitimate when some positive's corruption complement is empty;
             # check that with brute-force enumeration, then draw a fresh graph
-            srcs, tgts = sets.by_relation["binding_to"]
+            srcs, tgts = named_sets["binding_to"]
             saturated = any(
                 all((s, "binding_to", t.target) in keys for s in srcs)
                 and all((t.source, "binding_to", tt) in keys for tt in tgts)
@@ -366,9 +376,10 @@ def test_07_negative_sampling_contract():
             degenerate += 1
             continue
         assert len(negs) == len(positives)
-        for t in negs:
-            srcs, tgts = sets.by_relation[t.relation.name]
-            assert t.source in srcs and t.target in tgts and t.key not in keys
+        for s, r, t in negs.tolist():
+            srcs, tgts = named_sets[gi.relations[r]]
+            key = (gi.node_ids[s], gi.relations[r], gi.node_ids[t])
+            assert key[0] in srcs and key[2] in tgts and key not in keys
         total_negs += len(negs)
         sampled_graphs += 1
     report("criterion 7: negative-sampling contract",

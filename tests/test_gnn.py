@@ -222,7 +222,7 @@ def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
             h = np.zeros((n, dims[l]))
             h[mp.scope_rows] = outputs[-1]
             if history is not None:
-                h[mp.out_rows] = history.rows(l - 1, mp.out_ids, dims[l])
+                h[mp.out_rows] = history.layers[l - 1][mp.closure[mp.out_rows]]
         z = h @ layer.w_self.data + layer.bias.data
         for rel, A in dense.items():
             z = z + A @ h @ layer.weight_for(rel).data
@@ -247,10 +247,10 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
         dims = {m: table.dims[m] for m in ("protein_sequence", "smiles")}
         params = init_gnn_params(dims, trainable_relations(g), substream(8, "init"), 16, 12, 12)
         plan = partition(g, 3, substream(8, "partition"))
-        history = HistoricalStore(2)
+        n_nodes = len(g.nodes)
+        history = HistoricalStore(n_nodes, [12, 12])
         rng = substream(8, "history")
-        ids = sorted(g.nodes)
-        history.update(0, ids, rng.normal(size=(len(ids), 12)))
+        history.update(0, np.arange(n_nodes), rng.normal(size=(n_nodes, 12)))
         for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
             for scope, hist in ((None, None), (set(plan.nodes_of(1)), None), (set(plan.nodes_of(2)), history)):
                 mp = build_mp(g, scope, policy)
@@ -394,8 +394,8 @@ def test_historical_store_feeds_out_of_scope_neighbors():
     params = identity_params()
     table = table_for(g, {})
 
-    hist = HistoricalStore(2)
-    hist.update(0, [p2.id], np.array([[5.0, 0.0, 0.0]]))
+    hist = HistoricalStore(len(g.nodes), [3, 3])
+    hist.update(0, np.array([g.index().position[p2.id]]), np.array([[5.0, 0.0, 0.0]]))
     out_with = encode(g, table, params, history=hist, scope=[p1.id])[p1.id]
     out_zero = encode(g, table, params, scope=[p1.id])[p1.id]
     # layer 2 of p1 aggregates p2's layer-1 embedding: history vs zero fallback

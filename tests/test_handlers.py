@@ -211,6 +211,10 @@ def test_import_external_parse_errors(tmp_path):
     path.write_text("protein_sequence,2\nuniprot:P1,1,oops\n")
     with pytest.raises(ParseError):
         import_external_embeddings(str(path))
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"protein_sequence,2\nuniprot:P1,1,{bad}\n")
+        with pytest.raises(ParseError):
+            import_external_embeddings(str(path))
 
 
 def test_external_vectors_override_handler_output():

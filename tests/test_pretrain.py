@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kg_strategies import graphs
 from kgdta import numerics as nm
 from kgdta.errors import EmptyTrainingSet, ExhaustedCandidates, InvalidK, UnknownRelation
+from kgdta.gnn import HistoricalStore
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, Triple, attribute_node, entity
 from kgdta.handlers import compute_initial_embeddings, default_registry
 from kgdta.pretrain import (
@@ -28,9 +29,10 @@ from kgdta.pretrain import (
     pretrain_loss,
     sample_negatives,
     save_checkpoint,
-    score,
+    score_logits,
     sequential_pretrain,
     train,
+    triple_rows,
 )
 from kgdta.synthetic import make_planted_world
 from kgdta.util import substream
@@ -43,28 +45,35 @@ def simple_fn(kind, w, **kwargs):
     return ScoreFn(kind, {"r": nm.param(np.array(w, dtype=np.float64))}, **kwargs)
 
 
+def one_row(v) -> nm.Tensor:
+    return nm.constant(np.asarray(v, dtype=np.float64).reshape(1, -1))
+
+
 def test_distmult_zero_gives_half():
     fn = simple_fn("distmult", [0.0, 0.0, 0.0])
-    assert score(fn, np.zeros(3), "r", np.zeros(3)) == 0.5
+    logits = score_logits(fn, "r", one_row(np.zeros(3)), one_row(np.zeros(3)))
+    assert nm.sigmoid(logits).data[0] == 0.5
 
 
 def test_transe_exact_translation():
     h = np.array([0.3, -0.2])
     w = np.array([0.1, 0.4])
     fn = simple_fn("transe", w, margin=1.0)
-    assert abs(score(fn, h, "r", h + w) - SIGMOID_1) < 1e-12
+    logits = score_logits(fn, "r", one_row(h), one_row(h + w))
+    assert abs(nm.sigmoid(logits).data[0] - SIGMOID_1) < 1e-12
 
 
 def test_distmult_toy_trilinear():
     fn = simple_fn("distmult", [1.0, 1.0])
     # sum_i h_i * w_i * t_i = 1*1*1 + 0*1*0 = 1
-    assert abs(score(fn, [1.0, 0.0], "r", [1.0, 0.0]) - SIGMOID_1) < 1e-12
+    logits = score_logits(fn, "r", one_row([1.0, 0.0]), one_row([1.0, 0.0]))
+    assert abs(nm.sigmoid(logits).data[0] - SIGMOID_1) < 1e-12
 
 
 def test_unknown_relation():
     fn = simple_fn("distmult", [0.0])
     with pytest.raises(UnknownRelation):
-        score(fn, [0.0], "nope", [0.0])
+        score_logits(fn, "nope", one_row([0.0]), one_row([0.0]))
 
 
 @given(st.integers(0, 2), st.integers(0, 10_000))
@@ -72,7 +81,8 @@ def test_scores_strictly_in_unit_interval(kind_idx, seed):
     kind = ("distmult", "transe", "classifier")[kind_idx]
     rng = np.random.default_rng(seed)
     fn = init_score_fn(kind, ["r"], 6, rng, clf_hidden=8)
-    val = score(fn, rng.normal(size=6) * 3, "r", rng.normal(size=6) * 3)
+    logits = score_logits(fn, "r", one_row(rng.normal(size=6) * 3), one_row(rng.normal(size=6) * 3))
+    val = nm.sigmoid(logits).data[0]
     assert 0.0 < val < 1.0
 
 
@@ -83,12 +93,25 @@ def _object_triple(s_ns, s_id, t_ns, t_id, rel="target_of"):
     return Triple(NodeId(s_ns, s_id), Relation(rel, RelationKind.OBJECT), NodeId(t_ns, t_id))
 
 
+def interned(triples):
+    """Node ids, relation names and (source, relation code, target) int rows of
+    `triples`, with ints in sorted order as a graph index numbers them."""
+    node_ids = sorted({t.source for t in triples} | {t.target for t in triples})
+    relations = sorted({t.relation.name for t in triples})
+    position = {nid: i for i, nid in enumerate(node_ids)}
+    rows = [(position[t.source], relations.index(t.relation.name), position[t.target]) for t in triples]
+    return node_ids, relations, np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def named(rows, node_ids, relations):
+    """Triple keys of int rows."""
+    return [(node_ids[s], relations[r], node_ids[t]) for s, r, t in rows.tolist()]
+
+
 def test_negatives_come_from_enumerated_complement():
-    pos = [_object_triple("drugbank", "d1", "uniprot", "p1")]
-    sets = AdmissibleSets(
-        {"target_of": ([NodeId("drugbank", "d1"), NodeId("drugbank", "d2")],
-                       [NodeId("uniprot", "p1"), NodeId("uniprot", "p2")])}
-    )
+    node_ids = [NodeId("drugbank", "d1"), NodeId("drugbank", "d2"), NodeId("uniprot", "p1"), NodeId("uniprot", "p2")]
+    pos = np.array([[0, 0, 2]])  # d1 target_of p1
+    sets = AdmissibleSets({0: (np.array([0, 1]), np.array([2, 3]))}, n_nodes=4, n_relations=1)
     # oracle: enumerate the admissible complement by hand
     complement = {
         ("drugbank:d2", "target_of", "uniprot:p1"),
@@ -98,18 +121,19 @@ def test_negatives_come_from_enumerated_complement():
     for trial in range(50):
         negs = sample_negatives(pos, sets, 1, substream(trial, "neg"))
         assert len(negs) == 1
-        key = (str(negs[0].source), negs[0].relation.name, str(negs[0].target))
-        assert key in complement
+        (source, relation, target), = named(negs, node_ids, ["target_of"])
+        assert (str(source), relation, str(target)) in complement
 
 
 def test_equal_ratio():
     pos = [
         _object_triple("drugbank", f"d{i}", "uniprot", f"p{i}") for i in range(5)
     ]
-    sets = AdmissibleSets.from_triples(pos)
-    negs = sample_negatives(pos, sets, 1, substream(0, "neg"))
+    node_ids, relations, rows = interned(pos)
+    sets = AdmissibleSets.from_rows(rows, len(node_ids), len(relations))
+    negs = sample_negatives(rows, sets, 1, substream(0, "neg"))
     assert len(negs) == len(pos)
-    negs3 = sample_negatives(pos, sets, 3, substream(0, "neg"))
+    negs3 = sample_negatives(rows, sets, 3, substream(0, "neg"))
     assert len(negs3) == 3 * len(pos)
 
 
@@ -119,9 +143,10 @@ def test_exhausted_candidates_when_all_pairs_positive():
         for d in ("d1", "d2")
         for p in ("p1", "p2")
     ]
-    sets = AdmissibleSets.from_triples(pos)
+    node_ids, relations, rows = interned(pos)
+    sets = AdmissibleSets.from_rows(rows, len(node_ids), len(relations))
     with pytest.raises(ExhaustedCandidates):
-        sample_negatives(pos, sets, 1, substream(0, "neg"))
+        sample_negatives(rows, sets, 1, substream(0, "neg"))
 
 
 @settings(max_examples=60)
@@ -130,33 +155,140 @@ def test_negatives_always_admissible(g, seed):
     positives = [t for t in g.triples() if t.relation.name not in ("rdf:type", "sameAs")]
     if not positives:
         return
-    sets = AdmissibleSets.from_triples(positives)
+    gi = g.index()
+    rows = triple_rows(g, positives)
+    sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
     keys = {t.key for t in positives}
     try:
-        negs = sample_negatives(positives, sets, 1, substream(seed, "neg"))
+        negs = sample_negatives(rows, sets, 1, substream(seed, "neg"))
     except ExhaustedCandidates:
         return
     assert len(negs) == len(positives)
-    for t in negs:
-        sources, targets = sets.by_relation[t.relation.name]
-        assert t.source in sources and t.target in targets
-        assert t.key not in keys
+    for (s, r, t), key in zip(negs.tolist(), named(negs, gi.node_ids, gi.relations)):
+        sources, targets = sets.by_relation[r]
+        assert s in sources and t in targets
+        assert key not in keys
+
+
+def reference_sample_negatives(positives, ratio, rng, forbidden, fallbacks):
+    """The sampler written over `Triple`s and NodeId-key sets, as a loop-form oracle;
+    appends to `fallbacks` each positive whose rejection loop gave up."""
+    sources, targets = {}, {}
+    for t in positives:
+        sources.setdefault(t.relation.name, set()).add(t.source)
+        targets.setdefault(t.relation.name, set()).add(t.target)
+    out = []
+    for t in positives:
+        srcs, tgts = sorted(sources[t.relation.name]), sorted(targets[t.relation.name])
+        for _ in range(ratio):
+            for _ in range(32):
+                if int(rng.integers(0, 2)) == 0:
+                    cand = Triple(srcs[int(rng.integers(len(srcs)))], t.relation, t.target)
+                else:
+                    cand = Triple(t.source, t.relation, tgts[int(rng.integers(len(tgts)))])
+                if cand.key not in forbidden:
+                    out.append(cand.key)
+                    break
+            else:
+                fallbacks.append(t.key)
+                pool = [(s, t.relation.name, t.target) for s in srcs if (s, t.relation.name, t.target) not in forbidden]
+                pool += [(t.source, t.relation.name, u) for u in tgts if (t.source, t.relation.name, u) not in forbidden]
+                if not pool:
+                    raise ExhaustedCandidates(str(t.key))
+                out.append(pool[int(rng.integers(len(pool)))])
+    return out
+
+
+def assert_sampler_matches_reference(g, positives, forbidden, ratio, seed):
+    """The int sampler, mapped through the index, draws exactly what the reference
+    draws, or both raise ExhaustedCandidates. Returns the reference's fallbacks."""
+    gi = g.index()
+    rows = triple_rows(g, positives)
+    sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
+    keys = sets.keys(triple_rows(g, [t for t in g.triples() if t.key in forbidden]))
+    fallbacks = []
+    try:
+        want = reference_sample_negatives(positives, ratio, substream(seed, "neg"), forbidden, fallbacks)
+    except ExhaustedCandidates:
+        with pytest.raises(ExhaustedCandidates):
+            sample_negatives(rows, sets, ratio, substream(seed, "neg"), keys)
+        return fallbacks
+    got = sample_negatives(rows, sets, ratio, substream(seed, "neg"), keys)
+    assert named(got, gi.node_ids, gi.relations) == want
+    return fallbacks
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_triples=12), st.integers(0, 1000), st.integers(1, 3))
+def test_int_sampler_draws_exactly_what_the_triple_sampler_draws(g, seed, ratio):
+    positives = [t for t in g.triples() if t.relation.name not in ("rdf:type", "sameAs")]
+    if positives:
+        assert_sampler_matches_reference(g, positives, {t.key for t in positives}, ratio, seed)
+
+
+def bipartite_graph(n_sources, n_targets, pairs):
+    g = MultimodalGraph()
+    drugs = [entity("drugbank", f"d{i:03d}", "drug") for i in range(n_sources)]
+    proteins = [entity("uniprot", f"p{j:03d}", "protein") for j in range(n_targets)]
+    for i, j in pairs:
+        g.add_triple(drugs[i], TARGET_OF, proteins[j])
+    return g
+
+
+def test_int_sampler_matches_the_reference_through_the_exhaustive_fallback():
+    # every corruption of (d0, p0) is a positive except (d59, p0) and (d0, p59), so
+    # the rejection loop mostly gives up and the fallback pool lists those two in order
+    n = 60
+    pairs = [(0, 0)] + [(i, 0) for i in range(1, n - 1)] + [(0, j) for j in range(1, n - 1)]
+    pairs += [(n - 1, 1), (1, n - 1)]
+    g = bipartite_graph(n, n, pairs)
+    positives = g.triples()
+    fallbacks = []
+    for seed in range(8):
+        fallbacks += assert_sampler_matches_reference(g, positives, {t.key for t in positives}, 2, seed)
+    assert fallbacks
+
+
+def test_int_sampler_matches_the_reference_when_candidates_are_exhausted():
+    g = bipartite_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    positives = g.triples()
+    with pytest.raises(ExhaustedCandidates):
+        reference_sample_negatives(positives, 1, substream(0, "neg"), {t.key for t in positives}, [])
+    assert_sampler_matches_reference(g, positives, {t.key for t in positives}, 1, 0)
 
 
 # --- loss ------------------------------------------------------------------------
 
 
-def view_over(vectors: dict[NodeId, np.ndarray]) -> EmbeddingView:
-    ids = sorted(vectors)
-    h = nm.constant(np.stack([vectors[i] for i in ids]))
-    return EmbeddingView(h, {nid: i for i, nid in enumerate(ids)})
+def view_over(vectors: dict[NodeId, np.ndarray], node_ids: list[NodeId]) -> EmbeddingView:
+    h = nm.constant(np.stack([vectors[nid] for nid in node_ids]))
+    return EmbeddingView(h, np.arange(len(node_ids)))
+
+
+def test_view_reads_scope_rows_then_history_then_zeros():
+    history = HistoricalStore(5, [2, 3])
+    history.update(1, np.array([1, 2]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    h = nm.param(np.array([[10.0, 11.0, 12.0], [20.0, 21.0, 22.0]]))
+    row_of = np.array([-1, -1, 0, -1, 1])  # nodes 2 and 4 are in scope; 1 and 2 are stored
+    view = EmbeddingView(h, row_of, history.layers[-1])
+    out = view.rows(np.array([2, 1, 3, 4, 2, 0]))
+    want = [[10, 11, 12], [1, 2, 3], [0, 0, 0], [20, 21, 22], [10, 11, 12], [0, 0, 0]]
+    assert np.array_equal(out.data, np.array(want, dtype=np.float64))
+    probe = np.arange(18.0).reshape(6, 3)
+    nm.backward(nm.sum_all(nm.mul(out, nm.constant(probe))))
+    assert np.array_equal(h.grad, np.stack([probe[0] + probe[4], probe[3]]))
+    assert np.array_equal(history.layers[1][1:3], [[1, 2, 3], [4, 5, 6]])
+    assert not history.layers[0].any()
+    # without a fallback every out-of-scope node reads zeros
+    assert np.array_equal(EmbeddingView(h, row_of).rows(np.array([1, 4])).data, [[0, 0, 0], [20, 21, 22]])
 
 
 def test_single_positive_at_half_gives_ln2():
     t = _object_triple("drugbank", "d1", "uniprot", "p1", rel="r")
     fn = simple_fn("distmult", np.zeros(4))
-    view = view_over({t.source: np.zeros(4), t.target: np.zeros(4)})
-    loss = pretrain_loss([t], [], view, fn)
+    node_ids, relations, rows = interned([t])
+    view = view_over({t.source: np.zeros(4), t.target: np.zeros(4)}, node_ids)
+    loss = pretrain_loss(rows, rows[:0], view, fn, relations)
     assert abs(float(loss.data) - math.log(2)) < 1e-12
 
 
@@ -164,14 +296,16 @@ def test_perfectly_scored_triples_drive_loss_to_zero():
     pos = _object_triple("drugbank", "d1", "uniprot", "p1", rel="r")
     neg = _object_triple("drugbank", "d1", "uniprot", "p2", rel="r")
     fn = simple_fn("distmult", np.ones(2))
+    node_ids, relations, rows = interned([pos, neg])
     view = view_over(
         {
             pos.source: np.array([6.0, 6.0]),
             pos.target: np.array([6.0, 6.0]),
             neg.target: np.array([-6.0, -6.0]),
-        }
+        },
+        node_ids,
     )
-    loss = float(pretrain_loss([pos], [neg], view, fn).data)
+    loss = float(pretrain_loss(rows[:1], rows[1:], view, fn, relations).data)
     assert 0.0 < loss < 1e-9
 
 
@@ -179,12 +313,14 @@ def test_exact_regression_head_contributes_zero():
     from kgdta.pretrain import RegressionHeads
 
     t = _object_triple("drugbank", "d1", "uniprot", "p1", rel="r")
+    mass = Triple(t.source, Relation("mass", RelationKind.DATA), NodeId("attr", "m"))
     fn = simple_fn("distmult", np.zeros(2))
-    view = view_over({t.source: np.zeros(2), t.target: np.zeros(2)})
+    node_ids, relations, rows = interned([t, mass])
+    view = view_over({nid: np.zeros(2) for nid in node_ids}, node_ids)
     heads = RegressionHeads({"mass": (nm.param(np.zeros((2, 1))), nm.param(np.array([7.5])))}, lam=1.0)
-    reg_triples = [(t.source, "mass", 7.5)]
-    with_reg = float(pretrain_loss([t], [], view, fn, heads, reg_triples).data)
-    without = float(pretrain_loss([t], [], view, fn).data)
+    reg_triples = (rows[1:], np.array([7.5]))
+    with_reg = float(pretrain_loss(rows[:1], rows[:0], view, fn, relations, heads, reg_triples).data)
+    without = float(pretrain_loss(rows[:1], rows[:0], view, fn, relations).data)
     assert abs(with_reg - without) < 1e-15
 
 
@@ -327,10 +463,12 @@ def test_gas_k1_matches_full_batch_reference():
 
     # reference: no partition plan, no history store, same substream conventions
     graph = world.graph
-    filtered = [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)]
-    train_pos, _ = _split_positives(filtered, cfg)
-    sets = AdmissibleSets.from_triples(filtered)
-    forbidden = {t.key for t in filtered}
+    gi = graph.index()
+    filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+    train_at, _ = _split_positives(len(filtered), cfg)
+    train_pos = filtered[train_at]
+    sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
+    forbidden = sets.keys(filtered)
     relations = trainable_relations(graph)
     params = init_gnn_params(
         _attr_modality_dims(graph, table), relations, substream(cfg.seed, "init"),
@@ -344,9 +482,9 @@ def test_gas_k1_matches_full_batch_reference():
     mp = build_mp(graph, None, cfg.policy)
     for epoch in range(cfg.epochs):
         layers = encode_layers(mp, table, params)
-        view = EmbeddingView(layers[-1], {nid: i for i, nid in enumerate(mp.scope_ids)})
+        view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
         negs = sample_negatives(train_pos, sets, 1, substream(cfg.seed, "neg", epoch, 0), forbidden)
-        loss = pretrain_loss(train_pos, negs, view, fn)
+        loss = pretrain_loss(train_pos, negs, view, fn, gi.relations)
         losses.append(float(loss.data))
         nm.zero_grads(named)
         nm.backward(loss)
@@ -405,7 +543,7 @@ def test_empty_training_set_raises():
 
 def test_regression_without_numeric_attribute_raises():
     world, table = small_world()
-    assert not numeric_triples(world.graph)
+    assert len(numeric_triples(world.graph)[1]) == 0
     with pytest.raises(EmptyTrainingSet):
         train(world.graph, table, PretrainConfig(epochs=1, regression=True, **SMALL_DIMS))
 
@@ -419,7 +557,7 @@ def test_regression_objective_trains():
                      attribute_node("protein_sequence", "".join(rng.choice(list("ACDF"), size=20))))
         g.add_triple(prot, Relation("length", RelationKind.DATA), attribute_node("number", float(i)))
         g.add_triple(entity("drugbank", f"D{i}", "drug"), TARGET_OF, prot)
-    assert len(numeric_triples(g)) == 6
+    assert len(numeric_triples(g)[1]) == 6
     table = compute_initial_embeddings(g, small_registry(), entity_dim=16)
     cfg = PretrainConfig(score_fn="transe", epochs=4, lr=1e-2, seed=1, regression=True, **SMALL_DIMS)
     result = train(g, table, cfg)
@@ -549,17 +687,19 @@ def test_loss_gradients_pass_finite_differences_all_scorers():
         from kgdta.gnn import build_mp, encode_layers
         from kgdta.pretrain import _split_positives
 
-        filtered = [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)]
-        train_pos, _ = _split_positives(filtered, cfg)
-        sets = AdmissibleSets.from_triples(filtered)
-        negs = sample_negatives(train_pos, sets, 1, substream(13, "neg"), {t.key for t in filtered})
+        gi = graph.index()
+        filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+        train_pos = filtered[_split_positives(len(filtered), cfg)[0]]
+        sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
+        negs = sample_negatives(train_pos, sets, 1, substream(13, "neg"), sets.keys(filtered))
         reg_triples = numeric_triples(graph)
         mp = build_mp(graph, None, cfg.policy)
 
         def objective(p):
             layers = encode_layers(mp, table, result.params)
-            view = EmbeddingView(layers[-1], {nid: i for i, nid in enumerate(mp.scope_ids)})
-            return pretrain_loss(train_pos, negs, view, result.score_fn, result.regression, reg_triples)
+            view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+            return pretrain_loss(train_pos, negs, view, result.score_fn, gi.relations,
+                                 result.regression, reg_triples)
 
         err = nm.grad_check(objective, named)
         assert err < 1e-4, f"{kind}: {err}"
