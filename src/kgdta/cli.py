@@ -57,7 +57,6 @@ DATA_ERRORS = (
     err.KindViolation,
     err.MissingHandler,
     err.MissingProjection,
-    err.MissingRelationWeight,
     err.UnknownRelation,
     err.DimMismatch,
     OSError,
@@ -237,8 +236,6 @@ def _auto_partitions(n_entities: int) -> int:
 
 def _cmd_pretrain(args) -> int:
     graph = parse_ntriples(Path(args.graph).read_text(encoding="utf-8"))
-    registry = default_registry(args.sequence_dim, args.text_dim, args.fingerprint_dim)
-    initial = compute_initial_embeddings(graph, registry, entity_dim=args.proj_dim)
     if args.partitions == "auto":
         partitions = _auto_partitions(len(graph.entities()))
     else:
@@ -260,6 +257,8 @@ def _cmd_pretrain(args) -> int:
         out_dim=args.out_dim,
         max_seconds=args.max_seconds,
     )
+    registry = default_registry(args.sequence_dim, args.text_dim, args.fingerprint_dim)
+    initial = compute_initial_embeddings(graph, registry, entity_dim=args.proj_dim)
     result = train(graph, initial, cfg)
     ckpt = Checkpoint.from_result(
         result,
@@ -347,11 +346,6 @@ def _cmd_benchmark(args) -> int:
     is_temporal = spec.kind == "temporal"
     steps = args.steps if args.steps is not None else (20000 if is_temporal else 10000)
     lr = args.lr if args.lr is not None else (5e-5 if is_temporal else 5e-4)
-
-    paths = [p for p in args.ckpts.split(",") if p]
-    checkpoints = [(Path(p).stem, load_checkpoint(p)) for p in paths]
-    registry = registry_for_checkpoint(checkpoints[0][1])
-
     cfg = DownstreamConfig(
         lr=lr,
         steps=steps,
@@ -361,6 +355,12 @@ def _cmd_benchmark(args) -> int:
         gnn_hidden=_parse_pair(args.gnn_hidden),
         eval_every=args.eval_every,
     )
+
+    paths = [p for p in args.ckpts.split(",") if p]
+    if not paths:
+        raise ValueError("--ckpts needs at least one checkpoint path")
+    checkpoints = [(Path(p).stem, load_checkpoint(p)) for p in paths]
+    registry = registry_for_checkpoint(checkpoints[0][1])
     graph = parse_ntriples(Path(args.graph).read_text(encoding="utf-8")) if args.graph else None
     report = run_benchmark(
         dataset, spec, checkpoints, registry, cfg, seeds=_parse_seeds(args.seeds), graph=graph

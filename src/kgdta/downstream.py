@@ -285,6 +285,13 @@ class DownstreamConfig:
     use_gnn: bool = True
     eval_every: int = 100
 
+    def __post_init__(self):
+        sizes = (self.steps, self.batch, self.eval_every, *self.init_hidden, *self.gnn_hidden)
+        if min(sizes) < 1:
+            raise ValueError(f"steps, batch, eval_every and hidden sizes must be >= 1, got {sizes}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
 
 def _branch_params(prefix: str, d_in: int, hidden: tuple[int, int], rng) -> dict[str, Tensor]:
     def glorot(fan_in, fan_out):
@@ -498,6 +505,8 @@ def run_benchmark(
     their graph context; without it, every entity goes through pure inference.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("run_benchmark needs at least one seed")
     train_rows, val_rows, test_rows = make_split(dataset, split_spec)
     report = BenchmarkReport(dataset.name, split_spec.kind)
 

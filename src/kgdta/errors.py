@@ -62,10 +62,6 @@ class MissingProjection(KgdtaError):
     """Encoder has no projection for an attribute modality in scope."""
 
 
-class MissingRelationWeight(KgdtaError):
-    """Encoder has neither a relation weight nor a default fallback."""
-
-
 # pretraining
 class UnknownRelation(KgdtaError):
     """Scoring function asked about a relation it has no embedding for."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import MissingProjection, MissingRelationWeight, ParseError
+from .errors import MissingProjection, ParseError
 from .graph import (
     CATEGORICAL,
     GraphIndex,
@@ -101,12 +101,7 @@ class RgcnLayer:
     w_default: Tensor
 
     def weight_for(self, relation: str) -> Tensor:
-        w = self.w_rel.get(relation)
-        if w is not None:
-            return w
-        if self.w_default is None:
-            raise MissingRelationWeight(relation)
-        return self.w_default
+        return self.w_rel.get(relation, self.w_default)
 
 
 @dataclass
@@ -218,18 +213,15 @@ class MpGraph:
         return row_of
 
 
-def build_mp(
-    graph: MultimodalGraph,
-    scope: set[NodeId] | list[NodeId] | None,
-    policy: FlowPolicy,
-) -> MpGraph:
-    """Closure, edges and projected rows for encoding `scope` (None: every node)."""
+def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolicy) -> MpGraph:
+    """Closure, edges and projected rows for encoding `scope`, an int array of
+    nodes of `graph.index()` (None: every node)."""
     gi = graph.index()
     if scope is None:
         in_scope = np.ones(len(gi.node_ids), dtype=bool)
     else:
         in_scope = np.zeros(len(gi.node_ids), dtype=bool)
-        in_scope[[gi.position[nid] for nid in scope]] = True
+        in_scope[scope] = True
     into_scope = in_scope[gi.receiver]
     live = np.flatnonzero(into_scope & ~policy.blocked(gi))
     in_closure = in_scope.copy()
@@ -327,7 +319,9 @@ def encode(
 ) -> dict[NodeId, np.ndarray]:
     """Embed the scope nodes (default: all) given initial embeddings and parameters."""
     policy = policy or FlowPolicy.unrestricted()
-    mp = build_mp(graph, scope, policy)
+    position = graph.index().position
+    rows = None if scope is None else np.array([position[nid] for nid in scope], dtype=np.intp)
+    mp = build_mp(graph, rows, policy)
     final = encode_layers(mp, initial, params, history)[-1]
     return {mp.node_ids[r]: final.data[i].copy() for i, r in enumerate(mp.scope_rows.tolist())}
 

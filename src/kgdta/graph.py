@@ -134,7 +134,7 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
     nodes = [graph.nodes[nid] for nid in node_ids]
     modalities = sorted({node.modality for node in nodes})
     modality_code = {m: k for k, m in enumerate(modalities)}
-    relations = sorted(set(graph.by_relation) - {RDF_TYPE})
+    relations = sorted(set(graph.relation_kinds) - {RDF_TYPE})
     relation_code = {name: k for k, name in enumerate(relations)}
     n = max(len(nodes), 1)
     rows, keys = [], []
@@ -170,7 +170,6 @@ class MultimodalGraph:
         self.nodes: dict[NodeId, Node] = {}
         self._triples: dict[tuple[NodeId, str, NodeId], Triple] = {}
         self.by_modality: dict[str, list[NodeId]] = {}
-        self.by_relation: dict[str, list[Triple]] = {}
         self.relation_kinds: dict[str, RelationKind] = {}
         # canonical id -> ids merged away by resolve_same_as
         self.aliases: dict[NodeId, tuple[NodeId, ...]] = {}
@@ -218,7 +217,6 @@ class MultimodalGraph:
         if triple.key not in self._triples:
             self._index = None
             self._triples[triple.key] = triple
-            self.by_relation.setdefault(relation.name, []).append(triple)
         return self
 
     # -- queries ----------------------------------------------------------
@@ -288,7 +286,7 @@ def resolve_same_as(graph: MultimodalGraph) -> MultimodalGraph:
                 rx, ry = ry, rx
             parent[ry] = rx
 
-    same_as = graph.by_relation.get(SAME_AS, [])
+    same_as = [t for t in graph.triples() if t.relation.name == SAME_AS]
     for triple in same_as:
         parent.setdefault(triple.source, triple.source)
         parent.setdefault(triple.target, triple.target)

@@ -48,15 +48,7 @@ from .gnn import (
     policy_from_dict,
     policy_to_dict,
 )
-from .graph import (
-    RDF_TYPE,
-    SAME_AS,
-    GraphIndex,
-    MultimodalGraph,
-    NodeId,
-    NodeKind,
-    Triple,
-)
+from .graph import CATEGORICAL, RDF_TYPE, SAME_AS, GraphIndex, MultimodalGraph
 from .handlers import EmbeddingTable, NUMBER_MODALITY
 from .numerics import Tensor
 from .util import average_ranks, substream
@@ -227,14 +219,6 @@ def _relation_groups(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(int(ordered[lo]), order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def triple_rows(graph: MultimodalGraph, triples: list[Triple]) -> np.ndarray:
-    """(source, relation code, target) int rows of `triples` over `graph.index()`."""
-    gi = graph.index()
-    code = {name: k for k, name in enumerate(gi.relations)}
-    rows = [(gi.position[t.source], code[t.relation.name], gi.position[t.target]) for t in triples]
-    return np.array(rows, dtype=np.intp).reshape(-1, 3)
-
-
 # --- loss ------------------------------------------------------------------------
 
 
@@ -346,19 +330,12 @@ def pretrain_loss(
 # --- partitioning -----------------------------------------------------------------
 
 
-@dataclass
-class PartitionPlan:
-    k: int
-    assignment: dict[NodeId, int]
+def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """The part of every node of `graph.index()`, as an int array.
 
-    def nodes_of(self, p: int) -> list[NodeId]:
-        return [nid for nid, part in self.assignment.items() if part == p]
-
-
-def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = None) -> PartitionPlan:
-    """Balance-first greedy multi-seed BFS over entities; attribute nodes co-locate
-    with their lexicographically smallest incident entity. Entity counts per part
-    differ by at most one."""
+    Balance-first greedy multi-seed BFS over entities; attribute nodes co-locate
+    with their lexicographically smallest incident entity, or part 0 when none
+    points at them. Entity counts per part differ by at most one."""
     gi = graph.index()
     n_all = len(gi.node_ids)
     entities = np.flatnonzero(gi.is_entity).tolist()  # ints in sorted-id order
@@ -368,7 +345,7 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
     if rng is None:
         rng = np.random.default_rng(0)
 
-    assignment: dict[NodeId, int] = {}
+    part = np.zeros(n_all + 1, dtype=np.intp)  # slot n_all: part 0 for unreferenced attributes
     if n:
         # entity neighbours of each entity over domain relations, sorted and unique
         meta = [c for c, name in enumerate(gi.relations) if name in META_RELATIONS]
@@ -395,7 +372,7 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
                     cursor += 1
                 node = entities[cursor]
             assigned[node] = True
-            assignment[gi.node_ids[node]] = p
+            part[node] = p
             sizes[p] += 1
             queues[p].extend(u for u in sender[bounds[node] : bounds[node + 1]] if not assigned[u])
 
@@ -404,11 +381,9 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
     sources, targets = gi.triples[:, 0], gi.triples[:, 2]
     to_attr = ~gi.is_entity[targets]
     np.minimum.at(smallest, targets[to_attr], sources[to_attr])
-    for nid, node in graph.nodes.items():
-        if node.kind is NodeKind.ATTRIBUTE:
-            first = int(smallest[gi.position[nid]])
-            assignment[nid] = assignment[gi.node_ids[first]] if first < n_all else 0
-    return PartitionPlan(k, assignment)
+    attrs = np.flatnonzero(~gi.is_entity)
+    part[attrs] = part[smallest[attrs]]
+    return part[:n_all]
 
 
 # --- training ------------------------------------------------------------------------
@@ -434,16 +409,34 @@ class PretrainConfig:
     margin: float = 1.0
     max_seconds: float | None = None
 
+    def __post_init__(self):
+        sizes = (self.proj_dim, self.hidden_dim, self.out_dim, self.clf_hidden)
+        if min(sizes) < 1:
+            raise ValueError(f"dims and clf_hidden must be >= 1, got {sizes}")
+        if self.negative_ratio < 1:
+            raise ValueError(f"negative_ratio must be >= 1, got {self.negative_ratio}")
+        if not 0 < self.train_val <= 1:
+            raise ValueError(f"train_val must lie in (0, 1], got {self.train_val}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+
 
 @dataclass
 class TrainResult:
+    """`train_rows` and `val_rows` hold the split's (source, relation code, target)
+    int rows over the index of the graph `train` ran on."""
+
     params: GnnParams
     score_fn: ScoreFn
     regression: RegressionHeads | None
     history: HistoricalStore
     log: list[dict]
-    train_triples: list[Triple]
-    val_triples: list[Triple]
+    train_rows: np.ndarray
+    val_rows: np.ndarray
     relations: list[str]
     config: PretrainConfig
 
@@ -455,18 +448,13 @@ class TrainResult:
 
 
 def _attr_modality_dims(graph: MultimodalGraph, initial: EmbeddingTable) -> dict[str, int]:
-    from .graph import CATEGORICAL
-
-    dims = {}
-    for node in graph.attributes():
-        if node.modality == CATEGORICAL:
-            continue
-        dims[node.modality] = initial.dims[node.modality]
-    return dims
+    gi = graph.index()
+    modalities = {gi.modalities[m] for m in gi.modality[~gi.is_entity].tolist()} - {CATEGORICAL}
+    return {m: initial.dims[m] for m in sorted(modalities)}
 
 
 def trainable_relations(graph: MultimodalGraph) -> list[str]:
-    return sorted({t.relation.name for t in graph.triples() if t.relation.name not in META_RELATIONS})
+    return [name for name in graph.index().relations if name not in META_RELATIONS]
 
 
 def _admitted(gi: GraphIndex, link_filter: LinkFilter) -> np.ndarray:
@@ -538,7 +526,7 @@ def train(
     sets = AdmissibleSets.from_rows(rows, n_nodes, len(gi.relations))
     forbidden = sets.keys(rows)
 
-    plan = partition(graph, cfg.partitions, substream(cfg.seed, "partition"))
+    part = partition(graph, cfg.partitions, substream(cfg.seed, "partition"))
     relations = trainable_relations(graph)
     params = init_gnn_params(
         _attr_modality_dims(graph, initial),
@@ -573,13 +561,11 @@ def train(
                 tensor.data = src.data.copy()
 
     history = HistoricalStore(n_nodes, [params.hidden_dim, params.out_dim])
-    mps = [build_mp(graph, set(plan.nodes_of(p)), cfg.policy) for p in range(plan.k)]
-    part_of = np.array([plan.assignment[nid] for nid in gi.node_ids], dtype=np.intp)
-    train_by_part = [train_pos[part_of[train_pos[:, 0]] == p] for p in range(plan.k)]
-    reg_part = part_of[reg_rows[:, 0]]
-    reg_by_part = [(reg_rows[reg_part == p], reg_values[reg_part == p]) for p in range(plan.k)]
-
-    scopes = [mp.closure[mp.scope_rows] for mp in mps]
+    scopes = [np.flatnonzero(part == p) for p in range(cfg.partitions)]
+    mps = [build_mp(graph, s, cfg.policy) for s in scopes]
+    train_by_part = [train_pos[part[train_pos[:, 0]] == p] for p in range(cfg.partitions)]
+    reg_part = part[reg_rows[:, 0]]
+    reg_by_part = [(reg_rows[reg_part == p], reg_values[reg_part == p]) for p in range(cfg.partitions)]
     row_ofs = [mp.row_of(n_nodes) for mp in mps]
     state = None
     log: list[dict] = []
@@ -587,8 +573,7 @@ def train(
         if cfg.max_seconds is not None and time.monotonic() - t_start > cfg.max_seconds:
             break
         epoch_rows = []
-        for p in range(plan.k):
-            mp = mps[p]
+        for p, mp in enumerate(mps):
             layers = encode_layers(mp, initial, params, history)
             view = EmbeddingView(layers[-1], row_ofs[p], history.layers[-1])
             pos_p = train_by_part[p]
@@ -610,10 +595,7 @@ def train(
         for row in epoch_rows:
             row["val_loss"] = val_loss
             log.append(row)
-    triples = graph.triples()
-    train_triples = [triples[i] for i in admitted[train_at].tolist()]
-    val_triples = [triples[i] for i in admitted[val_at].tolist()]
-    return TrainResult(params, fn, regression, history, log, train_triples, val_triples, relations, cfg)
+    return TrainResult(params, fn, regression, history, log, train_pos, val_pos, relations, cfg)
 
 
 def _validation_loss(graph, initial, params, fn, cfg, val_pos, sets, forbidden, epoch):
@@ -631,15 +613,15 @@ def evaluate_link_auc(
     seed: int = 0,
     ratio: int = 1,
 ) -> float:
-    """Held-out AUC: validation positives vs fresh admissible corruptions."""
+    """Held-out AUC: validation positives vs fresh admissible corruptions, on the
+    graph `result` was trained on."""
     cfg = result.config
     gi = graph.index()
     rows = gi.triples[_admitted(gi, cfg.link_filter)]
     sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
     view = _final_embeddings(graph, initial, result.params, cfg.policy)
-    val_rows = triple_rows(graph, result.val_triples)
-    negs = sample_negatives(val_rows, sets, ratio, substream(seed, "auc_neg"), sets.keys(rows))
-    pos_scores = score_triples(view, result.score_fn, val_rows, gi.relations)
+    negs = sample_negatives(result.val_rows, sets, ratio, substream(seed, "auc_neg"), sets.keys(rows))
+    pos_scores = score_triples(view, result.score_fn, result.val_rows, gi.relations)
     neg_scores = score_triples(view, result.score_fn, negs, gi.relations)
     return link_auc(pos_scores, neg_scores)
 

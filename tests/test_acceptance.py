@@ -47,7 +47,6 @@ from kgdta.pretrain import (
     sample_negatives,
     train,
     trainable_relations,
-    triple_rows,
 )
 from kgdta.schema import parse_ntriples, to_ntriples
 from kgdta.synthetic import make_planted_world
@@ -108,7 +107,7 @@ def test_01_gradient_suite():
                 # random small parameters away from relu kinks
                 p.data = p.data + rng.normal(size=p.data.shape) * 0.15
             gi = graph.index()
-            filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+            filtered = gi.triples[[cfg.link_filter.admits(t.relation.name) for t in graph.triples()]]
             train_pos = filtered[_split_positives(len(filtered), cfg)[0]]
             sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
             negs = sample_negatives(train_pos, sets, 1, substream(23, "neg"), sets.keys(filtered))
@@ -202,7 +201,7 @@ def test_03_gas_consistency():
 
     # full-batch reference loop: no partition plan, no historical store
     gi = graph.index()
-    filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+    filtered = gi.triples[[cfg.link_filter.admits(t.relation.name) for t in graph.triples()]]
     train_pos = filtered[_split_positives(len(filtered), cfg)[0]]
     sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
     forbidden = sets.keys(filtered)
@@ -353,7 +352,7 @@ def test_07_negative_sampling_contract():
         if not positives:
             continue
         gi = g.index()
-        rows = triple_rows(g, positives)
+        rows = gi.triples  # every triple is a positive, in `g.triples()` order
         sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
         keys = {t.key for t in positives}
         # the admissible sets, as node ids, per relation name

@@ -143,6 +143,30 @@ def test_pretrain_regression_without_numeric_attribute_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+INVALID_PRETRAIN_FLAGS = {
+    "proj_dim_0": ["--proj-dim", "0"],
+    "neg_ratio_0": ["--neg-ratio", "0"],
+    "neg_ratio_negative": ["--neg-ratio", "-2"],
+    "train_val_0": ["--train-val", "0"],
+    "train_val_above_1": ["--train-val", "1.5"],
+    "lr_negative": ["--lr", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PRETRAIN_FLAGS))
+def test_pretrain_invalid_config_exit_2(case, tmp_path, capsys):
+    _, kg = _write_world_nt(tmp_path)
+    out = tmp_path / "c.json"
+    code, _, err_out = run(
+        ["pretrain", "--graph", str(kg), "--seed", "0", "--out", str(out), *PRETRAIN_SMALL,
+         *INVALID_PRETRAIN_FLAGS[case]],
+        capsys,
+    )
+    assert code == 2, err_out
+    assert err_out.startswith("error:")
+    assert not out.exists() and not (tmp_path / "c.json.log.jsonl").exists()
+
+
 def test_infer_outputs_two_json_lines(tmp_path, capsys):
     _, kg = _write_world_nt(tmp_path)
     ckpt = tmp_path / "c.json"
@@ -267,6 +291,33 @@ def test_benchmark_end_to_end(tmp_path, capsys):
     code, _, _ = run(args, capsys)
     assert code == 0
     assert (tmp_path / "report.jsonl").read_bytes() == first
+
+
+INVALID_BENCHMARK_FLAGS = {
+    "eval_every_0": ["--eval-every", "0"],
+    "ckpts_empty": ["--ckpts", ","],
+    "seeds_empty": ["--seeds", ","],
+    "batch_0": ["--batch", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_BENCHMARK_FLAGS))
+def test_benchmark_invalid_flag_exit_2(case, checkpoint_text, tmp_path, capsys):
+    world, _ = _write_world_nt(tmp_path)
+    data = tmp_path / "affinity.tsv"
+    save_affinity_tsv(world.dataset, str(data))
+    ckpt = tmp_path / "c.json"
+    ckpt.write_text(checkpoint_text, encoding="utf-8")
+    args = [
+        "benchmark", "--dataset", str(data), "--split", "random", "--ckpts", str(ckpt),
+        "--seeds", "0", "--seed", "0", "--steps", "10", "--lr", "0.001", "--batch", "16",
+        "--init-hidden", "8,4", "--gnn-hidden", "8,4", "--eval-every", "5",
+        "--out", str(tmp_path / "report"),
+    ]
+    code, out, err_out = run([*args, *INVALID_BENCHMARK_FLAGS[case]], capsys)
+    assert code == 2, err_out
+    assert err_out.startswith("error:") and out == ""
+    assert not (tmp_path / "report.jsonl").exists() and not (tmp_path / "report.txt").exists()
 
 
 def test_benchmark_infeasible_split_exit_3(tmp_path, capsys):

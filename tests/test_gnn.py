@@ -246,13 +246,13 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
         table = compute_initial_embeddings(g, registry, entity_dim=16)
         dims = {m: table.dims[m] for m in ("protein_sequence", "smiles")}
         params = init_gnn_params(dims, trainable_relations(g), substream(8, "init"), 16, 12, 12)
-        plan = partition(g, 3, substream(8, "partition"))
+        part = partition(g, 3, substream(8, "partition"))
         n_nodes = len(g.nodes)
         history = HistoricalStore(n_nodes, [12, 12])
         rng = substream(8, "history")
         history.update(0, np.arange(n_nodes), rng.normal(size=(n_nodes, 12)))
         for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
-            for scope, hist in ((None, None), (set(plan.nodes_of(1)), None), (set(plan.nodes_of(2)), history)):
+            for scope, hist in ((None, None), (np.flatnonzero(part == 1), None), (np.flatnonzero(part == 2), history)):
                 mp = build_mp(g, scope, policy)
                 # every edge feeds a scope row, and each receiver's weights per relation average
                 assert set(mp.receiver.tolist()) <= set(mp.scope_rows.tolist())
@@ -349,20 +349,6 @@ def test_unseen_relation_uses_default_weight():
     assert out[p.id].shape == (3,)
 
 
-def test_missing_relation_weight_without_default():
-    from kgdta.errors import MissingRelationWeight
-
-    g = MultimodalGraph()
-    p = entity("uniprot", "P1", "protein")
-    q = entity("uniprot", "P2", "protein")
-    g.add_triple(p, Relation("novel_link", RelationKind.OBJECT), q)
-    params = identity_params(relations=())
-    for layer in params.layers:
-        layer.w_default = None
-    with pytest.raises(MissingRelationWeight):
-        encode(g, table_for(g, {}), params)
-
-
 def test_missing_projection_raises():
     g = MultimodalGraph()
     g.add_triple(entity("uniprot", "P1", "protein"), SEQ, attribute_node("protein_sequence", "MK"))
@@ -379,7 +365,7 @@ def test_missing_projection_raises_for_a_neighbor_whose_messages_are_blocked():
     params = identity_params()
     del params.projections["text"]
     policy = FlowPolicy.controlled()  # proteins listen to `sequence` only
-    assert build_mp(g, [prot.id], policy).node_ids == [prot.id]
+    assert build_mp(g, np.array([g.index().position[prot.id]]), policy).node_ids == [prot.id]
     with pytest.raises(MissingProjection):
         encode(g, table_for(g, {}), params, policy, scope=[prot.id])
     with pytest.raises(MissingProjection):

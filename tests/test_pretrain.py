@@ -32,7 +32,6 @@ from kgdta.pretrain import (
     score_logits,
     sequential_pretrain,
     train,
-    triple_rows,
 )
 from kgdta.synthetic import make_planted_world
 from kgdta.util import substream
@@ -108,6 +107,12 @@ def named(rows, node_ids, relations):
     return [(node_ids[s], relations[r], node_ids[t]) for s, r, t in rows.tolist()]
 
 
+def rows_where(g, keep):
+    """Int rows over `g.index()` of the triples of `g` that `keep` admits; the
+    index's rows follow `g.triples()` order, so a mask over that list selects them."""
+    return g.index().triples[np.array([keep(t) for t in g.triples()], dtype=bool)]
+
+
 def test_negatives_come_from_enumerated_complement():
     node_ids = [NodeId("drugbank", "d1"), NodeId("drugbank", "d2"), NodeId("uniprot", "p1"), NodeId("uniprot", "p2")]
     pos = np.array([[0, 0, 2]])  # d1 target_of p1
@@ -156,9 +161,9 @@ def test_negatives_always_admissible(g, seed):
     if not positives:
         return
     gi = g.index()
-    rows = triple_rows(g, positives)
-    sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
     keys = {t.key for t in positives}
+    rows = rows_where(g, lambda t: t.key in keys)
+    sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
     try:
         negs = sample_negatives(rows, sets, 1, substream(seed, "neg"))
     except ExhaustedCandidates:
@@ -203,9 +208,10 @@ def assert_sampler_matches_reference(g, positives, forbidden, ratio, seed):
     """The int sampler, mapped through the index, draws exactly what the reference
     draws, or both raise ExhaustedCandidates. Returns the reference's fallbacks."""
     gi = g.index()
-    rows = triple_rows(g, positives)
+    positive_keys = {t.key for t in positives}
+    rows = rows_where(g, lambda t: t.key in positive_keys)
     sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
-    keys = sets.keys(triple_rows(g, [t for t in g.triples() if t.key in forbidden]))
+    keys = sets.keys(rows_where(g, lambda t: t.key in forbidden))
     fallbacks = []
     try:
         want = reference_sample_negatives(positives, ratio, substream(seed, "neg"), forbidden, fallbacks)
@@ -341,18 +347,20 @@ def path_graph(n=4):
 
 def test_partition_k1_is_whole_graph():
     g = path_graph(4)
-    plan = partition(g, 1, substream(0, "partition"))
-    assert set(plan.assignment.values()) == {0}
-    assert len(plan.assignment) == len(g.nodes)
+    part = partition(g, 1, substream(0, "partition"))
+    assert set(part.tolist()) == {0}
+    assert len(part) == len(g.nodes)
 
 
 def test_partition_k2_on_path_is_balanced():
     g = path_graph(4)
+    position = g.index().position
     for seed in range(10):
-        plan = partition(g, 2, substream(seed, "partition"))
+        part = partition(g, 2, substream(seed, "partition"))
         sizes = {}
         for node in g.entities():
-            sizes[plan.assignment[node.id]] = sizes.get(plan.assignment[node.id], 0) + 1
+            p = int(part[position[node.id]])
+            sizes[p] = sizes.get(p, 0) + 1
         assert sorted(sizes.values()) == [2, 2]
 
 
@@ -369,9 +377,9 @@ def test_attributes_colocated_with_incident_entity():
     shared = attribute_node("text", "shared label")
     for i in range(6):
         g.add_triple(entity("uniprot", f"P{i}", "protein"), Relation("label", RelationKind.DATA), shared)
-    plan = partition(g, 3, substream(0, "partition"))
-    incident_parts = {plan.assignment[NodeId("uniprot", f"P{i}")] for i in range(6)}
-    assert plan.assignment[shared.id] in incident_parts
+    part, position = partition(g, 3, substream(0, "partition")), g.index().position
+    incident_parts = {part[position[NodeId("uniprot", f"P{i}")]] for i in range(6)}
+    assert part[position[shared.id]] in incident_parts
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,16 +388,16 @@ def test_partition_cover_and_balance(g, k):
     entities = [n.id for n in g.entities()]
     if not entities or k > len(entities):
         return
-    plan = partition(g, k, substream(0, "partition"))
+    part, position = partition(g, k, substream(0, "partition")), g.index().position
     counts = [0] * k
     for e in entities:
-        counts[plan.assignment[e]] += 1
+        counts[part[position[e]]] += 1
     assert sum(counts) == len(entities)
     assert max(counts) - min(counts) <= 1
     for a in g.attributes():
         # an attribute joins the part of its smallest incident entity (part 0 if none)
         incident = sorted(t.source for t in g.triples() if t.target == a.id)
-        assert plan.assignment[a.id] == (plan.assignment[incident[0]] if incident else 0)
+        assert part[position[a.id]] == (part[position[incident[0]]] if incident else 0)
 
 
 def reference_partition(graph, k, rng):
@@ -424,9 +432,10 @@ def reference_partition(graph, k, rng):
 def test_partition_matches_the_reference_loop(g, k, seed):
     if k > max(len(g.entities()), 1):
         return
-    plan = partition(g, k, substream(seed, "partition"))
+    part = partition(g, k, substream(seed, "partition"))
     expected = reference_partition(g, k, substream(seed, "partition"))
-    assert list(plan.assignment.items()) == list(expected.items())
+    assert part.dtype == np.intp
+    assert part.tolist() == [expected[nid] for nid in g.index().node_ids]
 
 
 # --- training ---------------------------------------------------------------------------
@@ -464,7 +473,7 @@ def test_gas_k1_matches_full_batch_reference():
     # reference: no partition plan, no history store, same substream conventions
     graph = world.graph
     gi = graph.index()
-    filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+    filtered = rows_where(graph, lambda t: cfg.link_filter.admits(t.relation.name))
     train_at, _ = _split_positives(len(filtered), cfg)
     train_pos = filtered[train_at]
     sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
@@ -520,7 +529,8 @@ def test_restricted_filter_trains_only_selected_relations():
         **SMALL_DIMS,
     )
     result = train(world.graph, table, cfg)
-    assert all(t.relation.name == "binding_to" for t in result.train_triples)
+    gi = world.graph.index()
+    assert {gi.relations[r] for r in result.train_rows[:, 1].tolist()} == {"binding_to"}
 
     fresh = init_score_fn(
         cfg.score_fn, result.relations, cfg.out_dim, substream(cfg.seed, "init_score"),
@@ -531,6 +541,27 @@ def test_restricted_filter_trains_only_selected_relations():
     assert not np.array_equal(
         result.score_fn.rel_emb["binding_to"].data, fresh.rel_emb["binding_to"].data
     )
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_split_rows_are_the_admitted_rows_split_once(k):
+    from kgdta.pretrain import _split_positives
+
+    world, table = small_world()
+    cfg = PretrainConfig(score_fn="distmult", epochs=1, lr=1e-3, seed=9, partitions=k,
+                         link_filter=LinkFilter.restricted(["binding_to"]), **SMALL_DIMS)
+    result = train(world.graph, table, cfg)
+    gi = world.graph.index()
+    code = gi.relations.index("binding_to")
+    admitted = gi.triples[gi.triples[:, 1] == code]
+    train_keys = [tuple(row) for row in result.train_rows.tolist()]
+    val_keys = [tuple(row) for row in result.val_rows.tolist()]
+    assert train_keys and val_keys and not set(train_keys) & set(val_keys)
+    assert sorted(train_keys + val_keys) == sorted(tuple(row) for row in admitted.tolist())
+    assert set(result.train_rows[:, 1].tolist()) | set(result.val_rows[:, 1].tolist()) == {code}
+    train_at, val_at = _split_positives(len(admitted), cfg)
+    assert np.array_equal(result.train_rows, admitted[train_at])
+    assert np.array_equal(result.val_rows, admitted[val_at])
 
 
 def test_empty_training_set_raises():
@@ -688,7 +719,7 @@ def test_loss_gradients_pass_finite_differences_all_scorers():
         from kgdta.pretrain import _split_positives
 
         gi = graph.index()
-        filtered = triple_rows(graph, [t for t in graph.triples() if cfg.link_filter.admits(t.relation.name)])
+        filtered = rows_where(graph, lambda t: cfg.link_filter.admits(t.relation.name))
         train_pos = filtered[_split_positives(len(filtered), cfg)[0]]
         sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
         negs = sample_negatives(train_pos, sets, 1, substream(13, "neg"), sets.keys(filtered))
