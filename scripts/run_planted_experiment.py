@@ -38,7 +38,7 @@ def main():
     t0 = time.time()
     world = make_planted_world(n_drugs=args.drugs, n_proteins=args.proteins, seed=args.seed)
     registry = default_registry()
-    table = compute_initial_embeddings(world.graph, registry, entity_dim=64)
+    table = compute_initial_embeddings(world.graph, registry)
     print(f"world: {len(world.graph.nodes)} nodes, {world.graph.num_triples()} triples, "
           f"{len(world.dataset.rows)} affinity rows")
 

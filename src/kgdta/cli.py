@@ -44,7 +44,6 @@ EXIT_NUMERIC = 4
 USAGE_ERRORS = (err.SchemaParse, err.SchemaValidation, ValueError)
 DATA_ERRORS = (
     err.SourceRead,
-    err.RowDecode,
     err.NTriplesParse,
     err.ParseError,
     err.InfeasibleSplit,
@@ -258,7 +257,7 @@ def _cmd_pretrain(args) -> int:
         max_seconds=args.max_seconds,
     )
     registry = default_registry(args.sequence_dim, args.text_dim, args.fingerprint_dim)
-    initial = compute_initial_embeddings(graph, registry, entity_dim=args.proj_dim)
+    initial = compute_initial_embeddings(graph, registry)
     result = train(graph, initial, cfg)
     ckpt = Checkpoint.from_result(
         result,

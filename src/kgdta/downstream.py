@@ -226,20 +226,18 @@ class CheckpointProvider:
     path, which is all a truly novel entity has.
     """
 
-    def __init__(self, checkpoint, registry: HandlerRegistry, graph=None, initial=None):
+    def __init__(self, checkpoint, registry: HandlerRegistry, graph=None):
         self.checkpoint = checkpoint
         self.registry = registry
+        # (modality, value) -> (initial vector, encoder vector); seeded from the graph
         self._cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        self._graph_lookup: dict[tuple[str, str], np.ndarray] = {}
         if graph is not None:
             from .graph import NodeKind
             from .handlers import compute_initial_embeddings
 
-            if initial is None:
-                initial = compute_initial_embeddings(
-                    graph, registry, entity_dim=checkpoint.params.proj_dim
-                )
+            initial = compute_initial_embeddings(graph, registry)
             embeddings = encode(graph, initial, checkpoint.params, checkpoint.policy)
+            position = graph.index().position
             for triple in graph.triples():
                 target = graph.nodes[triple.target]
                 if target.kind is not NodeKind.ATTRIBUTE:
@@ -247,20 +245,15 @@ class CheckpointProvider:
                 if target.modality not in (SMILES_MODALITY, SEQUENCE_MODALITY):
                     continue
                 key = (target.modality, target.value)
-                self._graph_lookup.setdefault(key, embeddings[triple.source])
+                if key not in self._cache:
+                    init = initial.matrices[target.modality][initial.row[position[target.id]]]
+                    self._cache[key] = (init.copy(), embeddings[triple.source])
 
     def _embed(self, modality: str, value: str):
         key = (modality, value)
         hit = self._cache.get(key)
         if hit is None:
-            contextual = self._graph_lookup.get(key)
-            if contextual is not None:
-                init = np.asarray(self.registry.get(modality).embed(value), dtype=np.float64)
-                hit = (init, contextual.copy())
-            else:
-                hit = infer(
-                    self.checkpoint.params, self.checkpoint.policy, value, modality, self.registry
-                )
+            hit = infer(self.checkpoint.params, self.checkpoint.policy, value, modality, self.registry)
             self._cache[key] = hit
         return hit
 

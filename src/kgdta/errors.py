@@ -27,10 +27,6 @@ class SourceRead(KgdtaError):
     """A declared data source could not be read."""
 
 
-class RowDecode(KgdtaError):
-    """A source row could not be decoded. Collected into the build report."""
-
-
 class NTriplesParse(KgdtaError):
     """Malformed line in an N-Triples file."""
 

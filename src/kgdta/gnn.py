@@ -275,7 +275,10 @@ def encode_layers(
     pieces = []
     for modality, rows in mp.attr_rows.items():
         w, b = params.projections[modality]
-        X = np.stack([table.get(mp.node_ids[i]) for i in rows])
+        at = table.row[mp.closure[rows]]
+        if at.min() < 0:
+            raise ValueError(f"the initial table has no row for a {modality!r} node")
+        X = table.matrices[modality][at]
         pieces.append((rows, nm.add(nm.matmul(nm.constant(X), w), b)))
     h_full = nm.assemble_rows(n, params.proj_dim, pieces)
 
@@ -318,6 +321,7 @@ def encode(
     scope: set[NodeId] | list[NodeId] | None = None,
 ) -> dict[NodeId, np.ndarray]:
     """Embed the scope nodes (default: all) given initial embeddings and parameters."""
+    initial.check_aligned(graph)
     policy = policy or FlowPolicy.unrestricted()
     position = graph.index().position
     rows = None if scope is None else np.array([position[nid] for nid in scope], dtype=np.intp)
@@ -353,9 +357,9 @@ def infer(
     subject = entity("query", "q", entity_modality)
     attr = attribute_node(modality, value)
     micro.add_triple(subject, Relation(relation, RelationKind.DATA), attr)
-    table = compute_initial_embeddings(micro, registry, entity_dim=params.proj_dim)
+    table = compute_initial_embeddings(micro, registry)
     out = encode(micro, table, params, policy, scope=[subject.id])
-    return table.get(attr.id).copy(), out[subject.id]
+    return table.matrices[modality][0], out[subject.id]  # `attr` is the only attribute
 
 
 # --- parameter (de)serialization --------------------------------------------------

@@ -5,14 +5,15 @@ deliberately replaced here by deterministic hashed n-gram encoders, so the whole
 pipeline runs reproducibly with no model downloads. Externally computed vectors can
 be imported from a delimited table instead (`import_external_embeddings`).
 
-Entity nodes and categorical attributes have no handler: they start as zero vectors
-and only pick up signal through graph convolution.
+Entity nodes and categorical attributes have no handler and no row in the initial
+table: the encoder starts them as zero vectors, and they only pick up signal through
+graph convolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -157,45 +158,33 @@ def default_registry(
 
 @dataclass
 class EmbeddingTable:
-    """Initial embeddings keyed by node id, with one fixed dim per modality."""
+    """Initial embeddings of a graph's index nodes, one matrix per modality.
 
-    entries: dict[NodeId, tuple[str, np.ndarray]] = field(default_factory=dict)
-    dims: dict[str, int] = field(default_factory=dict)
+    `matrices[m]` holds one float64 row per non-categorical attribute of modality
+    m, in index order: node i's vector is `matrices[<modality of i>][row[i]]`.
+    `row[i]` is -1 for entities and categorical attributes, which the encoder
+    starts at zero. `node_ids` is the index's node list that `row` follows.
+    """
 
-    def put(self, node_id: NodeId, modality: str, vec: np.ndarray):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise DimMismatch(f"{node_id}: expected a 1-d vector, got shape {vec.shape}")
-        known = self.dims.get(modality)
-        if known is None:
-            self.dims[modality] = vec.shape[0]
-        elif known != vec.shape[0]:
-            raise DimMismatch(
-                f"{node_id}: modality {modality!r} is {known}-dim, got {vec.shape[0]}"
-            )
-        self.entries[node_id] = (modality, vec)
+    node_ids: list[NodeId]
+    row: np.ndarray
+    matrices: dict[str, np.ndarray]
 
-    def get(self, node_id: NodeId) -> np.ndarray:
-        return self.entries[node_id][1]
-
-    def merge(self, other: "EmbeddingTable") -> "EmbeddingTable":
-        for modality, dim in other.dims.items():
-            if self.dims.get(modality, dim) != dim:
-                raise DimMismatch(
-                    f"modality {modality!r}: {self.dims[modality]}-dim table, import is {dim}-dim"
-                )
-        for node_id, (modality, vec) in other.entries.items():
-            self.put(node_id, modality, vec)
-        return self
+    def check_aligned(self, graph: MultimodalGraph):
+        """Raise ValueError unless `row` follows the nodes of `graph.index()`."""
+        node_ids = graph.index().node_ids
+        if self.node_ids is not node_ids and self.node_ids != node_ids:
+            raise ValueError("initial embeddings were computed for a graph with other nodes")
 
 
-def import_external_embeddings(path: str) -> EmbeddingTable:
-    """Read an externally computed embedding table fragment.
+def import_external_embeddings(path: str) -> dict[NodeId, np.ndarray]:
+    """Read externally computed embeddings, keyed by node id, for the `external=`
+    argument of `compute_initial_embeddings`.
 
     Format: first line `modality,dim`; each following line `key,v1,...,vdim` where the
-    key is either `namespace:local_id` or a bare attribute content hash.
+    key is either `namespace:local_id` or a bare attribute content hash. The header's
+    dim checks each row; its modality is not checked against the keyed nodes.
     """
-    table = EmbeddingTable()
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     lines = [ln for ln in lines if ln.strip()]
@@ -211,7 +200,7 @@ def import_external_embeddings(path: str) -> EmbeddingTable:
         raise ParseError(f"{path}:1: bad dim {head[1]!r}") from None
     if not modality or dim < 1:
         raise ParseError(f"{path}:1: bad header {lines[0]!r}")
-    table.dims[modality] = dim
+    vectors = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         key = parts[0].strip()
@@ -230,40 +219,45 @@ def import_external_embeddings(path: str) -> EmbeddingTable:
             node_id = NodeId(namespace, local)
         else:
             node_id = NodeId("attr", key)
-        table.put(node_id, modality, np.array(values, dtype=np.float64))
-    return table
+        vectors[node_id] = np.array(values, dtype=np.float64)
+    return vectors
 
 
 def compute_initial_embeddings(
     graph: MultimodalGraph,
     registry: HandlerRegistry,
-    entity_dim: int = 64,
-    external: EmbeddingTable | None = None,
+    entity_dim: int | None = None,
+    external: dict[NodeId, np.ndarray] | None = None,
 ) -> EmbeddingTable:
-    """Embed every node: attributes through their modality handler (batched per
-    modality), entities and categorical attributes as zeros of `entity_dim`.
+    """Embed every non-categorical attribute of `graph` through its modality
+    handler, into one matrix per modality whose rows follow `graph.index()`.
 
-    Vectors present in `external` win over handler output for their node ids.
+    Entities and categorical attributes get no row. A vector in `external` wins
+    over handler output for its node id and must have the handler's width.
+    `entity_dim` is ignored; it remains for callers that still pass it.
     """
-    table = EmbeddingTable()
-    if external is not None:
-        table.merge(external)
-    zero = np.zeros(entity_dim, dtype=np.float64)
-    for modality, node_ids in graph.by_modality.items():
-        batch = [graph.nodes[nid] for nid in node_ids]
-        for node in batch:
-            if node.id in table.entries:
-                continue
-            if node.kind is NodeKind.ENTITY or node.modality == CATEGORICAL:
-                table.put(node.id, node.modality, zero)
-                continue
-            handler = registry.get(modality)
-            vec = np.asarray(handler.embed(node.value), dtype=np.float64)
+    gi = graph.index()
+    external = external or {}
+    members: dict[str, list[int]] = {}
+    for i, node_id in enumerate(gi.node_ids):
+        node = graph.nodes[node_id]
+        if node.kind is not NodeKind.ENTITY and node.modality != CATEGORICAL:
+            members.setdefault(node.modality, []).append(i)
+    row = np.full(len(gi.node_ids), -1, dtype=np.intp)
+    matrices = {}
+    for modality, nodes in members.items():
+        handler = registry.get(modality)
+        matrix = matrices[modality] = np.empty((len(nodes), handler.dim))
+        for r, i in enumerate(nodes):
+            node_id = gi.node_ids[i]
+            vec = external.get(node_id)
+            if vec is None:
+                vec = handler.embed(graph.nodes[node_id].value)
+            vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (handler.dim,):
-                raise DimMismatch(
-                    f"handler {modality!r} returned shape {vec.shape}, declared dim {handler.dim}"
-                )
-            if not np.isfinite(vec).all():
-                raise NonFinite(f"handler {modality!r} produced non-finite components")
-            table.put(node.id, modality, vec)
-    return table
+                raise DimMismatch(f"{node_id}: {modality!r} is {handler.dim}-dim, got shape {vec.shape}")
+            matrix[r] = vec
+            row[i] = r
+        if not np.isfinite(matrix).all():
+            raise NonFinite(f"modality {modality!r}: non-finite initial embedding")
+    return EmbeddingTable(gi.node_ids, row, matrices)

@@ -48,7 +48,7 @@ from .gnn import (
     policy_from_dict,
     policy_to_dict,
 )
-from .graph import CATEGORICAL, RDF_TYPE, SAME_AS, GraphIndex, MultimodalGraph
+from .graph import RDF_TYPE, SAME_AS, GraphIndex, MultimodalGraph
 from .handlers import EmbeddingTable, NUMBER_MODALITY
 from .numerics import Tensor
 from .util import average_ranks, substream
@@ -447,10 +447,8 @@ class TrainResult:
         return named
 
 
-def _attr_modality_dims(graph: MultimodalGraph, initial: EmbeddingTable) -> dict[str, int]:
-    gi = graph.index()
-    modalities = {gi.modalities[m] for m in gi.modality[~gi.is_entity].tolist()} - {CATEGORICAL}
-    return {m: initial.dims[m] for m in sorted(modalities)}
+def _attr_modality_dims(initial: EmbeddingTable) -> dict[str, int]:
+    return {m: matrix.shape[1] for m, matrix in sorted(initial.matrices.items())}
 
 
 def trainable_relations(graph: MultimodalGraph) -> list[str]:
@@ -477,6 +475,7 @@ def _final_embeddings(
     params: GnnParams,
     policy: FlowPolicy,
 ) -> EmbeddingView:
+    initial.check_aligned(graph)
     mp = build_mp(graph, None, policy)
     layers = encode_layers(mp, initial, params)
     return EmbeddingView(layers[-1], mp.row_of(len(graph.index().node_ids)))
@@ -515,6 +514,7 @@ def train(
     fresh weights.
     """
     t_start = time.monotonic()
+    initial.check_aligned(graph)
     gi = graph.index()
     n_nodes = len(gi.node_ids)
     admitted = _admitted(gi, cfg.link_filter)
@@ -529,7 +529,7 @@ def train(
     part = partition(graph, cfg.partitions, substream(cfg.seed, "partition"))
     relations = trainable_relations(graph)
     params = init_gnn_params(
-        _attr_modality_dims(graph, initial),
+        _attr_modality_dims(initial),
         relations,
         substream(cfg.seed, "init"),
         cfg.proj_dim,
@@ -640,9 +640,7 @@ def sequential_pretrain(
         from .handlers import compute_initial_embeddings, default_registry
 
         registry = registry or default_registry()
-        initial_tables = [
-            compute_initial_embeddings(g, registry, entity_dim=cfg.proj_dim) for g in graphs
-        ]
+        initial_tables = [compute_initial_embeddings(g, registry) for g in graphs]
     result: TrainResult | None = None
     log: list[dict] = []
     for phase, (graph, initial) in enumerate(zip(graphs, initial_tables)):

@@ -56,8 +56,7 @@ from .graph import (
     attribute_node,
     entity,
 )
-
-NUMBER_MODALITY = "number"
+from .handlers import NUMBER_MODALITY
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,7 @@ def parse_schema(text: str | bytes, base_dir: str | Path = ".") -> Schema:
 
 
 def _iter_rows(spec: DataSourceSpec, base_dir: Path):
-    """Yield (line_number, row_dict | RowDecode message)."""
+    """Yield (line_number, row_dict), or (line_number, message) for a row that cannot be decoded."""
     path = base_dir / spec.path
     try:
         text = path.read_text(encoding="utf-8")

@@ -94,7 +94,7 @@ def ten_node_toy_graph():
 def test_01_gradient_suite():
     t0 = time.time()
     graph = ten_node_toy_graph()
-    table = compute_initial_embeddings(graph, small_registry(), entity_dim=16)
+    table = compute_initial_embeddings(graph, small_registry())
     worst = {}
     for kind in ("distmult", "transe", "classifier"):
         for with_regression in (False, True):
@@ -195,7 +195,7 @@ def test_03_gas_consistency():
     world = make_planted_world(n_drugs=13, n_proteins=12, seed=1)
     graph = world.graph
     assert len(graph.nodes) == 50
-    table = compute_initial_embeddings(graph, small_registry(), entity_dim=16)
+    table = compute_initial_embeddings(graph, small_registry())
     cfg = PretrainConfig(score_fn="distmult", epochs=20, lr=1e-3, seed=17, partitions=1, **SMALL_DIMS)
     result = train(graph, table, cfg)
 
@@ -208,7 +208,7 @@ def test_03_gas_consistency():
     relations = trainable_relations(graph)
     from kgdta.pretrain import _attr_modality_dims
 
-    params = init_gnn_params(_attr_modality_dims(graph, table), relations,
+    params = init_gnn_params(_attr_modality_dims(table), relations,
                              substream(cfg.seed, "init"), cfg.proj_dim, cfg.hidden_dim, cfg.out_dim)
     fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"),
                        cfg.clf_hidden, cfg.margin)
@@ -249,7 +249,7 @@ def test_04_flow_control_soundness():
                      attribute_node("protein_sequence", "MKTAYIA"))
         g.add_triple(prot, Relation("comment", RelationKind.DATA),
                      attribute_node("text", text_value))
-        table = compute_initial_embeddings(g, small_registry(), entity_dim=16)
+        table = compute_initial_embeddings(g, small_registry())
         params = init_gnn_params({"protein_sequence": 8, "text": 8},
                                  ["sequence", "comment"], substream(41, "init"), 16, 12, 12)
         return encode(g, table, params, policy)[prot.id]
@@ -273,7 +273,7 @@ def test_05_planted_link_learnability():
     world = make_planted_world(n_drugs=60, n_proteins=40, latent_dim=8,
                                edge_density=0.3, kg_pair_fraction=1.0, seed=0)
     registry = default_registry()
-    table = compute_initial_embeddings(world.graph, registry, entity_dim=64)
+    table = compute_initial_embeddings(world.graph, registry)
     base = dict(score_fn="distmult", link_filter=LinkFilter.restricted(["binding_to"]),
                 policy=FlowPolicy.unrestricted(), seed=0)
 
@@ -296,7 +296,7 @@ def test_06_knowledge_enhancement_gain():
     world = make_planted_world(n_drugs=60, n_proteins=40, latent_dim=8,
                                edge_density=0.3, kg_pair_fraction=0.5, seed=0)
     registry = default_registry()
-    table = compute_initial_embeddings(world.graph, registry, entity_dim=64)
+    table = compute_initial_embeddings(world.graph, registry)
     scorers = ("distmult", "transe", "classifier")
     checkpoints = []
     for kind in scorers:

@@ -328,7 +328,7 @@ def test_affinity_tsv_rejects_nonfinite_time(tmp_path, bad_time):
 
 def small_checkpoint(world, seed=0, kind="distmult"):
     registry = default_registry(sequence_dim=8, text_dim=8, fingerprint_dim=16)
-    table = compute_initial_embeddings(world.graph, registry, entity_dim=8)
+    table = compute_initial_embeddings(world.graph, registry)
     cfg = PretrainConfig(
         score_fn=kind, epochs=2, lr=1e-3, seed=seed,
         proj_dim=8, hidden_dim=8, out_dim=8, clf_hidden=8,

@@ -19,7 +19,13 @@ from kgdta.gnn import (
     policy_to_dict,
 )
 from kgdta.graph import MultimodalGraph, NodeId, NodeKind, Relation, RelationKind, attribute_node, entity
-from kgdta.handlers import EmbeddingTable, compute_initial_embeddings, default_registry
+from kgdta.handlers import (
+    EmbeddingTable,
+    Handler,
+    HandlerRegistry,
+    compute_initial_embeddings,
+    default_registry,
+)
 from kgdta.util import substream
 
 SEQ = Relation("sequence", RelationKind.DATA)
@@ -46,14 +52,13 @@ def identity_params(dim=3, relations=("sequence", "comment", "binding_to")) -> G
 
 
 def table_for(graph, vectors: dict[str, np.ndarray], dim=3) -> EmbeddingTable:
-    table = EmbeddingTable()
-    for node in graph.nodes.values():
-        key = str(node.id)
-        if key in vectors:
-            table.put(node.id, node.modality, vectors[key])
-        else:
-            table.put(node.id, node.modality, np.zeros(dim))
-    return table
+    """Initial table of `graph` holding `vectors` (keyed by node id text) for its
+    attributes; every other non-categorical attribute starts at zeros of `dim`."""
+    zeros = HandlerRegistry()
+    for modality in graph.by_modality:
+        zeros.register(Handler(modality, dim, lambda value: np.zeros(dim)))
+    external = {nid: vectors[str(nid)] for nid in graph.nodes if str(nid) in vectors}
+    return compute_initial_embeddings(graph, zeros, external=external)
 
 
 def test_isolated_entity_is_bias_driven():
@@ -106,7 +111,7 @@ def test_flow_control_blocks_disallowed_attribute():
         txt = attribute_node("text", text_value)
         g.add_triple(prot, SEQ, seq)
         g.add_triple(prot, TXT, txt)
-        table = compute_initial_embeddings(g, default_registry(), entity_dim=64)
+        table = compute_initial_embeddings(g, default_registry())
         params = init_gnn_params(
             {"protein_sequence": 128, "text": 128},
             ["sequence", "comment"],
@@ -163,10 +168,7 @@ def test_insertion_order_is_bitwise_irrelevant_with_many_same_relation_neighbors
         g = MultimodalGraph()
         for i in order:
             g.add_triple(*triples[i])
-        table = EmbeddingTable()
-        for node in g.nodes.values():
-            table.put(node.id, node.modality, vectors.get(str(node.id), np.zeros(4)))
-        outputs.append(encode(g, table, params))
+        outputs.append(encode(g, table_for(g, vectors, dim=5), params))
     for out in outputs[1:]:
         assert out.keys() == outputs[0].keys()
         for nid in out:
@@ -200,6 +202,43 @@ def test_build_mp_sees_nodes_and_triples_added_after_an_earlier_build():
         assert np.array_equal(mutated[nid], rebuilt[nid])
 
 
+def test_initial_table_must_follow_the_graph_index():
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    seq = attribute_node("protein_sequence", "MKTAY")
+    g = MultimodalGraph()
+    g.add_triple(p1, SEQ, seq)
+    g.add_node(p2)
+    params = identity_params()
+    vectors = {str(seq.id): np.array([1.0, -2.0, 0.5])}
+    table = table_for(g, vectors)
+    g.add_triple(p2, BIND, p1)  # among the nodes the table was built for: still aligned
+    assert table.node_ids is not g.index().node_ids
+    out = encode(g, table, params)
+    fresh = encode(g, table_for(g, vectors), params)
+    assert all(np.array_equal(out[nid], fresh[nid]) for nid in fresh)
+
+    g.add_node(entity("uniprot", "P3", "protein"))
+    with pytest.raises(ValueError, match="other nodes"):
+        encode(g, table, params)
+    other = MultimodalGraph()  # as many nodes, other ids
+    other.add_triple(p1, SEQ, attribute_node("protein_sequence", "WWWWW"))
+    other.add_node(p2)
+    with pytest.raises(ValueError, match="other nodes"):
+        encode(other, table, params)
+
+
+def test_an_attribute_without_an_initial_row_raises():
+    g = MultimodalGraph()
+    prot, seq = entity("uniprot", "P1", "protein"), attribute_node("protein_sequence", "MKTAY")
+    g.add_triple(prot, SEQ, seq)
+    g.add_triple(prot, TXT, attribute_node("text", "a kinase"))
+    table = table_for(g, {})
+    assert table.matrices["protein_sequence"].shape == (1, 3)
+    table.row[g.index().position[seq.id]] = -1  # would read the last row if not caught
+    with pytest.raises(ValueError, match="no row for a 'protein_sequence' node"):
+        encode_layers(build_mp(g, None, FlowPolicy.unrestricted()), table, identity_params())
+
+
 def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
     """The R-GCN layer formula on dense per-relation matrices rebuilt from the
     MpGraph edge arrays: h' = relu(h W_self + sum_r A_r h W_r + b)."""
@@ -208,7 +247,9 @@ def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
     h = np.zeros((n, dims[0]))
     for modality, rows in mp.attr_rows.items():
         w, b = params.projections[modality]
-        h[rows] = np.stack([table.get(mp.node_ids[i]) for i in rows]) @ w.data + b.data
+        position = {nid: i for i, nid in enumerate(table.node_ids)}
+        initial = [table.matrices[modality][table.row[position[mp.node_ids[i]]]] for i in rows]
+        h[rows] = np.stack(initial) @ w.data + b.data
     dense = {}
     for k, rel in enumerate(mp.relations):
         edges = mp.relation == k
@@ -243,8 +284,8 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
     ]
     worst = 0.0
     for g in worlds:
-        table = compute_initial_embeddings(g, registry, entity_dim=16)
-        dims = {m: table.dims[m] for m in ("protein_sequence", "smiles")}
+        table = compute_initial_embeddings(g, registry)
+        dims = {m: table.matrices[m].shape[1] for m in ("protein_sequence", "smiles")}
         params = init_gnn_params(dims, trainable_relations(g), substream(8, "init"), 16, 12, 12)
         part = partition(g, 3, substream(8, "partition"))
         n_nodes = len(g.nodes)
@@ -303,7 +344,7 @@ def test_locality_two_hop_ball():
         g.add_triple(p1, BIND, p2)     # d's 2-hop
         g.add_triple(p2, BIND, p3)     # 3 hops from d
         g.add_triple(p3, SEQ, attribute_node("protein_sequence", extra_attr_value))
-        table = compute_initial_embeddings(g, default_registry(), entity_dim=64)
+        table = compute_initial_embeddings(g, default_registry())
         params = init_gnn_params({"protein_sequence": 128}, ["sequence", "binding_to"], substream(1, "init"))
         return encode(g, table, params, scope=[d.id])[d.id]
 
@@ -322,10 +363,11 @@ def test_disconnected_structure_is_bitwise_irrelevant():
     # disconnected clutter
     other = entity("uniprot", "P1", "protein")
     g.add_triple(other, SEQ, attribute_node("protein_sequence", "MKTAY"))
-    table = compute_initial_embeddings(g, registry, entity_dim=params.proj_dim)
+    table = compute_initial_embeddings(g, registry)
     embedded = encode(g, table, params, scope=[q.id])[q.id]
     assert np.array_equal(direct, embedded)
-    assert np.array_equal(init_vec, table.get(attribute_node("smiles", "CCO").id))
+    row = table.row[g.index().position[attribute_node("smiles", "CCO").id]]
+    assert np.array_equal(init_vec, table.matrices["smiles"][row])
 
 
 def test_infer_deterministic_and_shapes():
@@ -401,10 +443,10 @@ def test_encode_gradients_pass_finite_differences():
     for p in named.values():
         # keep pre-activations off the relu kink so finite differences are valid
         p.data = p.data + rng.normal(size=p.data.shape) * 0.1
-    table = EmbeddingTable()
+    vectors = {}
     for node in g.nodes.values():
-        dim = 5 if node.modality == "protein_sequence" else 4
-        table.put(node.id, node.modality, rng.normal(size=dim))
+        vectors[str(node.id)] = rng.normal(size=5 if node.modality == "protein_sequence" else 4)
+    table = table_for(g, vectors, dim=5)
 
     def f(p):
         mp = build_mp(g, None, FlowPolicy.unrestricted())

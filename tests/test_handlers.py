@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kgdta.errors import DimMismatch, MissingHandler, NonFinite, ParseError
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, attribute_node, entity
 from kgdta.handlers import (
-    EmbeddingTable,
     Handler,
     HandlerRegistry,
     compute_initial_embeddings,
@@ -136,30 +135,40 @@ def _toy_graph():
     return g
 
 
-def test_compute_initial_embeddings_counts_and_zero_entities():
+def initial_vector(table, graph, node_id):
+    """The initial vector the table holds for one attribute of `graph`."""
+    row = table.row[graph.index().position[node_id]]
+    assert row >= 0
+    return table.matrices[graph.nodes[node_id].modality][row]
+
+
+def test_compute_initial_embeddings_rows_follow_the_index():
     g = _toy_graph()
-    table = compute_initial_embeddings(g, default_registry(), entity_dim=16)
-    assert len(table.entries) == len(g.nodes) == 10
+    gi = g.index()
+    table = compute_initial_embeddings(g, default_registry())
+    assert table.node_ids is gi.node_ids
+    assert len(table.row) == len(g.nodes) == 10
     for node in g.entities():
-        vec = table.get(node.id)
-        assert vec.shape == (16,)
-        assert not vec.any()
+        assert table.row[gi.position[node.id]] == -1
+    for modality, dim, count in (("protein_sequence", 128, 3), ("smiles", 2048, 2)):
+        assert table.matrices[modality].shape == (count, dim)
+        nodes = sorted(gi.position[nid] for nid in g.by_modality[modality])
+        assert table.row[nodes].tolist() == list(range(count))  # rows follow index order
+    assert set(table.matrices) == {"protein_sequence", "smiles"}
     for node in g.attributes():
-        assert table.get(node.id).any()
-    assert table.dims["protein_sequence"] == 128
-    assert table.dims["smiles"] == 2048
+        assert initial_vector(table, g, node.id).any()
 
 
-def test_categorical_attributes_are_zero():
+def test_categorical_attributes_have_no_row():
     g = MultimodalGraph()
     g.add_triple(
         entity("uniprot", "P1", "protein"),
         Relation("organism", RelationKind.DATA),
         attribute_node("categorical", "Homo sapiens"),
     )
-    table = compute_initial_embeddings(g, default_registry(), entity_dim=8)
-    for node in g.attributes():
-        assert not table.get(node.id).any()
+    table = compute_initial_embeddings(g, default_registry())
+    assert table.row.tolist() == [-1, -1]
+    assert table.matrices == {}
 
 
 def test_missing_handler_for_unknown_modality():
@@ -176,24 +185,24 @@ def test_missing_handler_for_unknown_modality():
 def test_batched_equals_one_at_a_time():
     g = _toy_graph()
     reg = default_registry()
-    table = compute_initial_embeddings(g, reg, entity_dim=16)
+    table = compute_initial_embeddings(g, reg)
     # oracle: embed each attribute individually, bypassing the batched path
     for node in g.attributes():
         expected = reg.get(node.modality).embed(node.value)
-        assert np.array_equal(table.get(node.id), expected)
+        assert np.array_equal(initial_vector(table, g, node.id), expected)
 
 
 def test_import_external_embeddings_roundtrip(tmp_path):
     path = tmp_path / "ext.csv"
     path.write_text("protein_sequence,4\nuniprot:P1,0.1,0.2,0.3,0.4\ncafe01,1,2,3,4\n")
     frag = import_external_embeddings(str(path))
-    assert frag.dims == {"protein_sequence": 4}
-    assert np.allclose(frag.get(NodeId("uniprot", "P1")), [0.1, 0.2, 0.3, 0.4])
-    assert np.allclose(frag.get(NodeId("attr", "cafe01")), [1, 2, 3, 4])
+    assert list(frag) == [NodeId("uniprot", "P1"), NodeId("attr", "cafe01")]
+    assert np.allclose(frag[NodeId("uniprot", "P1")], [0.1, 0.2, 0.3, 0.4])
+    assert np.allclose(frag[NodeId("attr", "cafe01")], [1, 2, 3, 4])
 
     again = import_external_embeddings(str(path))
-    merged = EmbeddingTable().merge(frag).merge(again)
-    assert len(merged.entries) == 2  # re-import is idempotent
+    assert again.keys() == frag.keys()  # re-import is idempotent
+    assert all(np.array_equal(again[k], frag[k]) for k in frag)
 
 
 def test_import_external_dim_mismatch(tmp_path):
@@ -217,19 +226,22 @@ def test_import_external_parse_errors(tmp_path):
             import_external_embeddings(str(path))
 
 
-def test_external_vectors_override_handler_output():
+def test_external_vectors_override_handler_output(tmp_path):
     g = _toy_graph()
     seq_node = g.attributes()[0]
-    ext = EmbeddingTable()
-    ext.put(seq_node.id, "protein_sequence", np.full(128, 0.5))
-    table = compute_initial_embeddings(g, default_registry(), entity_dim=16, external=ext)
-    assert np.array_equal(table.get(seq_node.id), np.full(128, 0.5))
+    path = tmp_path / "ext.csv"
+    path.write_text(f"protein_sequence,128\n{seq_node.id.local_id}," + ",".join(["0.5"] * 128) + "\n")
+    external = import_external_embeddings(str(path))
+    table = compute_initial_embeddings(g, default_registry(), external=external)
+    assert np.array_equal(initial_vector(table, g, seq_node.id), np.full(128, 0.5))
+    reg = default_registry()
+    for node in g.attributes()[1:]:
+        assert np.array_equal(initial_vector(table, g, node.id), reg.get(node.modality).embed(node.value))
 
 
-def test_merge_dim_conflict():
-    a = EmbeddingTable()
-    a.put(NodeId("attr", "x"), "protein_sequence", np.zeros(4))
-    b = EmbeddingTable()
-    b.put(NodeId("attr", "y"), "protein_sequence", np.zeros(5))
-    with pytest.raises(DimMismatch):
-        a.merge(b)
+@pytest.mark.parametrize("shape", [(4,), (129,), (2, 64), ()], ids=["narrow", "wide", "2d", "scalar"])
+def test_external_width_must_match_the_handler(shape):
+    g = _toy_graph()
+    seq_node = g.attributes()[0]
+    with pytest.raises(DimMismatch, match="protein_sequence"):
+        compute_initial_embeddings(g, default_registry(), external={seq_node.id: np.zeros(shape)})

@@ -448,7 +448,7 @@ def small_registry():
 
 def small_world(seed=0, n_drugs=12, n_proteins=8):
     world = make_planted_world(n_drugs=n_drugs, n_proteins=n_proteins, seed=seed)
-    table = compute_initial_embeddings(world.graph, small_registry(), entity_dim=16)
+    table = compute_initial_embeddings(world.graph, small_registry())
     return world, table
 
 
@@ -480,7 +480,7 @@ def test_gas_k1_matches_full_batch_reference():
     forbidden = sets.keys(filtered)
     relations = trainable_relations(graph)
     params = init_gnn_params(
-        _attr_modality_dims(graph, table), relations, substream(cfg.seed, "init"),
+        _attr_modality_dims(table), relations, substream(cfg.seed, "init"),
         cfg.proj_dim, cfg.hidden_dim, cfg.out_dim,
     )
     fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"),
@@ -567,9 +567,21 @@ def test_split_rows_are_the_admitted_rows_split_once(k):
 def test_empty_training_set_raises():
     g = MultimodalGraph()
     g.add_node(entity("uniprot", "P1", "protein"))
-    table = compute_initial_embeddings(g, default_registry(), entity_dim=8)
+    table = compute_initial_embeddings(g, default_registry())
     with pytest.raises(EmptyTrainingSet):
         train(g, table, PretrainConfig(epochs=1, **SMALL_DIMS))
+
+
+def test_training_refuses_an_initial_table_of_other_nodes():
+    world, table = small_world()
+    other, other_table = small_world(seed=1)
+    cfg = PretrainConfig(score_fn="distmult", epochs=1, lr=1e-3, seed=2, **SMALL_DIMS)
+    with pytest.raises(ValueError, match="other nodes"):
+        train(world.graph, other_table, cfg)
+    result = train(world.graph, table, cfg)
+    with pytest.raises(ValueError, match="other nodes"):
+        evaluate_link_auc(world.graph, other_table, result)
+    assert 0.0 <= evaluate_link_auc(world.graph, table, result) <= 1.0
 
 
 def test_regression_without_numeric_attribute_raises():
@@ -589,7 +601,7 @@ def test_regression_objective_trains():
         g.add_triple(prot, Relation("length", RelationKind.DATA), attribute_node("number", float(i)))
         g.add_triple(entity("drugbank", f"D{i}", "drug"), TARGET_OF, prot)
     assert len(numeric_triples(g)[1]) == 6
-    table = compute_initial_embeddings(g, small_registry(), entity_dim=16)
+    table = compute_initial_embeddings(g, small_registry())
     cfg = PretrainConfig(score_fn="transe", epochs=4, lr=1e-2, seed=1, regression=True, **SMALL_DIMS)
     result = train(g, table, cfg)
     assert result.regression is not None and "length" in result.regression.heads
@@ -615,7 +627,7 @@ def test_sequential_warm_start_and_vocabulary_growth():
     drugs = [n for n in g2.entities() if n.modality == "drug"]
     g2.add_triple(drugs[0], Relation("synergy_with", RelationKind.OBJECT), drugs[1])
     g2.add_triple(drugs[2], Relation("synergy_with", RelationKind.OBJECT), drugs[3])
-    table2 = compute_initial_embeddings(g2, small_registry(), entity_dim=16)
+    table2 = compute_initial_embeddings(g2, small_registry())
 
     cfg = PretrainConfig(score_fn="distmult", epochs=2, lr=1e-3, seed=4, **SMALL_DIMS)
     phase1 = train(world1.graph, table1, cfg)
@@ -646,7 +658,7 @@ def with_protein_lengths(graph):
     proteins = [n for n in graph.entities() if n.modality == "protein"]
     for i, prot in enumerate(proteins):
         graph.add_triple(prot, Relation("length", RelationKind.DATA), attribute_node("number", float(i)))
-    return graph, compute_initial_embeddings(graph, small_registry(), entity_dim=16)
+    return graph, compute_initial_embeddings(graph, small_registry())
 
 
 def test_checkpoint_roundtrip(tmp_path):
