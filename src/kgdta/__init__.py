@@ -54,10 +54,10 @@ from .downstream import (
     AffinityRow,
     DownstreamConfig,
     DownstreamModel,
-    Ensemble,
+    Examples,
     SplitSpec,
-    ensemble_predict,
     evaluate,
+    examples,
     load_affinity_tsv,
     make_split,
     pearson,

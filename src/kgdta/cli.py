@@ -49,7 +49,6 @@ DATA_ERRORS = (
     err.InfeasibleSplit,
     err.EmptyTrainingSet,
     err.EmptyTrain,
-    err.EmptyEnsemble,
     err.ExhaustedCandidates,
     err.InvalidK,
     err.ModalityConflict,

@@ -4,7 +4,7 @@ Two parallel branches — one over concatenated initial embeddings, one over
 concatenated encoder embeddings — each a two-hidden-layer relu MLP; their outputs
 sum to the predicted affinity. Disabling the encoder branch gives the vanilla
 baseline. Models from several pretrained checkpoints combine into an equal-weight
-ensemble. Metrics are Pearson and Spearman correlation plus MSE.
+ensemble of their predictions. Metrics are Pearson and Spearman correlation plus MSE.
 
 Datasets are TSV files with a `smiles\tsequence\taffinity[\ttime]` header. Splits:
 random, cold-drug, cold-target (entity-disjoint), or temporal (test strictly after
@@ -20,14 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics as nm
-from .errors import (
-    EmptyEnsemble,
-    EmptyTrain,
-    InfeasibleSplit,
-    NonFinite,
-    ParseError,
-    ZeroVariance,
-)
+from .errors import EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
 from .gnn import encode, infer
 from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry
 from .numerics import Tensor
@@ -193,11 +186,10 @@ def spearman(pred, true) -> float:
 
 
 class HandlerProvider:
-    """Vanilla representation: handler vectors only; encoder vectors are zeros."""
+    """Vanilla representation: handler vectors only; encoder vectors have width 0."""
 
-    def __init__(self, registry: HandlerRegistry, gnn_dim: int = 128):
+    def __init__(self, registry: HandlerRegistry):
         self.registry = registry
-        self.gnn_dim = gnn_dim
         self._cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
 
     def _embed(self, modality: str, value: str):
@@ -205,7 +197,7 @@ class HandlerProvider:
         hit = self._cache.get(key)
         if hit is None:
             init = self.registry.get(modality).embed(value)
-            hit = (np.asarray(init, dtype=np.float64), np.zeros(self.gnn_dim))
+            hit = (np.asarray(init, dtype=np.float64), np.zeros(0))
             self._cache[key] = hit
         return hit
 
@@ -264,6 +256,34 @@ class CheckpointProvider:
         return self._embed(SEQUENCE_MODALITY, sequence)
 
 
+# --- features -------------------------------------------------------------------------
+
+
+@dataclass
+class Examples:
+    """One split embedded once: per affinity row, the drug and protein initial
+    vectors concatenated, the drug and protein encoder vectors concatenated, and
+    the label."""
+
+    x_init: np.ndarray
+    x_gnn: np.ndarray
+    y: np.ndarray
+
+
+def examples(provider, rows: list[AffinityRow]) -> Examples:
+    """Embed every row through `provider` (anything with `drug(smiles)` and
+    `protein(sequence)` returning an (initial, encoder) vector pair)."""
+    if not rows:
+        raise EmptyTrain("no affinity rows to embed")
+    init_feats, gnn_feats = [], []
+    for r in rows:
+        d_init, d_gnn = provider.drug(r.drug)
+        p_init, p_gnn = provider.protein(r.protein)
+        init_feats.append(np.concatenate([d_init, p_init]))
+        gnn_feats.append(np.concatenate([d_gnn, p_gnn]))
+    return Examples(np.stack(init_feats), np.stack(gnn_feats), np.array([r.affinity for r in rows]))
+
+
 # --- model ------------------------------------------------------------------------------
 
 
@@ -287,17 +307,13 @@ class DownstreamConfig:
 
 
 def _branch_params(prefix: str, d_in: int, hidden: tuple[int, int], rng) -> dict[str, Tensor]:
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     h1, h2 = hidden
     return {
-        f"{prefix}/w1": nm.param(glorot(d_in, h1)),
+        f"{prefix}/w1": nm.param(nm.glorot(rng, d_in, h1)),
         f"{prefix}/b1": nm.param(np.zeros(h1)),
-        f"{prefix}/w2": nm.param(glorot(h1, h2)),
+        f"{prefix}/w2": nm.param(nm.glorot(rng, h1, h2)),
         f"{prefix}/b2": nm.param(np.zeros(h2)),
-        f"{prefix}/w3": nm.param(glorot(h2, 1)),
+        f"{prefix}/w3": nm.param(nm.glorot(rng, h2, 1)),
         f"{prefix}/b3": nm.param(np.zeros(1)),
     }
 
@@ -327,28 +343,13 @@ class FeatureScale:
 class DownstreamModel:
     params: dict[str, Tensor]
     cfg: DownstreamConfig
-    provider: object
-    init_stats: FeatureScale | None = None
-    gnn_stats: FeatureScale | None = None
+    init_stats: FeatureScale
+    gnn_stats: FeatureScale | None = None  # None when the encoder branch is off
     best_val_mse: float | None = None
 
-    def _features(self, rows: list[AffinityRow]) -> tuple[np.ndarray, np.ndarray | None]:
-        init_feats, gnn_feats = [], []
-        for r in rows:
-            d_init, d_gnn = self.provider.drug(r.drug)
-            p_init, p_gnn = self.provider.protein(r.protein)
-            init_feats.append(np.concatenate([d_init, p_init]))
-            if self.cfg.use_gnn:
-                gnn_feats.append(np.concatenate([d_gnn, p_gnn]))
-        return np.stack(init_feats), (np.stack(gnn_feats) if self.cfg.use_gnn else None)
-
-    def _standardized(self, rows: list[AffinityRow]) -> tuple[np.ndarray, np.ndarray | None]:
-        x_init, x_gnn = self._features(rows)
-        if self.init_stats is not None:
-            x_init = self.init_stats.apply(x_init)
-        if x_gnn is not None and self.gnn_stats is not None:
-            x_gnn = self.gnn_stats.apply(x_gnn)
-        return x_init, x_gnn
+    def _scaled(self, ex: Examples) -> tuple[np.ndarray, np.ndarray | None]:
+        x_gnn = self.gnn_stats.apply(ex.x_gnn) if self.cfg.use_gnn else None
+        return self.init_stats.apply(ex.x_init), x_gnn
 
     def _forward(self, x_init: np.ndarray, x_gnn: np.ndarray | None) -> Tensor:
         out = _branch_forward(self.params, "init", nm.constant(x_init))
@@ -356,59 +357,42 @@ class DownstreamModel:
             out = nm.add(out, _branch_forward(self.params, "gnn", nm.constant(x_gnn)))
         return out
 
-    def predict_rows(self, rows: list[AffinityRow]) -> np.ndarray:
-        x_init, x_gnn = self._standardized(rows)
-        return self._forward(x_init, x_gnn).data.copy()
+    def predict(self, ex: Examples) -> np.ndarray:
+        return self._forward(*self._scaled(ex)).data
 
 
-def train_downstream(
-    train_rows: list[AffinityRow],
-    val_rows: list[AffinityRow],
-    provider,
-    cfg: DownstreamConfig,
-) -> DownstreamModel:
-    """Minimize MSE with Adam; returns the parameters at best validation loss."""
-    if not train_rows:
-        raise EmptyTrain("no downstream training rows")
+def train_downstream(train: Examples, val: Examples | None, cfg: DownstreamConfig) -> DownstreamModel:
+    """Minimize MSE with Adam; returns the parameters at best validation loss
+    (best train-batch loss when `val` is None)."""
     rng_init = substream(cfg.seed, "dsinit")
-    probe_d = provider.drug(train_rows[0].drug)
-    probe_p = provider.protein(train_rows[0].protein)
-    d_init = len(probe_d[0]) + len(probe_p[0])
-    params = _branch_params("init", d_init, cfg.init_hidden, rng_init)
+    params = _branch_params("init", train.x_init.shape[1], cfg.init_hidden, rng_init)
+    gnn_stats = None
     if cfg.use_gnn:
-        d_gnn = len(probe_d[1]) + len(probe_p[1])
-        params.update(_branch_params("gnn", d_gnn, cfg.gnn_hidden, rng_init))
-
-    model = DownstreamModel(params, cfg, provider)
-    x_train, g_train = model._features(train_rows)
-    model.init_stats = FeatureScale.fit(x_train)
-    x_train = model.init_stats.apply(x_train)
-    if g_train is not None:
-        model.gnn_stats = FeatureScale.fit(g_train)
-        g_train = model.gnn_stats.apply(g_train)
-    y_train = np.array([r.affinity for r in train_rows])
-    if val_rows:
-        x_val, g_val = model._standardized(val_rows)
-        y_val = np.array([r.affinity for r in val_rows])
+        params.update(_branch_params("gnn", train.x_gnn.shape[1], cfg.gnn_hidden, rng_init))
+        gnn_stats = FeatureScale.fit(train.x_gnn)
+    model = DownstreamModel(params, cfg, FeatureScale.fit(train.x_init), gnn_stats)
+    x_train, g_train = model._scaled(train)
+    if val is not None:
+        x_val, g_val = model._scaled(val)
 
     rng_batch = substream(cfg.seed, "batch")
     state = None
     best = {name: p.data.copy() for name, p in params.items()}
     best_val = math.inf
-    n = len(train_rows)
+    n = len(train.y)
     for step in range(1, cfg.steps + 1):
         idx = rng_batch.integers(0, n, size=min(cfg.batch, n))
         pred = model._forward(x_train[idx], g_train[idx] if g_train is not None else None)
-        loss = nm.mse(pred, y_train[idx])
+        loss = nm.mse(pred, train.y[idx])
         if not np.isfinite(loss.data):
             raise NonFinite(f"downstream loss diverged at step {step}")
         nm.zero_grads(params)
         nm.backward(loss)
         _, state = nm.adam_step(params, nm.collect_grads(params), state, cfg.lr)
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            if val_rows:
+            if val is not None:
                 val_pred = model._forward(x_val, g_val)
-                val_mse = float(nm.mse(val_pred, y_val).data)
+                val_mse = float(nm.mse(val_pred, val.y).data)
             else:
                 val_mse = float(loss.data)
             if val_mse < best_val:
@@ -420,37 +404,14 @@ def train_downstream(
     return model
 
 
-def evaluate(model_or_ensemble, test_rows: list[AffinityRow]) -> dict[str, float]:
-    if not test_rows:
-        raise EmptyTrain("no test rows to evaluate")
-    preds = model_or_ensemble.predict_rows(test_rows)
+def evaluate(preds: np.ndarray, true: np.ndarray) -> dict[str, float]:
     if not np.isfinite(preds).all():
         raise NonFinite("non-finite predictions")
-    true = np.array([r.affinity for r in test_rows])
     return {
         "pearson": pearson(preds, true),
         "spearman": spearman(preds, true),
         "mse": float(np.mean((preds - true) ** 2)),
     }
-
-
-# --- ensembling ---------------------------------------------------------------------------
-
-
-@dataclass
-class Ensemble:
-    members: list[DownstreamModel]
-
-    def predict_rows(self, rows: list[AffinityRow]) -> np.ndarray:
-        return ensemble_predict(self, rows)
-
-
-def ensemble_predict(ensemble: Ensemble, rows: list[AffinityRow]) -> np.ndarray:
-    """Equal-weight average of member predictions."""
-    if not ensemble.members:
-        raise EmptyEnsemble("ensemble has no members")
-    preds = np.stack([m.predict_rows(rows) for m in ensemble.members])
-    return preds.mean(axis=0)
 
 
 # --- benchmark harness -----------------------------------------------------------------------
@@ -482,6 +443,14 @@ def _mean_metrics(per_seed: dict[int, dict[str, float]]) -> dict[str, float]:
     return {k: float(np.mean([m[k] for m in per_seed.values()])) for k in keys}
 
 
+def _fit_cell(splits: tuple[Examples, Examples, Examples], cfg: DownstreamConfig):
+    """One (model, seed) cell of the benchmark grid: fit on the train split with
+    validation selection. Returns the test predictions and the best validation MSE."""
+    train, val, test = splits
+    model = train_downstream(train, val, cfg)
+    return model.predict(test), model.best_val_mse
+
+
 def run_benchmark(
     dataset: AffinityDataset,
     split_spec: SplitSpec,
@@ -494,42 +463,33 @@ def run_benchmark(
     """Train and evaluate the vanilla baseline, one model per checkpoint, and the
     equal-weight ensemble, averaging metrics over the given seeds.
 
+    Each split is embedded once per provider and every (model, seed) fit reuses
+    those arrays; the ensemble averages the members' stored test predictions.
     Pass the pretraining graph to embed dataset entities that appear in it with
     their graph context; without it, every entity goes through pure inference.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_benchmark needs at least one seed")
-    train_rows, val_rows, test_rows = make_split(dataset, split_spec)
+    split_rows = make_split(dataset, split_spec)
+    true = np.array([r.affinity for r in split_rows[2]])
     report = BenchmarkReport(dataset.name, split_spec.kind)
 
-    def record(name: str, per_seed: dict[int, dict[str, float]]):
+    def record(name: str, preds: dict[int, np.ndarray]):
+        per_seed = {seed: evaluate(preds[seed], true) for seed in seeds}
         row = {"model": name, **_mean_metrics(per_seed)}
         row["per_seed"] = {str(s): per_seed[s] for s in sorted(per_seed)}
         report.rows.append(row)
 
-    vanilla_provider = HandlerProvider(registry)
-    baseline_metrics = {}
-    for seed in seeds:
-        seed_cfg = replace(cfg, seed=seed, use_gnn=False)
-        model = train_downstream(train_rows, val_rows, vanilla_provider, seed_cfg)
-        baseline_metrics[seed] = evaluate(model, test_rows)
-    record("baseline", baseline_metrics)
+    def grid(name: str, provider, use_gnn: bool) -> dict[int, np.ndarray]:
+        splits = tuple(examples(provider, rows) for rows in split_rows)
+        preds = {seed: _fit_cell(splits, replace(cfg, seed=seed, use_gnn=use_gnn))[0] for seed in seeds}
+        record(name, preds)
+        return preds
 
-    members_by_seed: dict[int, list[DownstreamModel]] = {seed: [] for seed in seeds}
-    for name, ckpt in checkpoints:
-        provider = CheckpointProvider(ckpt, registry, graph=graph)
-        metrics = {}
-        for seed in seeds:
-            seed_cfg = replace(cfg, seed=seed, use_gnn=True)
-            model = train_downstream(train_rows, val_rows, provider, seed_cfg)
-            metrics[seed] = evaluate(model, test_rows)
-            members_by_seed[seed].append(model)
-        record(name, metrics)
-
-    if len(checkpoints) >= 2:
-        ensemble_metrics = {}
-        for seed in seeds:
-            ensemble_metrics[seed] = evaluate(Ensemble(members_by_seed[seed]), test_rows)
-        record("ensemble", ensemble_metrics)
+    grid("baseline", HandlerProvider(registry), use_gnn=False)
+    members = [grid(name, CheckpointProvider(ckpt, registry, graph=graph), use_gnn=True)
+               for name, ckpt in checkpoints]
+    if len(members) >= 2:
+        record("ensemble", {seed: np.stack([m[seed] for m in members]).mean(axis=0) for seed in seeds})
     return report

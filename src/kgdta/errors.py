@@ -85,8 +85,4 @@ class ZeroVariance(KgdtaError):
 
 
 class EmptyTrain(KgdtaError):
-    """Downstream training set is empty."""
-
-
-class EmptyEnsemble(KgdtaError):
-    """Ensemble has no members."""
+    """A downstream split to embed (the training set, say) has no rows."""

@@ -127,11 +127,6 @@ class GnnParams:
         return named
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def init_gnn_params(
     modality_dims: dict[str, int],
     relations: list[str],
@@ -148,7 +143,7 @@ def init_gnn_params(
     for modality in sorted(modality_dims):
         dim = modality_dims[modality]
         projections[modality] = (
-            nm.param(_glorot(rng, dim, proj_dim)),
+            nm.param(nm.glorot(rng, dim, proj_dim)),
             nm.param(np.zeros(proj_dim)),
         )
     layers = []
@@ -157,10 +152,10 @@ def init_gnn_params(
         d_in, d_out = dims[l], dims[l + 1]
         layers.append(
             RgcnLayer(
-                w_self=nm.param(_glorot(rng, d_in, d_out)),
+                w_self=nm.param(nm.glorot(rng, d_in, d_out)),
                 bias=nm.param(np.zeros(d_out)),
-                w_rel={rel: nm.param(_glorot(rng, d_in, d_out)) for rel in sorted(relations)},
-                w_default=nm.param(_glorot(rng, d_in, d_out)),
+                w_rel={rel: nm.param(nm.glorot(rng, d_in, d_out)) for rel in sorted(relations)},
+                w_default=nm.param(nm.glorot(rng, d_in, d_out)),
             )
         )
     return GnnParams(projections, layers, proj_dim, hidden_dim, out_dim)

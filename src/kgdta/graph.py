@@ -169,7 +169,6 @@ class MultimodalGraph:
     def __init__(self):
         self.nodes: dict[NodeId, Node] = {}
         self._triples: dict[tuple[NodeId, str, NodeId], Triple] = {}
-        self.by_modality: dict[str, list[NodeId]] = {}
         self.relation_kinds: dict[str, RelationKind] = {}
         # canonical id -> ids merged away by resolve_same_as
         self.aliases: dict[NodeId, tuple[NodeId, ...]] = {}
@@ -195,7 +194,6 @@ class MultimodalGraph:
             return existing
         self._index = None
         self.nodes[node.id] = node
-        self.by_modality.setdefault(node.modality, []).append(node.id)
         return node
 
     def add_triple(self, source: Node, relation: Relation, target: Node) -> "MultimodalGraph":

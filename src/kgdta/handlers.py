@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DimMismatch, MissingHandler, NonFinite, ParseError
+from .errors import DimMismatch, MissingHandler, ModalityConflict, NonFinite, ParseError
 from .graph import CATEGORICAL, MultimodalGraph, NodeId, NodeKind
 from .util import FNV64_OFFSET, FNV64_PRIME
 
@@ -177,13 +177,13 @@ class EmbeddingTable:
             raise ValueError("initial embeddings were computed for a graph with other nodes")
 
 
-def import_external_embeddings(path: str) -> dict[NodeId, np.ndarray]:
-    """Read externally computed embeddings, keyed by node id, for the `external=`
-    argument of `compute_initial_embeddings`.
+def import_external_embeddings(path: str) -> dict[str, dict[NodeId, np.ndarray]]:
+    """Read externally computed embeddings as `{modality: {node id: vector}}`, for
+    the `external=` argument of `compute_initial_embeddings`.
 
     Format: first line `modality,dim`; each following line `key,v1,...,vdim` where the
     key is either `namespace:local_id` or a bare attribute content hash. The header's
-    dim checks each row; its modality is not checked against the keyed nodes.
+    dim checks each row, and its modality is the one the vectors are filed under.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -220,24 +220,31 @@ def import_external_embeddings(path: str) -> dict[NodeId, np.ndarray]:
         else:
             node_id = NodeId("attr", key)
         vectors[node_id] = np.array(values, dtype=np.float64)
-    return vectors
+    return {modality: vectors}
 
 
 def compute_initial_embeddings(
     graph: MultimodalGraph,
     registry: HandlerRegistry,
     entity_dim: int | None = None,
-    external: dict[NodeId, np.ndarray] | None = None,
+    external: dict[str, dict[NodeId, np.ndarray]] | None = None,
 ) -> EmbeddingTable:
     """Embed every non-categorical attribute of `graph` through its modality
     handler, into one matrix per modality whose rows follow `graph.index()`.
 
-    Entities and categorical attributes get no row. A vector in `external` wins
-    over handler output for its node id and must have the handler's width.
-    `entity_dim` is ignored; it remains for callers that still pass it.
+    Entities and categorical attributes get no row. A vector in `external[m]`
+    wins over handler output for its node id and must have the handler's width;
+    a key that names a graph node of a modality other than m raises
+    `ModalityConflict`. `entity_dim` is ignored; it remains for callers that
+    still pass it.
     """
     gi = graph.index()
     external = external or {}
+    for modality, vectors in external.items():
+        for node_id in vectors:
+            node = graph.nodes.get(node_id)
+            if node is not None and node.modality != modality:
+                raise ModalityConflict(f"{node_id}: external {modality!r} vector for a {node.modality!r} node")
     members: dict[str, list[int]] = {}
     for i, node_id in enumerate(gi.node_ids):
         node = graph.nodes[node_id]
@@ -247,10 +254,11 @@ def compute_initial_embeddings(
     matrices = {}
     for modality, nodes in members.items():
         handler = registry.get(modality)
+        vectors = external.get(modality, {})
         matrix = matrices[modality] = np.empty((len(nodes), handler.dim))
         for r, i in enumerate(nodes):
             node_id = gi.node_ids[i]
-            vec = external.get(node_id)
+            vec = vectors.get(node_id)
             if vec is None:
                 vec = handler.embed(graph.nodes[node_id].value)
             vec = np.asarray(vec, dtype=np.float64)

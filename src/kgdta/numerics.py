@@ -38,26 +38,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    # operator sugar; the real rules live in the module functions below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def param(data) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -65,6 +45,12 @@ def param(data) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
+
+
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform (fan_in, fan_out) weights drawn from `rng`."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def _as_tensor(x) -> Tensor:

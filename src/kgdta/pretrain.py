@@ -114,12 +114,10 @@ def init_score_fn(
     rel_emb = {r: nm.param(rng.normal(size=dim) * 0.1) for r in sorted(relations)}
     clf = None
     if kind == "classifier":
-        limit1 = np.sqrt(6.0 / (3 * dim + clf_hidden))
-        limit2 = np.sqrt(6.0 / (clf_hidden + 1))
         clf = {
-            "w1": nm.param(rng.uniform(-limit1, limit1, size=(3 * dim, clf_hidden))),
+            "w1": nm.param(nm.glorot(rng, 3 * dim, clf_hidden)),
             "b1": nm.param(np.zeros(clf_hidden)),
-            "w2": nm.param(rng.uniform(-limit2, limit2, size=(clf_hidden, 1))),
+            "w2": nm.param(nm.glorot(rng, clf_hidden, 1)),
             "b2": nm.param(np.zeros(1)),
         }
     return ScoreFn(kind, rel_emb, margin, clf)

@@ -1,17 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgdta.downstream as ds_mod
 from kgdta.downstream import (
     AffinityDataset,
     AffinityRow,
+    BenchmarkReport,
+    CheckpointProvider,
     DownstreamConfig,
-    Ensemble,
+    HandlerProvider,
     SplitSpec,
-    ensemble_predict,
     evaluate,
+    examples,
     load_affinity_tsv,
     make_split,
     pearson,
@@ -20,7 +25,7 @@ from kgdta.downstream import (
     spearman,
     train_downstream,
 )
-from kgdta.errors import EmptyEnsemble, EmptyTrain, InfeasibleSplit, ParseError, ZeroVariance
+from kgdta.errors import EmptyTrain, InfeasibleSplit, ParseError, ZeroVariance
 from kgdta.handlers import default_registry
 from kgdta.pretrain import Checkpoint, PretrainConfig, train
 from kgdta.synthetic import make_planted_world
@@ -149,51 +154,6 @@ def test_pearson_scale_shift_invariance():
     assert pearson(-2.0 * x + 1.0, y) == pytest.approx(-base, abs=1e-12)
 
 
-# --- ensembling --------------------------------------------------------------------
-
-
-class StubModel:
-    def __init__(self, value):
-        self.value = value
-
-    def predict_rows(self, rows):
-        return np.full(len(rows), self.value, dtype=np.float64)
-
-
-def test_ensemble_identity_and_mean():
-    rows = toy_dataset(5).rows
-    single = Ensemble([StubModel(1.5)])
-    assert np.array_equal(ensemble_predict(single, rows), np.full(5, 1.5))
-    pair = Ensemble([StubModel(1.0), StubModel(3.0)])
-    assert np.array_equal(ensemble_predict(pair, rows), np.full(5, 2.0))
-
-
-def test_ensemble_matches_loop_oracle():
-    rng = np.random.default_rng(6)
-    rows = toy_dataset(7).rows
-
-    class RandModel:
-        def __init__(self, seed):
-            self.rng = np.random.default_rng(seed)
-            self.vals = self.rng.normal(size=7)
-
-        def predict_rows(self, rows):
-            return self.vals.copy()
-
-    members = [RandModel(i) for i in range(4)]
-    ens = ensemble_predict(Ensemble(members), rows)
-    expected = np.zeros(7)
-    for m in members:
-        expected += m.predict_rows(rows)
-    expected /= 4.0
-    assert np.max(np.abs(ens - expected)) < 1e-12
-
-
-def test_empty_ensemble():
-    with pytest.raises(EmptyEnsemble):
-        ensemble_predict(Ensemble([]), toy_dataset(3).rows)
-
-
 # --- training ------------------------------------------------------------------------
 
 
@@ -229,40 +189,54 @@ def test_realizable_target_reaches_tiny_train_mse():
     cfg = DownstreamConfig(
         lr=3e-3, steps=1500, batch=64, seed=0, init_hidden=(64, 32), use_gnn=False, eval_every=250
     )
-    model = train_downstream(ds.rows, [], provider, cfg)
-    preds = model.predict_rows(ds.rows)
-    true = np.array([r.affinity for r in ds.rows])
-    assert float(np.mean((preds - true) ** 2)) < 1e-3
+    data = examples(provider, ds.rows)
+    model = train_downstream(data, None, cfg)
+    preds = model.predict(data)
+    assert float(np.mean((preds - data.y) ** 2)) < 1e-3
 
 
 def test_vanilla_baseline_has_single_branch():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(lr=1e-3, steps=10, batch=16, seed=0, init_hidden=(8, 4), use_gnn=False)
-    model = train_downstream(ds.rows[:50], ds.rows[50:60], provider, cfg)
+    model = train_downstream(examples(provider, ds.rows[:50]), examples(provider, ds.rows[50:60]), cfg)
     assert all(name.startswith("init/") for name in model.params)
-    assert model.predict_rows(ds.rows[:3]).shape == (3,)
+    assert model.gnn_stats is None
+    assert model.predict(examples(provider, ds.rows[:3])).shape == (3,)
 
 
 def test_downstream_training_reproducible():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(lr=1e-3, steps=40, batch=32, seed=5, init_hidden=(16, 8), use_gnn=False)
-    m1 = train_downstream(ds.rows[:60], ds.rows[60:80], provider, cfg)
-    m2 = train_downstream(ds.rows[:60], ds.rows[60:80], provider, cfg)
+    train_ex, val_ex = examples(provider, ds.rows[:60]), examples(provider, ds.rows[60:80])
+    m1 = train_downstream(train_ex, val_ex, cfg)
+    m2 = train_downstream(train_ex, val_ex, cfg)
     for name in m1.params:
         assert np.array_equal(m1.params[name].data, m2.params[name].data)
 
 
 def test_empty_train_raises():
-    ds, provider = realizable_dataset()
+    _, provider = realizable_dataset()
     with pytest.raises(EmptyTrain):
-        train_downstream([], ds.rows[:5], provider, DownstreamConfig())
+        examples(provider, [])
+
+
+def test_examples_embed_each_row_once_in_row_order():
+    ds, provider = realizable_dataset()
+    rows = ds.rows[:5]
+    data = examples(provider, rows)
+    assert data.x_init.shape == (5, 8) and data.x_gnn.shape == (5, 8)
+    for i, r in enumerate(rows):
+        expected = np.concatenate([provider.drug_latents[r.drug], provider.protein_latents[r.protein]])
+        assert np.array_equal(data.x_init[i], expected)
+    assert data.y.tolist() == [r.affinity for r in rows]
 
 
 def test_evaluate_metrics_keys():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(lr=2e-3, steps=200, batch=32, seed=0, init_hidden=(32, 16), use_gnn=False)
-    model = train_downstream(ds.rows[:70], ds.rows[70:80], provider, cfg)
-    metrics = evaluate(model, ds.rows[80:])
+    model = train_downstream(examples(provider, ds.rows[:70]), examples(provider, ds.rows[70:80]), cfg)
+    test = examples(provider, ds.rows[80:])
+    metrics = evaluate(model.predict(test), test.y)
     assert set(metrics) == {"pearson", "spearman", "mse"}
     assert -1.0 <= metrics["pearson"] <= 1.0
 
@@ -274,15 +248,15 @@ def test_two_branch_model_gradients_pass_finite_differences():
     ds, provider = realizable_dataset(n_drugs=4, n_proteins=3)
     cfg = DownstreamConfig(lr=1e-3, steps=1, batch=4, seed=2,
                            init_hidden=(6, 4), gnn_hidden=(5, 4), use_gnn=True)
-    model = train_downstream(ds.rows[:8], [], provider, cfg)
+    data = examples(provider, ds.rows[:8])
+    model = train_downstream(data, None, cfg)
     rng = substream(3, "jitter")
     for p in model.params.values():
         p.data = p.data + rng.normal(size=p.data.shape) * 0.2
-    x_init, x_gnn = model._standardized(ds.rows[:8])
-    y = np.array([r.affinity for r in ds.rows[:8]])
+    x_init, x_gnn = model.init_stats.apply(data.x_init), model.gnn_stats.apply(data.x_gnn)
 
     def objective(params):
-        return nm.mse(model._forward(x_init, x_gnn), y)
+        return nm.mse(model._forward(x_init, x_gnn), data.y)
 
     assert nm.grad_check(objective, model.params) < 1e-4
 
@@ -358,3 +332,88 @@ def test_run_benchmark_single_checkpoint_has_no_ensemble_row():
     cfg = DownstreamConfig(lr=1e-3, steps=10, batch=16, init_hidden=(8, 4), gnn_hidden=(8, 4), eval_every=5)
     report = run_benchmark(world.dataset, SplitSpec("random", seed=0), [("only", ckpt)], registry, cfg, seeds=[0])
     assert [row["model"] for row in report.rows] == ["baseline", "only"]
+
+
+@pytest.fixture(scope="module")
+def two_checkpoints():
+    world = make_planted_world(n_drugs=10, n_proteins=6, seed=5)
+    ckpt_a, registry = small_checkpoint(world, seed=0)
+    ckpt_b, _ = small_checkpoint(world, seed=1, kind="transe")
+    return world, [("a", ckpt_a), ("b", ckpt_b)], registry
+
+
+GRID_CFG = DownstreamConfig(lr=1e-3, steps=12, batch=16, init_hidden=(8, 4), gnn_hidden=(8, 4), eval_every=5)
+
+
+def test_empty_ensemble(two_checkpoints):
+    world, _, registry = two_checkpoints
+    report = run_benchmark(world.dataset, SplitSpec("random", seed=0), [], registry, GRID_CFG, seeds=[0])
+    assert [row["model"] for row in report.rows] == ["baseline"]
+
+
+def test_ensemble_identity_and_mean(two_checkpoints):
+    # the mean of one model's predictions taken twice is those predictions, bit for bit
+    world, ckpts, registry = two_checkpoints
+    twice = [("a", ckpts[0][1]), ("a2", ckpts[0][1])]
+    report = run_benchmark(world.dataset, SplitSpec("random", seed=0), twice, registry, GRID_CFG,
+                           seeds=[0, 1], graph=world.graph)
+    rows = {row["model"]: {k: v for k, v in row.items() if k != "model"} for row in report.rows}
+    assert rows["ensemble"] == rows["a"] == rows["a2"]
+
+
+def test_ensemble_matches_loop_oracle(two_checkpoints):
+    """A plain loop over (model, seed) cells, each embedding its own splits, with the
+    ensemble as the mean of the members' test predictions, writes the same report,
+    with and without the pretraining graph."""
+    world, ckpts, registry = two_checkpoints
+    spec, seeds = SplitSpec("random", seed=0), [0, 1]
+    parts = make_split(world.dataset, spec)
+    true = np.array([r.affinity for r in parts[2]])
+
+    def oracle(graph):
+        expected = BenchmarkReport(world.dataset.name, spec.kind)
+
+        def add_row(name, preds):
+            per_seed = {seed: evaluate(preds[seed], true) for seed in seeds}
+            means = {k: float(np.mean([per_seed[s][k] for s in seeds])) for k in ("pearson", "spearman", "mse")}
+            expected.rows.append({"model": name, **means, "per_seed": {str(s): per_seed[s] for s in seeds}})
+
+        models = [("baseline", HandlerProvider(registry), False)]
+        models += [(name, CheckpointProvider(ckpt, registry, graph=graph), True) for name, ckpt in ckpts]
+        member_preds = []
+        for name, provider, use_gnn in models:
+            preds = {}
+            for seed in seeds:
+                train_ex, val_ex, test_ex = (examples(provider, rows) for rows in parts)
+                model = train_downstream(train_ex, val_ex, replace(GRID_CFG, seed=seed, use_gnn=use_gnn))
+                preds[seed] = model.predict(test_ex)
+            add_row(name, preds)
+            if use_gnn:
+                member_preds.append(preds)
+        add_row("ensemble", {s: sum(p[s] for p in member_preds) / len(member_preds) for s in seeds})
+        return expected.to_jsonl()
+
+    for graph in (None, world.graph):
+        report = run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=seeds, graph=graph)
+        assert report.to_jsonl() == oracle(graph)
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monkeypatch, seeds):
+    world, ckpts, registry = two_checkpoints
+    embedded, fits = [], []
+
+    def counting_examples(provider, rows):
+        embedded.append(provider)
+        return examples(provider, rows)
+
+    def counting_train(*args):
+        fits.append(args)
+        return train_downstream(*args)
+
+    monkeypatch.setattr(ds_mod, "examples", counting_examples)
+    monkeypatch.setattr(ds_mod, "train_downstream", counting_train)
+    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds)
+    assert len(embedded) == 3 * (1 + len(ckpts))
+    assert len({id(p) for p in embedded}) == 1 + len(ckpts)
+    assert len(fits) == len(seeds) * (1 + len(ckpts))

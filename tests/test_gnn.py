@@ -55,9 +55,12 @@ def table_for(graph, vectors: dict[str, np.ndarray], dim=3) -> EmbeddingTable:
     """Initial table of `graph` holding `vectors` (keyed by node id text) for its
     attributes; every other non-categorical attribute starts at zeros of `dim`."""
     zeros = HandlerRegistry()
-    for modality in graph.by_modality:
+    for modality in {node.modality for node in graph.nodes.values()}:
         zeros.register(Handler(modality, dim, lambda value: np.zeros(dim)))
-    external = {nid: vectors[str(nid)] for nid in graph.nodes if str(nid) in vectors}
+    external = {}
+    for nid, node in graph.nodes.items():
+        if str(nid) in vectors:
+            external.setdefault(node.modality, {})[nid] = vectors[str(nid)]
     return compute_initial_embeddings(graph, zeros, external=external)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdta.errors import DimMismatch, MissingHandler, NonFinite, ParseError
+from kgdta.errors import DimMismatch, MissingHandler, ModalityConflict, NonFinite, ParseError
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, attribute_node, entity
 from kgdta.handlers import (
     Handler,
@@ -152,7 +152,7 @@ def test_compute_initial_embeddings_rows_follow_the_index():
         assert table.row[gi.position[node.id]] == -1
     for modality, dim, count in (("protein_sequence", 128, 3), ("smiles", 2048, 2)):
         assert table.matrices[modality].shape == (count, dim)
-        nodes = sorted(gi.position[nid] for nid in g.by_modality[modality])
+        nodes = sorted(gi.position[n.id] for n in g.nodes.values() if n.modality == modality)
         assert table.row[nodes].tolist() == list(range(count))  # rows follow index order
     assert set(table.matrices) == {"protein_sequence", "smiles"}
     for node in g.attributes():
@@ -195,12 +195,14 @@ def test_batched_equals_one_at_a_time():
 def test_import_external_embeddings_roundtrip(tmp_path):
     path = tmp_path / "ext.csv"
     path.write_text("protein_sequence,4\nuniprot:P1,0.1,0.2,0.3,0.4\ncafe01,1,2,3,4\n")
-    frag = import_external_embeddings(str(path))
+    table = import_external_embeddings(str(path))
+    assert list(table) == ["protein_sequence"]
+    frag = table["protein_sequence"]
     assert list(frag) == [NodeId("uniprot", "P1"), NodeId("attr", "cafe01")]
     assert np.allclose(frag[NodeId("uniprot", "P1")], [0.1, 0.2, 0.3, 0.4])
     assert np.allclose(frag[NodeId("attr", "cafe01")], [1, 2, 3, 4])
 
-    again = import_external_embeddings(str(path))
+    again = import_external_embeddings(str(path))["protein_sequence"]
     assert again.keys() == frag.keys()  # re-import is idempotent
     assert all(np.array_equal(again[k], frag[k]) for k in frag)
 
@@ -244,4 +246,21 @@ def test_external_width_must_match_the_handler(shape):
     g = _toy_graph()
     seq_node = g.attributes()[0]
     with pytest.raises(DimMismatch, match="protein_sequence"):
-        compute_initial_embeddings(g, default_registry(), external={seq_node.id: np.zeros(shape)})
+        compute_initial_embeddings(
+            g, default_registry(), external={"protein_sequence": {seq_node.id: np.zeros(shape)}})
+
+
+def test_external_vector_must_match_its_node_modality(tmp_path):
+    # a text-headed file keyed by a sequence attribute's hash must not replace its row
+    g = _toy_graph()
+    seq_node = g.attributes()[0]
+    assert seq_node.modality == "protein_sequence"
+    path = tmp_path / "ext.csv"
+    path.write_text(f"text,128\n{seq_node.id.local_id}," + ",".join(["0.5"] * 128) + "\n")
+    with pytest.raises(ModalityConflict, match="text"):
+        compute_initial_embeddings(g, default_registry(), external=import_external_embeddings(str(path)))
+    # keys naming no node of the graph stay allowed
+    path.write_text("text,128\nattr:absent," + ",".join(["0.5"] * 128) + "\n")
+    table = compute_initial_embeddings(g, default_registry(), external=import_external_embeddings(str(path)))
+    expected = default_registry().get("protein_sequence").embed(seq_node.value)
+    assert np.array_equal(initial_vector(table, g, seq_node.id), expected)
