@@ -6,6 +6,7 @@ prediction (optionally plus numeric regression), and evaluate the enhanced
 embeddings on binding-affinity regression with equal-weight ensembling.
 """
 
+from . import blas  # noqa: F401  (pins numpy's OpenBLAS to one thread)
 from .graph import (
     MultimodalGraph,
     Node,
@@ -56,8 +57,9 @@ from .downstream import (
     DownstreamModel,
     Examples,
     SplitSpec,
+    encoder_features,
     evaluate,
-    examples,
+    initial_features,
     load_affinity_tsv,
     make_split,
     pearson,

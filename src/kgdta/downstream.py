@@ -13,8 +13,12 @@ a time threshold).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import multiprocessing as mp
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -182,34 +186,11 @@ def spearman(pred, true) -> float:
     return pearson(average_ranks(pred), average_ranks(true))
 
 
-# --- embedding providers ---------------------------------------------------------------
-
-
-class HandlerProvider:
-    """Vanilla representation: handler vectors only; encoder vectors have width 0."""
-
-    def __init__(self, registry: HandlerRegistry):
-        self.registry = registry
-        self._cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-
-    def _embed(self, modality: str, value: str):
-        key = (modality, value)
-        hit = self._cache.get(key)
-        if hit is None:
-            init = self.registry.get(modality).embed(value)
-            hit = (np.asarray(init, dtype=np.float64), np.zeros(0))
-            self._cache[key] = hit
-        return hit
-
-    def drug(self, smiles: str):
-        return self._embed(SMILES_MODALITY, smiles)
-
-    def protein(self, sequence: str):
-        return self._embed(SEQUENCE_MODALITY, sequence)
+# --- features -------------------------------------------------------------------------
 
 
 class CheckpointProvider:
-    """Knowledge-enhanced representation from a pretrained checkpoint.
+    """Knowledge-enhanced encoder vectors from a pretrained checkpoint.
 
     Given the pretraining graph, entities whose smiles/sequence attribute matches a
     requested value are embedded with their full graph context (the release
@@ -221,67 +202,74 @@ class CheckpointProvider:
     def __init__(self, checkpoint, registry: HandlerRegistry, graph=None):
         self.checkpoint = checkpoint
         self.registry = registry
-        # (modality, value) -> (initial vector, encoder vector); seeded from the graph
-        self._cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        # (modality, value) -> encoder vector; seeded from the graph
+        self._cache: dict[tuple[str, str], np.ndarray] = {}
         if graph is not None:
             from .graph import NodeKind
             from .handlers import compute_initial_embeddings
 
             initial = compute_initial_embeddings(graph, registry)
             embeddings = encode(graph, initial, checkpoint.params, checkpoint.policy)
-            position = graph.index().position
             for triple in graph.triples():
                 target = graph.nodes[triple.target]
                 if target.kind is not NodeKind.ATTRIBUTE:
                     continue
                 if target.modality not in (SMILES_MODALITY, SEQUENCE_MODALITY):
                     continue
-                key = (target.modality, target.value)
-                if key not in self._cache:
-                    init = initial.matrices[target.modality][initial.row[position[target.id]]]
-                    self._cache[key] = (init.copy(), embeddings[triple.source])
+                self._cache.setdefault((target.modality, target.value), embeddings[triple.source])
 
-    def _embed(self, modality: str, value: str):
+    def _embed(self, modality: str, value: str) -> np.ndarray:
         key = (modality, value)
         hit = self._cache.get(key)
         if hit is None:
-            hit = infer(self.checkpoint.params, self.checkpoint.policy, value, modality, self.registry)
+            _, hit = infer(self.checkpoint.params, self.checkpoint.policy, value, modality, self.registry)
             self._cache[key] = hit
         return hit
 
-    def drug(self, smiles: str):
+    def drug(self, smiles: str) -> np.ndarray:
         return self._embed(SMILES_MODALITY, smiles)
 
-    def protein(self, sequence: str):
+    def protein(self, sequence: str) -> np.ndarray:
         return self._embed(SEQUENCE_MODALITY, sequence)
-
-
-# --- features -------------------------------------------------------------------------
 
 
 @dataclass
 class Examples:
-    """One split embedded once: per affinity row, the drug and protein initial
+    """One split's feature arrays: per affinity row, the drug and protein initial
     vectors concatenated, the drug and protein encoder vectors concatenated, and
-    the label."""
+    the label. Every model's `Examples` of a split share its `x_init` and `y`."""
 
     x_init: np.ndarray
     x_gnn: np.ndarray
     y: np.ndarray
 
 
-def examples(provider, rows: list[AffinityRow]) -> Examples:
-    """Embed every row through `provider` (anything with `drug(smiles)` and
-    `protein(sequence)` returning an (initial, encoder) vector pair)."""
+def _pair_features(rows: list[AffinityRow], drug, protein) -> np.ndarray:
+    """Per row, `drug(smiles)` then `protein(sequence)`, written in row order into
+    one preallocated float64 matrix."""
     if not rows:
         raise EmptyTrain("no affinity rows to embed")
-    init_feats, gnn_feats = [], []
-    for r in rows:
-        d_init, d_gnn = provider.drug(r.drug)
-        p_init, p_gnn = provider.protein(r.protein)
-        init_feats.append(np.concatenate([d_init, p_init]))
-        gnn_feats.append(np.concatenate([d_gnn, p_gnn]))
-    return Examples(np.stack(init_feats), np.stack(gnn_feats), np.array([r.affinity for r in rows]))
+    split = len(drug(rows[0].drug))
+    out = np.empty((len(rows), split + len(protein(rows[0].protein))))
+    for i, r in enumerate(rows):
+        out[i, :split] = drug(r.drug)
+        out[i, split:] = protein(r.protein)
+    return out
+
+
+def initial_features(registry: HandlerRegistry, rows: list[AffinityRow]) -> np.ndarray:
+    """The initial-branch input: each row's SMILES and sequence handler vectors
+    concatenated. Every distinct value is embedded once."""
+    drug = functools.cache(registry.get(SMILES_MODALITY).embed)
+    protein = functools.cache(registry.get(SEQUENCE_MODALITY).embed)
+    return _pair_features(rows, drug, protein)
+
+
+def encoder_features(provider, rows: list[AffinityRow]) -> np.ndarray:
+    """The encoder-branch input: each row's drug and protein encoder vectors
+    concatenated, from `provider` (anything with `drug(smiles)` and
+    `protein(sequence)` returning a vector, such as a `CheckpointProvider`)."""
+    return _pair_features(rows, provider.drug, provider.protein)
 
 
 # --- model ------------------------------------------------------------------------------
@@ -451,6 +439,48 @@ def _fit_cell(splits: tuple[Examples, Examples, Examples], cfg: DownstreamConfig
     return model.predict(test), model.best_val_mse
 
 
+_worker_cells: list = []  # the grid, in a forked worker only
+
+
+def _adopt_cells(cells: list):
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _fit_cell_at(index: int):
+    return _fit_cell(*_worker_cells[index])
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_cells(cells: list, jobs: int | None) -> list:
+    """`_fit_cell` over every (splits, cfg) cell, results in cell order.
+
+    With more than one worker the cells run on processes forked after every
+    cell's arrays exist: a worker inherits them and adopts the cell list through
+    the pool initializer, so a task is a cell index and only results are pickled.
+    One worker, or no `fork` on the platform, runs the cells in this process. A
+    worker's exception re-raises here with its type once the cells not yet
+    started are cancelled and every worker has exited.
+    """
+    workers = min(_available_cpus(), len(cells))
+    if jobs is not None:
+        workers = min(workers, jobs)
+    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+        return [_fit_cell(*cell) for cell in cells]
+    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                               initializer=_adopt_cells, initargs=(cells,))
+    try:
+        return list(pool.map(_fit_cell_at, range(len(cells))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_benchmark(
     dataset: AffinityDataset,
     split_spec: SplitSpec,
@@ -459,37 +489,54 @@ def run_benchmark(
     cfg: DownstreamConfig,
     seeds=range(6),
     graph=None,
+    jobs: int | None = None,
 ) -> BenchmarkReport:
     """Train and evaluate the vanilla baseline, one model per checkpoint, and the
     equal-weight ensemble, averaging metrics over the given seeds.
 
-    Each split is embedded once per provider and every (model, seed) fit reuses
-    those arrays; the ensemble averages the members' stored test predictions.
-    Pass the pretraining graph to embed dataset entities that appear in it with
-    their graph context; without it, every entity goes through pure inference.
+    Each split's initial features and labels are built once and shared by every
+    model; each checkpoint adds its encoder features. The (model, seed) fits then
+    run on `min(jobs, available CPUs, fits)` forked workers (all available CPUs
+    when `jobs` is None), and the ensemble averages the members' stored test
+    predictions. The report does not depend on `jobs`. Forking is safe only in a
+    process that runs no other threads at the time. Pass the pretraining graph
+    to embed dataset entities that appear in it with their graph context; without
+    it, every entity goes through pure inference.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_benchmark needs at least one seed")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     split_rows = make_split(dataset, split_spec)
-    true = np.array([r.affinity for r in split_rows[2]])
+    x_init = [initial_features(registry, rows) for rows in split_rows]
+    labels = [np.array([r.affinity for r in rows]) for rows in split_rows]
+
+    def splits(gnn_features) -> tuple[Examples, Examples, Examples]:
+        return tuple(Examples(x, g, y) for x, g, y in zip(x_init, gnn_features, labels))
+
+    models = [("baseline", splits(np.empty((len(rows), 0)) for rows in split_rows), False)]
+    for name, ckpt in checkpoints:
+        provider = CheckpointProvider(ckpt, registry, graph=graph)
+        models.append((name, splits(encoder_features(provider, rows) for rows in split_rows), True))
+    cells = [(examples, replace(cfg, seed=seed, use_gnn=use_gnn))
+             for _, examples, use_gnn in models for seed in seeds]
+    results = iter(_fit_cells(cells, jobs))
+
     report = BenchmarkReport(dataset.name, split_spec.kind)
 
     def record(name: str, preds: dict[int, np.ndarray]):
-        per_seed = {seed: evaluate(preds[seed], true) for seed in seeds}
+        per_seed = {seed: evaluate(preds[seed], labels[2]) for seed in seeds}
         row = {"model": name, **_mean_metrics(per_seed)}
         row["per_seed"] = {str(s): per_seed[s] for s in sorted(per_seed)}
         report.rows.append(row)
 
-    def grid(name: str, provider, use_gnn: bool) -> dict[int, np.ndarray]:
-        splits = tuple(examples(provider, rows) for rows in split_rows)
-        preds = {seed: _fit_cell(splits, replace(cfg, seed=seed, use_gnn=use_gnn))[0] for seed in seeds}
+    members = []
+    for name, _, use_gnn in models:
+        preds = {seed: next(results)[0] for seed in seeds}
         record(name, preds)
-        return preds
-
-    grid("baseline", HandlerProvider(registry), use_gnn=False)
-    members = [grid(name, CheckpointProvider(ckpt, registry, graph=graph), use_gnn=True)
-               for name, ckpt in checkpoints]
+        if use_gnn:
+            members.append(preds)
     if len(members) >= 2:
         record("ensemble", {seed: np.stack([m[seed] for m in members]).mean(axis=0) for seed in seeds})
     return report

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DimMismatch, MissingHandler, ModalityConflict, NonFinite, ParseError
+from .errors import DimMismatch, KindViolation, MissingHandler, ModalityConflict, NonFinite, ParseError
 from .graph import CATEGORICAL, MultimodalGraph, NodeId, NodeKind
 from .util import FNV64_OFFSET, FNV64_PRIME
 
@@ -235,16 +235,23 @@ def compute_initial_embeddings(
     Entities and categorical attributes get no row. A vector in `external[m]`
     wins over handler output for its node id and must have the handler's width;
     a key that names a graph node of a modality other than m raises
-    `ModalityConflict`. `entity_dim` is ignored; it remains for callers that
-    still pass it.
+    `ModalityConflict`, and one that names an entity or a categorical attribute
+    (nodes with no row) raises `KindViolation`. Keys that name no node of the
+    graph are ignored. `entity_dim` is ignored; it remains for callers that still
+    pass it.
     """
     gi = graph.index()
     external = external or {}
     for modality, vectors in external.items():
         for node_id in vectors:
             node = graph.nodes.get(node_id)
-            if node is not None and node.modality != modality:
+            if node is None:
+                continue
+            if node.modality != modality:
                 raise ModalityConflict(f"{node_id}: external {modality!r} vector for a {node.modality!r} node")
+            if node.kind is NodeKind.ENTITY or node.modality == CATEGORICAL:
+                raise KindViolation(f"{node_id}: external {modality!r} vector for an entity or categorical "
+                                    "attribute, which has no initial embedding")
     members: dict[str, list[int]] = {}
     for i, node_id in enumerate(gi.node_ids):
         node = graph.nodes[node_id]

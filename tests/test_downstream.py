@@ -1,3 +1,4 @@
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +14,11 @@ from kgdta.downstream import (
     BenchmarkReport,
     CheckpointProvider,
     DownstreamConfig,
-    HandlerProvider,
+    Examples,
     SplitSpec,
+    encoder_features,
     evaluate,
-    examples,
+    initial_features,
     load_affinity_tsv,
     make_split,
     pearson,
@@ -25,8 +27,9 @@ from kgdta.downstream import (
     spearman,
     train_downstream,
 )
-from kgdta.errors import EmptyTrain, InfeasibleSplit, ParseError, ZeroVariance
-from kgdta.handlers import default_registry
+from kgdta.errors import EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
+from kgdta.gnn import infer
+from kgdta.handlers import SEQUENCE_MODALITY, SMILES_MODALITY, Handler, default_registry
 from kgdta.pretrain import Checkpoint, PretrainConfig, train
 from kgdta.synthetic import make_planted_world
 from kgdta.handlers import compute_initial_embeddings
@@ -160,16 +163,21 @@ def test_pearson_scale_shift_invariance():
 class LatentProvider:
     """Oracle provider: hands the model the exact latent factors."""
 
-    def __init__(self, drug_latents: dict, protein_latents: dict, gnn_dim=4):
+    def __init__(self, drug_latents: dict, protein_latents: dict):
         self.drug_latents = drug_latents
         self.protein_latents = protein_latents
-        self.gnn_dim = gnn_dim
 
     def drug(self, smiles):
-        return self.drug_latents[smiles], np.zeros(self.gnn_dim)
+        return self.drug_latents[smiles]
 
     def protein(self, seq):
-        return self.protein_latents[seq], np.zeros(self.gnn_dim)
+        return self.protein_latents[seq]
+
+
+def latent_examples(provider, rows, gnn_dim=4):
+    """The latent factors as initial features, with all-zero encoder features."""
+    return Examples(encoder_features(provider, rows), np.zeros((len(rows), 2 * gnn_dim)),
+                    np.array([r.affinity for r in rows]))
 
 
 def realizable_dataset(seed=0, n_drugs=12, n_proteins=8, dim=4):
@@ -189,7 +197,7 @@ def test_realizable_target_reaches_tiny_train_mse():
     cfg = DownstreamConfig(
         lr=3e-3, steps=1500, batch=64, seed=0, init_hidden=(64, 32), use_gnn=False, eval_every=250
     )
-    data = examples(provider, ds.rows)
+    data = latent_examples(provider, ds.rows)
     model = train_downstream(data, None, cfg)
     preds = model.predict(data)
     assert float(np.mean((preds - data.y) ** 2)) < 1e-3
@@ -198,16 +206,16 @@ def test_realizable_target_reaches_tiny_train_mse():
 def test_vanilla_baseline_has_single_branch():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(lr=1e-3, steps=10, batch=16, seed=0, init_hidden=(8, 4), use_gnn=False)
-    model = train_downstream(examples(provider, ds.rows[:50]), examples(provider, ds.rows[50:60]), cfg)
+    model = train_downstream(latent_examples(provider, ds.rows[:50]), latent_examples(provider, ds.rows[50:60]), cfg)
     assert all(name.startswith("init/") for name in model.params)
     assert model.gnn_stats is None
-    assert model.predict(examples(provider, ds.rows[:3])).shape == (3,)
+    assert model.predict(latent_examples(provider, ds.rows[:3])).shape == (3,)
 
 
 def test_downstream_training_reproducible():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(lr=1e-3, steps=40, batch=32, seed=5, init_hidden=(16, 8), use_gnn=False)
-    train_ex, val_ex = examples(provider, ds.rows[:60]), examples(provider, ds.rows[60:80])
+    train_ex, val_ex = latent_examples(provider, ds.rows[:60]), latent_examples(provider, ds.rows[60:80])
     m1 = train_downstream(train_ex, val_ex, cfg)
     m2 = train_downstream(train_ex, val_ex, cfg)
     for name in m1.params:
@@ -217,25 +225,40 @@ def test_downstream_training_reproducible():
 def test_empty_train_raises():
     _, provider = realizable_dataset()
     with pytest.raises(EmptyTrain):
-        examples(provider, [])
+        encoder_features(provider, [])
+    with pytest.raises(EmptyTrain):
+        initial_features(default_registry(), [])
 
 
 def test_examples_embed_each_row_once_in_row_order():
     ds, provider = realizable_dataset()
-    rows = ds.rows[:5]
-    data = examples(provider, rows)
-    assert data.x_init.shape == (5, 8) and data.x_gnn.shape == (5, 8)
+    rows = ds.rows[:5] + ds.rows[:3]
+    x_gnn = encoder_features(provider, rows)
+    assert x_gnn.shape == (8, 8)
     for i, r in enumerate(rows):
         expected = np.concatenate([provider.drug_latents[r.drug], provider.protein_latents[r.protein]])
-        assert np.array_equal(data.x_init[i], expected)
-    assert data.y.tolist() == [r.affinity for r in rows]
+        assert np.array_equal(x_gnn[i], expected)
+
+    registry, embedded = default_registry(sequence_dim=8, fingerprint_dim=16), []
+    for modality in (SMILES_MODALITY, SEQUENCE_MODALITY):
+        handler = registry.get(modality)
+        registry.register(Handler(modality, handler.dim,
+                                  lambda v, embed=handler.embed: embedded.append(v) or embed(v)))
+    x_init = initial_features(registry, rows)
+    calls = list(embedded)
+    assert x_init.shape == (8, 24)
+    for i, r in enumerate(rows):
+        expected = np.concatenate([registry.get(SMILES_MODALITY).embed(r.drug),
+                                   registry.get(SEQUENCE_MODALITY).embed(r.protein)])
+        assert np.array_equal(x_init[i], expected)
+    assert sorted(calls) == sorted({r.drug for r in rows} | {r.protein for r in rows})
 
 
 def test_evaluate_metrics_keys():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(lr=2e-3, steps=200, batch=32, seed=0, init_hidden=(32, 16), use_gnn=False)
-    model = train_downstream(examples(provider, ds.rows[:70]), examples(provider, ds.rows[70:80]), cfg)
-    test = examples(provider, ds.rows[80:])
+    model = train_downstream(latent_examples(provider, ds.rows[:70]), latent_examples(provider, ds.rows[70:80]), cfg)
+    test = latent_examples(provider, ds.rows[80:])
     metrics = evaluate(model.predict(test), test.y)
     assert set(metrics) == {"pearson", "spearman", "mse"}
     assert -1.0 <= metrics["pearson"] <= 1.0
@@ -248,7 +271,7 @@ def test_two_branch_model_gradients_pass_finite_differences():
     ds, provider = realizable_dataset(n_drugs=4, n_proteins=3)
     cfg = DownstreamConfig(lr=1e-3, steps=1, batch=4, seed=2,
                            init_hidden=(6, 4), gnn_hidden=(5, 4), use_gnn=True)
-    data = examples(provider, ds.rows[:8])
+    data = latent_examples(provider, ds.rows[:8])
     model = train_downstream(data, None, cfg)
     rng = substream(3, "jitter")
     for p in model.params.values():
@@ -378,13 +401,17 @@ def test_ensemble_matches_loop_oracle(two_checkpoints):
             means = {k: float(np.mean([per_seed[s][k] for s in seeds])) for k in ("pearson", "spearman", "mse")}
             expected.rows.append({"model": name, **means, "per_seed": {str(s): per_seed[s] for s in seeds}})
 
-        models = [("baseline", HandlerProvider(registry), False)]
+        def embed(provider, rows):
+            x_gnn = np.zeros((len(rows), 0)) if provider is None else encoder_features(provider, rows)
+            return Examples(initial_features(registry, rows), x_gnn, np.array([r.affinity for r in rows]))
+
+        models = [("baseline", None, False)]
         models += [(name, CheckpointProvider(ckpt, registry, graph=graph), True) for name, ckpt in ckpts]
         member_preds = []
         for name, provider, use_gnn in models:
             preds = {}
             for seed in seeds:
-                train_ex, val_ex, test_ex = (examples(provider, rows) for rows in parts)
+                train_ex, val_ex, test_ex = (embed(provider, rows) for rows in parts)
                 model = train_downstream(train_ex, val_ex, replace(GRID_CFG, seed=seed, use_gnn=use_gnn))
                 preds[seed] = model.predict(test_ex)
             add_row(name, preds)
@@ -398,22 +425,110 @@ def test_ensemble_matches_loop_oracle(two_checkpoints):
         assert report.to_jsonl() == oracle(graph)
 
 
+def test_initial_features_match_graph_and_infer_initial_vectors(two_checkpoints):
+    # every model shares one split's initial features; each provider used to carry
+    # its own copy, from the graph's table or from `infer`, with these exact bits
+    world, ckpts, registry = two_checkpoints
+    rows = world.dataset.rows
+    x_init = initial_features(registry, rows)
+    table = compute_initial_embeddings(world.graph, registry)
+    by_value = {}
+    for i, node_id in enumerate(world.graph.index().node_ids):
+        node = world.graph.nodes[node_id]
+        if node.modality in (SMILES_MODALITY, SEQUENCE_MODALITY):
+            by_value[node.modality, node.value] = table.matrices[node.modality][table.row[i]]
+    params, policy = ckpts[0][1].params, ckpts[0][1].policy
+    for i, r in enumerate(rows):
+        for modality, value, part in ((SMILES_MODALITY, r.drug, x_init[i, :16]),
+                                      (SEQUENCE_MODALITY, r.protein, x_init[i, 16:])):
+            assert np.array_equal(part, infer(params, policy, value, modality, registry)[0])
+            if (modality, value) in by_value:
+                assert np.array_equal(part, by_value[modality, value])
+    assert by_value, "no dataset value is in the graph: the graph comparison would be vacuous"
+
+
 @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
 def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monkeypatch, seeds):
+    # in-process (jobs=1): a forked worker's calls would never reach these lists
     world, ckpts, registry = two_checkpoints
-    embedded, fits = [], []
+    initial, encoded, fits = [], [], []
 
-    def counting_examples(provider, rows):
-        embedded.append(provider)
-        return examples(provider, rows)
+    def counting_initial(registry, rows):
+        initial.append(rows)
+        return initial_features(registry, rows)
+
+    def counting_encoder(provider, rows):
+        encoded.append(provider)
+        return encoder_features(provider, rows)
 
     def counting_train(*args):
         fits.append(args)
         return train_downstream(*args)
 
-    monkeypatch.setattr(ds_mod, "examples", counting_examples)
+    monkeypatch.setattr(ds_mod, "initial_features", counting_initial)
+    monkeypatch.setattr(ds_mod, "encoder_features", counting_encoder)
     monkeypatch.setattr(ds_mod, "train_downstream", counting_train)
-    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds)
-    assert len(embedded) == 3 * (1 + len(ckpts))
-    assert len({id(p) for p in embedded}) == 1 + len(ckpts)
+    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds, jobs=1)
+    assert len(initial) == 3
+    assert len(encoded) == 3 * len(ckpts)
+    assert len({id(p) for p in encoded}) == len(ckpts)
     assert len(fits) == len(seeds) * (1 + len(ckpts))
+    # every model's train split holds the one shared initial-feature array
+    assert len({id(train.x_init) for train, _, _ in fits}) == 1
+
+
+# --- forked worker pool -------------------------------------------------------------------
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker pool needs the fork start method")
+
+
+@needs_fork
+@pytest.mark.parametrize("with_graph", [False, True])
+def test_pool_report_equals_in_process_report(two_checkpoints, monkeypatch, with_graph):
+    world, ckpts, registry = two_checkpoints
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 2)  # a pool even on one CPU
+    graph = world.graph if with_graph else None
+    reports = [
+        run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG,
+                      seeds=[0, 1], graph=graph, jobs=jobs).to_jsonl()
+        for jobs in (1, 2)
+    ]
+    assert reports[0] == reports[1]
+
+
+@needs_fork
+def test_worker_error_reraises_with_its_type_and_no_worker_outlives_the_run(two_checkpoints, monkeypatch):
+    world, ckpts, registry = two_checkpoints
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 2)
+    spec = SplitSpec("random", seed=0)
+    run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=[0, 1], jobs=2)
+    assert multiprocessing.active_children() == []
+
+    def diverging(*args):
+        raise NonFinite("planted divergence")
+
+    monkeypatch.setattr(ds_mod, "train_downstream", diverging)
+    with pytest.raises(NonFinite, match="planted divergence"):
+        run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=[0, 1], jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_jobs_beyond_the_cells_start_one_worker_per_cell(two_checkpoints, monkeypatch):
+    world, _, registry = two_checkpoints
+    started = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 8)
+    # no checkpoints: the baseline's two seeds are the only cells
+    run_benchmark(world.dataset, SplitSpec("random", seed=0), [], registry, GRID_CFG, seeds=[0, 1], jobs=8)
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+

@@ -53,13 +53,14 @@ def identity_params(dim=3, relations=("sequence", "comment", "binding_to")) -> G
 
 def table_for(graph, vectors: dict[str, np.ndarray], dim=3) -> EmbeddingTable:
     """Initial table of `graph` holding `vectors` (keyed by node id text) for its
-    attributes; every other non-categorical attribute starts at zeros of `dim`."""
+    attributes; every other non-categorical attribute starts at zeros of `dim`.
+    Vectors for entities and categorical attributes are left out: they have no row."""
     zeros = HandlerRegistry()
     for modality in {node.modality for node in graph.nodes.values()}:
         zeros.register(Handler(modality, dim, lambda value: np.zeros(dim)))
     external = {}
     for nid, node in graph.nodes.items():
-        if str(nid) in vectors:
+        if str(nid) in vectors and node.kind is not NodeKind.ENTITY and node.modality != "categorical":
             external.setdefault(node.modality, {})[nid] = vectors[str(nid)]
     return compute_initial_embeddings(graph, zeros, external=external)
 

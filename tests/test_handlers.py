@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdta.errors import DimMismatch, MissingHandler, ModalityConflict, NonFinite, ParseError
+from kgdta.errors import (
+    DimMismatch,
+    KindViolation,
+    MissingHandler,
+    ModalityConflict,
+    NonFinite,
+    ParseError,
+)
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, attribute_node, entity
 from kgdta.handlers import (
     Handler,
@@ -264,3 +271,17 @@ def test_external_vector_must_match_its_node_modality(tmp_path):
     table = compute_initial_embeddings(g, default_registry(), external=import_external_embeddings(str(path)))
     expected = default_registry().get("protein_sequence").embed(seq_node.value)
     assert np.array_equal(initial_vector(table, g, seq_node.id), expected)
+
+
+@pytest.mark.parametrize("target", ["entity", "categorical"])
+def test_external_vector_for_a_node_without_a_row_is_rejected(target, tmp_path):
+    # entities and categorical attributes have no initial row, so the vector would be dropped
+    g = _toy_graph()
+    g.add_triple(entity("uniprot", "P0", "protein"), Relation("family", RelationKind.DATA),
+                 attribute_node("categorical", "kinase"))
+    node = g.nodes[NodeId("uniprot", "P0")] if target == "entity" else next(
+        n for n in g.attributes() if n.modality == "categorical")
+    path = tmp_path / "ext.csv"
+    path.write_text(f"{node.modality},4\n{node.id.namespace}:{node.id.local_id},1,2,3,4\n")
+    with pytest.raises(KindViolation, match=node.modality):
+        compute_initial_embeddings(g, default_registry(), external=import_external_embeddings(str(path)))
