@@ -131,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--split-seed", type=int, default=0)
     p_bench.add_argument("--seed", type=int, required=True,
                          help="base seed; member seeds come from --seeds")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the (model, seed) fits "
-                              "(default: all available CPUs); the report does not depend on it")
     p_bench.add_argument("--out", required=True, help="report prefix (.jsonl and .txt)")
     return parser
 
@@ -364,8 +361,7 @@ def _cmd_benchmark(args) -> int:
     registry = registry_for_checkpoint(checkpoints[0][1])
     graph = parse_ntriples(Path(args.graph).read_text(encoding="utf-8")) if args.graph else None
     report = run_benchmark(
-        dataset, spec, checkpoints, registry, cfg, seeds=_parse_seeds(args.seeds), graph=graph,
-        jobs=args.jobs,
+        dataset, spec, checkpoints, registry, cfg, seeds=_parse_seeds(args.seeds), graph=graph
     )
     jsonl_path = args.out + ".jsonl"
     text_path = args.out + ".txt"

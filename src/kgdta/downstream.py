@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -458,21 +457,23 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_cells(cells: list, jobs: int | None) -> list:
+def _fit_cells(cells: list) -> list:
     """`_fit_cell` over every (splits, cfg) cell, results in cell order.
 
-    With more than one worker the cells run on processes forked after every
+    The cells run on `min(available CPUs, cells)` processes forked after every
     cell's arrays exist: a worker inherits them and adopts the cell list through
     the pool initializer, so a task is a cell index and only results are pickled.
-    One worker, or no `fork` on the platform, runs the cells in this process. A
+    One worker, no `fork` on the platform, or another thread running in this
+    process (forking it could deadlock the child) runs the cells here instead. A
     worker's exception re-raises here with its type once the cells not yet
     started are cancelled and every worker has exited.
     """
     workers = min(_available_cpus(), len(cells))
-    if jobs is not None:
-        workers = min(workers, jobs)
-    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [_fit_cell(*cell) for cell in cells]
+    import multiprocessing as mp  # here, so importing kgdta does not load the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
                                initializer=_adopt_cells, initargs=(cells,))
     try:
@@ -489,25 +490,21 @@ def run_benchmark(
     cfg: DownstreamConfig,
     seeds=range(6),
     graph=None,
-    jobs: int | None = None,
 ) -> BenchmarkReport:
     """Train and evaluate the vanilla baseline, one model per checkpoint, and the
     equal-weight ensemble, averaging metrics over the given seeds.
 
     Each split's initial features and labels are built once and shared by every
     model; each checkpoint adds its encoder features. The (model, seed) fits then
-    run on `min(jobs, available CPUs, fits)` forked workers (all available CPUs
-    when `jobs` is None), and the ensemble averages the members' stored test
-    predictions. The report does not depend on `jobs`. Forking is safe only in a
-    process that runs no other threads at the time. Pass the pretraining graph
-    to embed dataset entities that appear in it with their graph context; without
-    it, every entity goes through pure inference.
+    run on `min(available CPUs, fits)` forked workers (in this process while
+    another thread runs here), and the ensemble averages the members' stored
+    test predictions. The report does not depend on the worker count. Pass the
+    pretraining graph to embed dataset entities that appear in it with their graph
+    context; without it, every entity goes through pure inference.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("run_benchmark needs at least one seed")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     split_rows = make_split(dataset, split_spec)
     x_init = [initial_features(registry, rows) for rows in split_rows]
     labels = [np.array([r.affinity for r in rows]) for rows in split_rows]
@@ -521,7 +518,7 @@ def run_benchmark(
         models.append((name, splits(encoder_features(provider, rows) for rows in split_rows), True))
     cells = [(examples, replace(cfg, seed=seed, use_gnn=use_gnn))
              for _, examples, use_gnn in models for seed in seeds]
-    results = iter(_fit_cells(cells, jobs))
+    results = iter(_fit_cells(cells))
 
     report = BenchmarkReport(dataset.name, split_spec.kind)
 

@@ -462,34 +462,32 @@ def test_09_determinism(tmp_path, capsys):
     assert (tmp_path / "r1.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
     assert (tmp_path / "r1.txt").read_bytes() == (tmp_path / "r2.txt").read_bytes()
 
-    # the worker count does not change the report
-    for jobs in ("1", "2"):
-        assert cli_main([*bench_args, "--jobs", jobs, "--out", str(tmp_path / f"jobs{jobs}")]) == 0
-    capsys.readouterr()
-    for suffix in (".jsonl", ".txt"):
-        assert (tmp_path / f"jobs1{suffix}").read_bytes() == (tmp_path / f"jobs2{suffix}").read_bytes()
-        assert (tmp_path / f"jobs1{suffix}").read_bytes() == (tmp_path / f"r1{suffix}").read_bytes()
-
-    # the same commands in a fresh interpreter whose BLAS would start two threads
-    other = tmp_path / "blas2"
-    other.mkdir()
+    # the same commands in fresh interpreters: one whose BLAS would start two
+    # threads, and one pinned to a single CPU, so its grid runs without workers
     src = str(Path(kgdta.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    ck3 = other / ck1.name  # same file name, so the report names the model alike
-    for argv in ([*pre_args, "--out", str(ck3)],
-                 [*bench_args, "--out", str(other / "r1")]):
-        argv = [str(ck3) if a == str(ck1) else a for a in argv]
-        done = subprocess.run([sys.executable, "-m", "kgdta.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-    assert ck3.read_bytes() == ck1.read_bytes()
-    assert (other / "c1.json.log.jsonl").read_bytes() == (tmp_path / "c1.json.log.jsonl").read_bytes()
-    for suffix in (".jsonl", ".txt"):
-        assert (other / f"r1{suffix}").read_bytes() == (tmp_path / f"r1{suffix}").read_bytes()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    one_cpu = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "from kgdta.cli import main; sys.exit(main(sys.argv[1:]))")
+    runs = {"blas2": (["-m", "kgdta.cli"], {**env, "OPENBLAS_NUM_THREADS": "2"})}
+    if hasattr(os, "sched_setaffinity"):
+        runs["one_cpu"] = (["-c", one_cpu], env)
+    for name, (entry, run_env) in runs.items():
+        other = tmp_path / name
+        other.mkdir()
+        ck3 = other / ck1.name  # same file name, so the report names the model alike
+        for argv in ([*pre_args, "--out", str(ck3)],
+                     [*bench_args, "--out", str(other / "r1")]):
+            argv = [str(ck3) if a == str(ck1) else a for a in argv]
+            done = subprocess.run([sys.executable, *entry, *argv], env=run_env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        assert ck3.read_bytes() == ck1.read_bytes()
+        assert (other / "c1.json.log.jsonl").read_bytes() == (tmp_path / "c1.json.log.jsonl").read_bytes()
+        for suffix in (".jsonl", ".txt"):
+            assert (other / f"r1{suffix}").read_bytes() == (tmp_path / f"r1{suffix}").read_bytes()
     report("criterion 9: determinism",
-           "pretrain and benchmark byte-identical across same-seed reruns, --jobs 1 and 2, "
-           "and a subprocess under OPENBLAS_NUM_THREADS=2", t0, 120)
+           "pretrain and benchmark byte-identical across same-seed reruns, a subprocess "
+           "under OPENBLAS_NUM_THREADS=2, and one pinned to one CPU", t0, 120)
 
 
 # --- 10. split soundness -----------------------------------------------------------------------------------

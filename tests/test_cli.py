@@ -298,8 +298,6 @@ INVALID_BENCHMARK_FLAGS = {
     "ckpts_empty": ["--ckpts", ","],
     "seeds_empty": ["--seeds", ","],
     "batch_0": ["--batch", "0"],
-    "jobs_0": ["--jobs", "0"],
-    "jobs_negative": ["--jobs", "-2"],
 }
 
 
@@ -320,31 +318,6 @@ def test_benchmark_invalid_flag_exit_2(case, checkpoint_text, tmp_path, capsys):
     assert code == 2, err_out
     assert err_out.startswith("error:") and out == ""
     assert not (tmp_path / "report.jsonl").exists() and not (tmp_path / "report.txt").exists()
-
-
-def test_benchmark_jobs_from_config(checkpoint_text, tmp_path, capsys):
-    world, _ = _write_world_nt(tmp_path)
-    data = tmp_path / "affinity.tsv"
-    save_affinity_tsv(world.dataset, str(data))
-    ckpt = tmp_path / "c.json"
-    ckpt.write_text(checkpoint_text, encoding="utf-8")
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({
-        "dataset": str(data), "split": "random", "ckpts": str(ckpt), "seeds": "0,1", "seed": 0,
-        "steps": 10, "lr": 0.001, "batch": 16, "init_hidden": "8,4", "gnn_hidden": "8,4",
-        "eval_every": 5, "jobs": 0,
-    }))
-    out = tmp_path / "report"
-    code, stdout, err_out = run(["benchmark", "--config", str(cfg), "--out", str(out)], capsys)
-    assert code == 2 and err_out.startswith("error:") and "jobs" in err_out and stdout == ""
-    assert not out.with_suffix(".jsonl").exists() and not out.with_suffix(".txt").exists()
-
-    reports = []
-    for jobs in ("1", "2"):  # an explicit flag overrides the config
-        code, _, err_out = run(["benchmark", "--config", str(cfg), "--jobs", jobs, "--out", str(out)], capsys)
-        assert code == 0, err_out
-        reports.append(out.with_suffix(".jsonl").read_bytes())
-    assert reports[0] == reports[1]
 
 
 def test_benchmark_infeasible_split_exit_3(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import multiprocessing
+import os
+import pickle
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -449,7 +452,8 @@ def test_initial_features_match_graph_and_infer_initial_vectors(two_checkpoints)
 
 @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
 def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monkeypatch, seeds):
-    # in-process (jobs=1): a forked worker's calls would never reach these lists
+    # in-process (one CPU): a forked worker's calls would never reach these lists
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 1)
     world, ckpts, registry = two_checkpoints
     initial, encoded, fits = [], [], []
 
@@ -468,7 +472,7 @@ def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monk
     monkeypatch.setattr(ds_mod, "initial_features", counting_initial)
     monkeypatch.setattr(ds_mod, "encoder_features", counting_encoder)
     monkeypatch.setattr(ds_mod, "train_downstream", counting_train)
-    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds, jobs=1)
+    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds)
     assert len(initial) == 3
     assert len(encoded) == 3 * len(ckpts)
     assert len({id(p) for p in encoded}) == len(ckpts)
@@ -480,44 +484,12 @@ def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monk
 # --- forked worker pool -------------------------------------------------------------------
 
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="the worker pool needs the fork start method")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool needs fork")
 
 
-@needs_fork
-@pytest.mark.parametrize("with_graph", [False, True])
-def test_pool_report_equals_in_process_report(two_checkpoints, monkeypatch, with_graph):
-    world, ckpts, registry = two_checkpoints
-    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 2)  # a pool even on one CPU
-    graph = world.graph if with_graph else None
-    reports = [
-        run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG,
-                      seeds=[0, 1], graph=graph, jobs=jobs).to_jsonl()
-        for jobs in (1, 2)
-    ]
-    assert reports[0] == reports[1]
-
-
-@needs_fork
-def test_worker_error_reraises_with_its_type_and_no_worker_outlives_the_run(two_checkpoints, monkeypatch):
-    world, ckpts, registry = two_checkpoints
-    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 2)
-    spec = SplitSpec("random", seed=0)
-    run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=[0, 1], jobs=2)
-    assert multiprocessing.active_children() == []
-
-    def diverging(*args):
-        raise NonFinite("planted divergence")
-
-    monkeypatch.setattr(ds_mod, "train_downstream", diverging)
-    with pytest.raises(NonFinite, match="planted divergence"):
-        run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=[0, 1], jobs=2)
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-def test_jobs_beyond_the_cells_start_one_worker_per_cell(two_checkpoints, monkeypatch):
-    world, _, registry = two_checkpoints
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker processes started while the test runs."""
     started = []
     start = multiprocessing.context.ForkProcess.start
 
@@ -526,9 +498,74 @@ def test_jobs_beyond_the_cells_start_one_worker_per_cell(two_checkpoints, monkey
         start(process)
 
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
-    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 8)
-    # no checkpoints: the baseline's two seeds are the only cells
-    run_benchmark(world.dataset, SplitSpec("random", seed=0), [], registry, GRID_CFG, seeds=[0, 1], jobs=8)
-    assert len(started) == 2
+    return started
+
+
+@needs_fork
+@pytest.mark.parametrize("with_graph", [False, True])
+def test_pool_report_equals_in_process_report(two_checkpoints, monkeypatch, forks, with_graph):
+    world, ckpts, registry = two_checkpoints
+
+    def refuse(self):
+        raise AssertionError("a worker must inherit its feature arrays, not unpickle them")
+
+    monkeypatch.setattr(Examples, "__reduce__", refuse)
+    with pytest.raises(AssertionError, match="inherit"):  # the guard is live
+        pickle.dumps(Examples(np.zeros((1, 1)), np.zeros((1, 0)), np.zeros(1)))
+    graph = world.graph if with_graph else None
+    reports = []
+    for cpus in (1, 2):  # in this process, then on two workers even on one CPU
+        monkeypatch.setattr(ds_mod, "_available_cpus", lambda n=cpus: n)
+        reports.append(run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry,
+                                     GRID_CFG, seeds=[0, 1], graph=graph).to_jsonl())
+    assert len(forks) == 2
+    assert reports[0] == reports[1]
+
+
+@needs_fork
+def test_worker_error_reraises_with_its_type_and_no_worker_outlives_the_run(two_checkpoints, monkeypatch, forks):
+    world, ckpts, registry = two_checkpoints
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 2)
+    spec = SplitSpec("random", seed=0)
+    run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=[0, 1])
+    assert len(forks) == 2
     assert multiprocessing.active_children() == []
 
+    def diverging(*args):
+        raise NonFinite("planted divergence")
+
+    monkeypatch.setattr(ds_mod, "train_downstream", diverging)
+    with pytest.raises(NonFinite, match="planted divergence"):
+        run_benchmark(world.dataset, spec, ckpts, registry, GRID_CFG, seeds=[0, 1])
+    assert len(forks) == 4
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_cpus_beyond_the_cells_start_one_worker_per_cell(two_checkpoints, monkeypatch, forks):
+    world, _, registry = two_checkpoints
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 8)
+    # no checkpoints: the baseline's two seeds are the only cells
+    run_benchmark(world.dataset, SplitSpec("random", seed=0), [], registry, GRID_CFG, seeds=[0, 1])
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_another_thread_keeps_the_fits_in_process(two_checkpoints, monkeypatch, forks):
+    # forking a process that runs other threads can deadlock the child
+    world, ckpts, registry = two_checkpoints
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        threaded = run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry,
+                                 GRID_CFG, seeds=[0, 1]).to_jsonl()
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    if hasattr(os, "fork"):
+        pooled = run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry,
+                               GRID_CFG, seeds=[0, 1]).to_jsonl()
+        assert len(forks) == 2 and pooled == threaded
