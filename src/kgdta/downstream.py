@@ -25,7 +25,8 @@ import numpy as np
 from . import numerics as nm
 from .errors import EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
 from .gnn import encode, infer
-from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry
+from .graph import NodeKind
+from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry, compute_initial_embeddings
 from .numerics import Tensor
 from .util import average_ranks, substream
 
@@ -195,19 +196,18 @@ class CheckpointProvider:
     requested value are embedded with their full graph context (the release
     protocol: benchmark entities already in the KG keep their pretrained
     neighborhood). Unknown values fall back to the inductive two-node inference
-    path, which is all a truly novel entity has.
+    path, which is all a truly novel entity has. `initial` is the graph's initial
+    table, computed here when not given.
     """
 
-    def __init__(self, checkpoint, registry: HandlerRegistry, graph=None):
+    def __init__(self, checkpoint, registry: HandlerRegistry, graph=None, initial=None):
         self.checkpoint = checkpoint
         self.registry = registry
         # (modality, value) -> encoder vector; seeded from the graph
         self._cache: dict[tuple[str, str], np.ndarray] = {}
         if graph is not None:
-            from .graph import NodeKind
-            from .handlers import compute_initial_embeddings
-
-            initial = compute_initial_embeddings(graph, registry)
+            if initial is None:
+                initial = compute_initial_embeddings(graph, registry)
             embeddings = encode(graph, initial, checkpoint.params, checkpoint.policy)
             for triple in graph.triples():
                 target = graph.nodes[triple.target]
@@ -494,13 +494,13 @@ def run_benchmark(
     """Train and evaluate the vanilla baseline, one model per checkpoint, and the
     equal-weight ensemble, averaging metrics over the given seeds.
 
-    Each split's initial features and labels are built once and shared by every
-    model; each checkpoint adds its encoder features. The (model, seed) fits then
-    run on `min(available CPUs, fits)` forked workers (in this process while
-    another thread runs here), and the ensemble averages the members' stored
-    test predictions. The report does not depend on the worker count. Pass the
-    pretraining graph to embed dataset entities that appear in it with their graph
-    context; without it, every entity goes through pure inference.
+    Each split's initial features and labels, and the graph's initial table, are
+    built once and shared by every model; each checkpoint adds its encoder features.
+    The (model, seed) fits then run on `min(available CPUs, fits)` forked workers
+    (in this process while another thread runs here), and the ensemble averages the
+    members' stored test predictions. The report does not depend on the worker
+    count. Pass the pretraining graph to embed dataset entities that appear in it
+    with their graph context; without it, every entity goes through pure inference.
     """
     seeds = list(seeds)
     if not seeds:
@@ -513,8 +513,9 @@ def run_benchmark(
         return tuple(Examples(x, g, y) for x, g, y in zip(x_init, gnn_features, labels))
 
     models = [("baseline", splits(np.empty((len(rows), 0)) for rows in split_rows), False)]
+    initial = compute_initial_embeddings(graph, registry) if graph is not None and checkpoints else None
     for name, ckpt in checkpoints:
-        provider = CheckpointProvider(ckpt, registry, graph=graph)
+        provider = CheckpointProvider(ckpt, registry, graph=graph, initial=initial)
         models.append((name, splits(encoder_features(provider, rows) for rows in split_rows), True))
     cells = [(examples, replace(cfg, seed=seed, use_gnn=use_gnn))
              for _, examples, use_gnn in models for seed in seeds]

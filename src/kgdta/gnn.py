@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import MissingProjection, ParseError
+from .errors import KindViolation, MissingProjection, ParseError
 from .graph import (
     CATEGORICAL,
     GraphIndex,
@@ -41,13 +41,14 @@ from .graph import (
     RelationKind,
     attribute_node,
     entity,
+    literal,
 )
 from .handlers import (
     EmbeddingTable,
     HandlerRegistry,
     SEQUENCE_MODALITY,
     SMILES_MODALITY,
-    compute_initial_embeddings,
+    checked_embedding,
 )
 from .numerics import Tensor
 
@@ -70,6 +71,10 @@ class FlowPolicy:
             for modality, allowed in self.allowed_inbound.items():
                 if not allowed:
                     raise ValueError(f"controlled policy has empty allowed set for {modality!r}")
+
+    def key(self) -> tuple:
+        """The policy's fields as a hashable value (`allowed_inbound` is a dict)."""
+        return (self.mode, tuple(sorted((m, tuple(sorted(v))) for m, v in self.allowed_inbound.items())))
 
     @staticmethod
     def unrestricted() -> "FlowPolicy":
@@ -210,8 +215,12 @@ class MpGraph:
 
 def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolicy) -> MpGraph:
     """Closure, edges and projected rows for encoding `scope`, an int array of
-    nodes of `graph.index()` (None: every node)."""
+    nodes of `graph.index()` (None: every node). Cached on the index by scope set
+    and policy: equal inputs share one result, so its arrays are read-only."""
     gi = graph.index()
+    key = (None if scope is None else np.unique(np.asarray(scope, dtype=np.intp)).tobytes(), policy.key())
+    if key in gi.mp_cache:
+        return gi.mp_cache[key]
     if scope is None:
         in_scope = np.ones(len(gi.node_ids), dtype=bool)
     else:
@@ -237,7 +246,7 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
     near = in_scope.copy()
     near[gi.sender[into_scope]] = True
     codes = sorted(set(gi.modality[near & ~gi.is_entity].tolist()))
-    return MpGraph(
+    mp = gi.mp_cache[key] = MpGraph(
         node_ids=node_ids,
         closure=closure,
         scope_rows=scope_rows,
@@ -250,6 +259,10 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
         attr_rows=attr_rows,
         projected=[gi.modalities[m] for m in codes if gi.modalities[m] != CATEGORICAL],
     )
+    for a in (*vars(mp).values(), *attr_rows.values()):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return mp
 
 
 def encode_layers(
@@ -325,36 +338,40 @@ def encode(
     return {mp.node_ids[r]: final.data[i].copy() for i, r in enumerate(mp.scope_rows.tolist())}
 
 
+# (modality, relation, entity modality) -> the two-node graph `infer` encodes on
+_QUERY_GRAPHS: dict[tuple[str, str, str], MultimodalGraph] = {}
+
+
 def infer(
     params: GnnParams,
     policy: FlowPolicy,
-    value: str,
+    value: str | float,
     modality: str,
     registry: HandlerRegistry,
     relation: str | None = None,
     entity_modality: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Embed a brand-new sequence/SMILES: returns (initial vector, encoder vector).
-
-    Builds a two-node micro-graph (fresh entity plus one attribute) and encodes it;
-    works for values never seen in training because the encoder is inductive.
-    """
-    defaults = INFER_DEFAULTS.get(modality)
+    """Embed a brand-new literal: returns (initial vector, encoder vector), equal to
+    `encode` on a two-node graph of a fresh entity and the value's attribute. Values
+    differ only in the attribute's initial row, so one graph is kept per key with
+    its `build_mp` result cached. The encoder is inductive: any value works."""
+    if modality == CATEGORICAL:
+        raise KindViolation("categorical attributes start at zero: a value has nothing to infer from")
+    value = literal(value)
+    handler = registry.get(modality)
+    default_relation, default_entity = INFER_DEFAULTS.get(modality, (None, None))
+    relation, entity_modality = relation or default_relation, entity_modality or default_entity
     if relation is None or entity_modality is None:
-        if defaults is None:
-            raise ValueError(
-                f"no inference defaults for modality {modality!r}; pass relation= and entity_modality="
-            )
-        relation = relation or defaults[0]
-        entity_modality = entity_modality or defaults[1]
-
-    micro = MultimodalGraph()
-    subject = entity("query", "q", entity_modality)
-    attr = attribute_node(modality, value)
-    micro.add_triple(subject, Relation(relation, RelationKind.DATA), attr)
-    table = compute_initial_embeddings(micro, registry)
-    out = encode(micro, table, params, policy, scope=[subject.id])
-    return table.matrices[modality][0], out[subject.id]  # `attr` is the only attribute
+        raise ValueError(f"no inference defaults for {modality!r}: pass relation= and entity_modality=")
+    initial = checked_embedding(handler, handler.embed(value), f"{modality} value")
+    key = (modality, relation, entity_modality)
+    if key not in _QUERY_GRAPHS:
+        query, attr = entity("query", "q", entity_modality), attribute_node(modality, "")
+        _QUERY_GRAPHS[key] = MultimodalGraph().add_triple(query, Relation(relation, RelationKind.DATA), attr)
+    graph = _QUERY_GRAPHS[key]
+    mp = build_mp(graph, np.array([1]), policy)  # node 1 is the entity: namespace "attr" sorts first
+    table = EmbeddingTable(graph.index().node_ids, np.array([0, -1]), {modality: initial[None]})
+    return initial, encode_layers(mp, table, params)[-1].data[0]
 
 
 # --- parameter (de)serialization --------------------------------------------------

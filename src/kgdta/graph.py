@@ -11,7 +11,7 @@ All collections iterate in insertion order, so builds are reproducible run to ru
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -82,16 +82,22 @@ def entity(namespace: str, local_id: str, modality: str) -> Node:
     return Node(NodeId(namespace, str(local_id)), modality, NodeKind.ENTITY)
 
 
+def literal(value: str | float) -> str | float:
+    """An attribute literal as nodes store it: a string as is, a number as a float.
+    Raises KindViolation for anything else, bools included."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise KindViolation(f"attribute value must be a string or number, got {type(value)}")
+    return value if isinstance(value, str) else float(value)
+
+
 def attribute_node(modality: str, value: str | float, namespace: str = "attr") -> Node:
     """Attribute node whose id is a stable content hash of (modality, value).
 
     Identical literals become shared nodes, which both deduplicates storage and lets
     entities with e.g. the same sequence meet at a common neighbor.
     """
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise KindViolation(f"attribute value must be a string or number, got {type(value)}")
-    if isinstance(value, (int, float)):
-        value = float(value)
+    value = literal(value)
+    if isinstance(value, float):
         digest = fnv1a64(f"{modality}\x00num\x00{value!r}")
     else:
         digest = fnv1a64(f"{modality}\x00str\x00{value}")
@@ -113,6 +119,7 @@ class GraphIndex:
     order, and no sum over them depends on triple insertion order. Edge e carries
     `relations[relation[e]]` from `sender[e]` to `receiver[e]`, with `weight[e]` =
     1 / (number of senders of that receiver under that relation).
+    `mp_cache` holds `gnn.build_mp` results for this index, which die with it.
     """
 
     node_ids: list[NodeId]
@@ -126,6 +133,7 @@ class GraphIndex:
     receiver: np.ndarray
     sender: np.ndarray
     weight: np.ndarray
+    mp_cache: dict = field(default_factory=dict, repr=False)
 
 
 def _build_index(graph: "MultimodalGraph") -> GraphIndex:

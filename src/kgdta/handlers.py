@@ -120,6 +120,17 @@ class Handler:
     embed: Callable[[str | float], np.ndarray]
 
 
+def checked_embedding(handler: Handler, vec, where: object) -> np.ndarray:
+    """`vec` as float64, else DimMismatch if it is not one row of `handler.dim`
+    values and NonFinite if any is not finite; `where` names it in the error."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (handler.dim,):
+        raise DimMismatch(f"{where}: {handler.modality!r} is {handler.dim}-dim, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise NonFinite(f"{where}: non-finite {handler.modality!r} initial embedding")
+    return vec
+
+
 class HandlerRegistry:
     """One handler per modality; re-registration replaces the previous one."""
 
@@ -268,11 +279,6 @@ def compute_initial_embeddings(
             vec = vectors.get(node_id)
             if vec is None:
                 vec = handler.embed(graph.nodes[node_id].value)
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (handler.dim,):
-                raise DimMismatch(f"{node_id}: {modality!r} is {handler.dim}-dim, got shape {vec.shape}")
-            matrix[r] = vec
+            matrix[r] = checked_embedding(handler, vec, node_id)
             row[i] = r
-        if not np.isfinite(matrix).all():
-            raise NonFinite(f"modality {modality!r}: non-finite initial embedding")
     return EmbeddingTable(gi.node_ids, row, matrices)

@@ -481,6 +481,22 @@ def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monk
     assert len({id(train.x_init) for train, _, _ in fits}) == 1
 
 
+@pytest.mark.parametrize("with_graph", [False, True])
+def test_run_benchmark_builds_one_initial_table_for_every_provider(two_checkpoints, monkeypatch, with_graph):
+    monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 1)
+    world, ckpts, registry = two_checkpoints
+    tables = []
+
+    def counting_table(graph, registry):
+        tables.append(compute_initial_embeddings(graph, registry))
+        return tables[-1]
+
+    monkeypatch.setattr(ds_mod, "compute_initial_embeddings", counting_table)
+    graph = world.graph if with_graph else None
+    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=[0], graph=graph)
+    assert len(ckpts) == 2 and len(tables) == (1 if with_graph else 0)
+
+
 # --- forked worker pool -------------------------------------------------------------------
 
 

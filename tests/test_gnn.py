@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
+import kgdta.graph as graph_mod
 from kgdta import numerics as nm
-from kgdta.errors import MissingProjection
+from kgdta.errors import DimMismatch, KindViolation, MissingHandler, MissingProjection, NonFinite
 from kgdta.gnn import (
+    INFER_DEFAULTS,
     FlowPolicy,
     GnnParams,
     HistoricalStore,
@@ -383,6 +387,118 @@ def test_infer_deterministic_and_shapes():
     assert np.array_equal(a_init, b_init) and np.array_equal(a_gnn, b_gnn)
     s_init, s_gnn = infer(params, FlowPolicy.controlled(), "MKTAY", "protein_sequence", registry)
     assert s_init.shape == (128,) and s_gnn.shape == (128,)
+
+
+INFER_PARAMS = init_gnn_params(
+    {"smiles": 2048, "protein_sequence": 128, "number": 1}, ["smiles", "sequence", "mass"], substream(8, "init")
+)
+
+
+@pytest.mark.parametrize(
+    "policy", [FlowPolicy.unrestricted(), FlowPolicy.controlled()], ids=["unrestricted", "controlled"]
+)
+@pytest.mark.parametrize(
+    "value, modality, relation, entity_modality",
+    [
+        ("MKTAYIAKQRQISFVKSHFSRQ", "protein_sequence", None, None),
+        ("CC(=O)Oc1ccccc1C(=O)O", "smiles", None, None),
+        (3, "number", "mass", "drug"),  # an int is embedded as the float an attribute node stores
+        (2.5, "number", "weight", "compound"),
+        ("MKTAY", "protein_sequence", "comment", "enzyme"),
+        ("CCO", "smiles", "sequence", "protein"),
+    ],
+)
+def test_infer_equals_encode_on_an_explicit_two_node_graph(policy, value, modality, relation, entity_modality):
+    registry = default_registry()
+    other = 7 if modality == "number" else value[::-1]  # another value warms the kept graph first
+    infer(INFER_PARAMS, policy, other, modality, registry, relation, entity_modality)
+    init_vec, out = infer(INFER_PARAMS, policy, value, modality, registry, relation, entity_modality)
+
+    relation = relation or INFER_DEFAULTS[modality][0]
+    query = entity("query", "q", entity_modality or INFER_DEFAULTS[modality][1])
+    attr = attribute_node(modality, value)
+    g = MultimodalGraph()
+    g.add_triple(query, Relation(relation, RelationKind.DATA), attr)
+    table = compute_initial_embeddings(g, registry)
+    expected = encode(g, table, INFER_PARAMS, policy, scope=[query.id])[query.id]
+    assert out.tobytes() == expected.tobytes()
+    assert init_vec.tobytes() == table.matrices[modality][table.row[g.index().position[attr.id]]].tobytes()
+
+
+def test_infer_checks_the_handler_output():
+    wide = HandlerRegistry().register(Handler("smiles", 2048, lambda v: np.zeros(2047)))
+    with pytest.raises(DimMismatch, match="2048-dim"):
+        infer(INFER_PARAMS, FlowPolicy.controlled(), "CCO", "smiles", wide)
+    nan = HandlerRegistry().register(Handler("smiles", 2048, lambda v: np.full(2048, np.nan)))
+    with pytest.raises(NonFinite):
+        infer(INFER_PARAMS, FlowPolicy.controlled(), "CCO", "smiles", nan)
+
+
+def test_infer_rejects_bools_categorical_and_unhandled_modalities():
+    embedded = []
+    registry = default_registry().register(Handler("categorical", 1, lambda v: embedded.append(v) or np.ones(1)))
+    policy = FlowPolicy.controlled()
+    with pytest.raises(KindViolation):
+        infer(INFER_PARAMS, policy, True, "number", registry, "mass", "drug")
+    for relation, entity_modality in ((None, None), ("family", "protein")):
+        with pytest.raises(KindViolation, match="categorical"):
+            infer(INFER_PARAMS, policy, "kinase", "categorical", registry, relation, entity_modality)
+        with pytest.raises(MissingHandler):
+            infer(INFER_PARAMS, policy, "x.png", "image", registry, relation, entity_modality)
+    assert embedded == []
+
+
+def test_a_warm_infer_call_builds_no_graph_index_or_table(monkeypatch):
+    registry, policy = default_registry(), FlowPolicy.controlled()
+    infer(INFER_PARAMS, policy, "CCO", "smiles", registry)  # cold: builds the kept graph once
+    counts = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(MultimodalGraph, "__init__", counting("MultimodalGraph", MultimodalGraph.__init__))
+    monkeypatch.setattr(graph_mod, "_build_index", counting("GraphIndex", graph_mod._build_index))
+    modules = [m for n, m in sys.modules.items() if n == "kgdta" or n.startswith("kgdta.")]
+    for fn in (attribute_node, compute_initial_embeddings):
+        name = fn.__name__
+        for module in modules:
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    infer(INFER_PARAMS, policy, "CCN", "smiles", registry)
+    infer(INFER_PARAMS, policy, "MKTAY", "protein_sequence", registry)
+    assert counts == {}
+    # the counters are live: a cold key builds its graph and index
+    infer(INFER_PARAMS, policy, "CCO", "smiles", registry, "smiles", "query-probe")
+    assert counts == {"MultimodalGraph": 1, "GraphIndex": 1, "attribute_node": 1}
+
+
+def test_build_mp_results_are_cached_per_scope_set_and_policy():
+    g = MultimodalGraph()
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    g.add_triple(p1, SEQ, attribute_node("protein_sequence", "MKTAY"))
+    g.add_triple(p1, BIND, p2)
+    g.add_triple(p2, TXT, attribute_node("text", "a kinase"))
+    first = build_mp(g, np.array([1, 3]), FlowPolicy.controlled())
+    assert build_mp(g, np.array([1, 3]), FlowPolicy.controlled()) is first
+    assert build_mp(g, np.array([3, 1, 3]), FlowPolicy.controlled()) is first
+    assert build_mp(g, [3, 1], FlowPolicy.controlled()) is first
+    assert build_mp(g, np.array([1, 3]), FlowPolicy.unrestricted()) is not first
+    assert build_mp(g, np.array([1]), FlowPolicy.controlled()) is not first
+    assert build_mp(g, None, FlowPolicy.controlled()) is build_mp(g, None, FlowPolicy.controlled())
+    assert len(g.index().mp_cache) == 4
+
+    arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)] + list(first.attr_rows.values())
+    assert len(arrays) == 7 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        first.receiver[0] = 0
+
+    g.add_triple(p2, SEQ, attribute_node("protein_sequence", "WWWWW"))  # a mutation drops the cache
+    assert g.index().mp_cache == {}
+    assert build_mp(g, np.array([1, 3]), FlowPolicy.controlled()) is not first
 
 
 def test_unseen_relation_uses_default_weight():
