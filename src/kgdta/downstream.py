@@ -196,8 +196,8 @@ class CheckpointProvider:
     requested value are embedded with their full graph context (the release
     protocol: benchmark entities already in the KG keep their pretrained
     neighborhood). Unknown values fall back to the inductive two-node inference
-    path, which is all a truly novel entity has. `initial` is the graph's initial
-    table, computed here when not given.
+    path, which is all a truly novel entity has. `graph` comes with its initial
+    table `initial`, as `compute_initial_embeddings` returns it.
     """
 
     def __init__(self, checkpoint, registry: HandlerRegistry, graph=None, initial=None):
@@ -205,9 +205,9 @@ class CheckpointProvider:
         self.registry = registry
         # (modality, value) -> encoder vector; seeded from the graph
         self._cache: dict[tuple[str, str], np.ndarray] = {}
+        if (graph is None) != (initial is None):
+            raise ValueError("pass graph= together with its initial= table")
         if graph is not None:
-            if initial is None:
-                initial = compute_initial_embeddings(graph, registry)
             embeddings = encode(graph, initial, checkpoint.params, checkpoint.policy)
             for triple in graph.triples():
                 target = graph.nodes[triple.target]

@@ -48,7 +48,7 @@ from .handlers import (
     HandlerRegistry,
     SEQUENCE_MODALITY,
     SMILES_MODALITY,
-    checked_embedding,
+    embedding_matrix,
 )
 from .numerics import Tensor
 
@@ -218,14 +218,13 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
     nodes of `graph.index()` (None: every node). Cached on the index by scope set
     and policy: equal inputs share one result, so its arrays are read-only."""
     gi = graph.index()
-    key = (None if scope is None else np.unique(np.asarray(scope, dtype=np.intp)).tobytes(), policy.key())
+    every = np.arange(len(gi.node_ids))
+    rows = every if scope is None else np.unique(np.asarray(scope, dtype=np.intp))
+    key = (None if np.array_equal(rows, every) else rows.tobytes(), policy.key())  # None: every node
     if key in gi.mp_cache:
         return gi.mp_cache[key]
-    if scope is None:
-        in_scope = np.ones(len(gi.node_ids), dtype=bool)
-    else:
-        in_scope = np.zeros(len(gi.node_ids), dtype=bool)
-        in_scope[scope] = True
+    in_scope = np.zeros(len(every), dtype=bool)
+    in_scope[rows] = True
     into_scope = in_scope[gi.receiver]
     live = np.flatnonzero(into_scope & ~policy.blocked(gi))
     in_closure = in_scope.copy()
@@ -363,15 +362,15 @@ def infer(
     relation, entity_modality = relation or default_relation, entity_modality or default_entity
     if relation is None or entity_modality is None:
         raise ValueError(f"no inference defaults for {modality!r}: pass relation= and entity_modality=")
-    initial = checked_embedding(handler, handler.embed(value), f"{modality} value")
+    initial = embedding_matrix(handler, ["value"], [handler.embed(value)], f"{modality} value")
     key = (modality, relation, entity_modality)
     if key not in _QUERY_GRAPHS:
         query, attr = entity("query", "q", entity_modality), attribute_node(modality, "")
         _QUERY_GRAPHS[key] = MultimodalGraph().add_triple(query, Relation(relation, RelationKind.DATA), attr)
     graph = _QUERY_GRAPHS[key]
     mp = build_mp(graph, np.array([1]), policy)  # node 1 is the entity: namespace "attr" sorts first
-    table = EmbeddingTable(graph.index().node_ids, np.array([0, -1]), {modality: initial[None]})
-    return initial, encode_layers(mp, table, params)[-1].data[0]
+    table = EmbeddingTable(graph.index().node_ids, np.array([0, -1]), {modality: initial})
+    return initial[0], encode_layers(mp, table, params)[-1].data[0]
 
 
 # --- parameter (de)serialization --------------------------------------------------

@@ -120,15 +120,19 @@ class Handler:
     embed: Callable[[str | float], np.ndarray]
 
 
-def checked_embedding(handler: Handler, vec, where: object) -> np.ndarray:
-    """`vec` as float64, else DimMismatch if it is not one row of `handler.dim`
-    values and NonFinite if any is not finite; `where` names it in the error."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (handler.dim,):
-        raise DimMismatch(f"{where}: {handler.modality!r} is {handler.dim}-dim, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise NonFinite(f"{where}: non-finite {handler.modality!r} initial embedding")
-    return vec
+def embedding_matrix(handler: Handler, names: list, vectors: Iterable, what: str) -> np.ndarray:
+    """The `vectors`, one per name in `names`, as the float64 rows of one matrix.
+    Raises DimMismatch naming a vector that is not `handler.dim` values, and
+    NonFinite naming `what` if any value is not finite."""
+    matrix = np.empty((len(names), handler.dim))
+    for r, (name, vec) in enumerate(zip(names, vectors, strict=True)):
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (handler.dim,):
+            raise DimMismatch(f"{name}: {handler.modality!r} is {handler.dim}-dim, got shape {vec.shape}")
+        matrix[r] = vec
+    if not np.isfinite(matrix).all():
+        raise NonFinite(f"{what}: non-finite {handler.modality!r} initial embedding")
+    return matrix
 
 
 class HandlerRegistry:
@@ -272,13 +276,9 @@ def compute_initial_embeddings(
     matrices = {}
     for modality, nodes in members.items():
         handler = registry.get(modality)
-        vectors = external.get(modality, {})
-        matrix = matrices[modality] = np.empty((len(nodes), handler.dim))
-        for r, i in enumerate(nodes):
-            node_id = gi.node_ids[i]
-            vec = vectors.get(node_id)
-            if vec is None:
-                vec = handler.embed(graph.nodes[node_id].value)
-            matrix[r] = checked_embedding(handler, vec, node_id)
-            row[i] = r
+        given = external.get(modality, {})
+        ids = [gi.node_ids[i] for i in nodes]
+        vectors = (given[n] if n in given else handler.embed(graph.nodes[n].value) for n in ids)
+        matrices[modality] = embedding_matrix(handler, ids, vectors, f"modality {modality!r}")
+        row[nodes] = np.arange(len(nodes))
     return EmbeddingTable(gi.node_ids, row, matrices)

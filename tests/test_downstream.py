@@ -409,7 +409,9 @@ def test_ensemble_matches_loop_oracle(two_checkpoints):
             return Examples(initial_features(registry, rows), x_gnn, np.array([r.affinity for r in rows]))
 
         models = [("baseline", None, False)]
-        models += [(name, CheckpointProvider(ckpt, registry, graph=graph), True) for name, ckpt in ckpts]
+        initial = None if graph is None else compute_initial_embeddings(graph, registry)
+        models += [(name, CheckpointProvider(ckpt, registry, graph=graph, initial=initial), True)
+                   for name, ckpt in ckpts]
         member_preds = []
         for name, provider, use_gnn in models:
             preds = {}
@@ -495,6 +497,14 @@ def test_run_benchmark_builds_one_initial_table_for_every_provider(two_checkpoin
     graph = world.graph if with_graph else None
     run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=[0], graph=graph)
     assert len(ckpts) == 2 and len(tables) == (1 if with_graph else 0)
+
+
+def test_checkpoint_provider_takes_the_graph_with_its_initial_table(two_checkpoints):
+    world, ckpts, registry = two_checkpoints
+    with pytest.raises(ValueError, match="initial="):
+        CheckpointProvider(ckpts[0][1], registry, graph=world.graph)
+    with pytest.raises(ValueError, match="initial="):
+        CheckpointProvider(ckpts[0][1], registry, initial=compute_initial_embeddings(world.graph, registry))
 
 
 # --- forked worker pool -------------------------------------------------------------------

@@ -426,6 +426,10 @@ def test_infer_equals_encode_on_an_explicit_two_node_graph(policy, value, modali
 
 
 def test_infer_checks_the_handler_output():
+    stored = np.ones(2048)
+    lookup = HandlerRegistry().register(Handler("smiles", 2048, lambda v: stored))
+    init_vec, _ = infer(INFER_PARAMS, FlowPolicy.controlled(), "CCO", "smiles", lookup)
+    assert np.array_equal(init_vec, stored) and not np.shares_memory(init_vec, stored)  # the caller owns it
     wide = HandlerRegistry().register(Handler("smiles", 2048, lambda v: np.zeros(2047)))
     with pytest.raises(DimMismatch, match="2048-dim"):
         infer(INFER_PARAMS, FlowPolicy.controlled(), "CCO", "smiles", wide)
@@ -488,7 +492,9 @@ def test_build_mp_results_are_cached_per_scope_set_and_policy():
     assert build_mp(g, [3, 1], FlowPolicy.controlled()) is first
     assert build_mp(g, np.array([1, 3]), FlowPolicy.unrestricted()) is not first
     assert build_mp(g, np.array([1]), FlowPolicy.controlled()) is not first
-    assert build_mp(g, None, FlowPolicy.controlled()) is build_mp(g, None, FlowPolicy.controlled())
+    whole = build_mp(g, None, FlowPolicy.controlled())
+    assert build_mp(g, None, FlowPolicy.controlled()) is whole
+    assert build_mp(g, np.array([3, 2, 1, 0, 0]), FlowPolicy.controlled()) is whole  # every node is None
     assert len(g.index().mp_cache) == 4
 
     arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)] + list(first.attr_rows.values())
