@@ -55,11 +55,13 @@ from .downstream import (
     AffinityRow,
     DownstreamConfig,
     DownstreamModel,
+    EntityIndex,
+    EntityTables,
     Examples,
     SplitSpec,
-    encoder_features,
+    encoder_tables,
     evaluate,
-    initial_features,
+    initial_tables,
     load_affinity_tsv,
     make_split,
     pearson,

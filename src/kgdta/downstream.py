@@ -2,8 +2,10 @@
 
 Two parallel branches — one over concatenated initial embeddings, one over
 concatenated encoder embeddings — each a two-hidden-layer relu MLP; their outputs
-sum to the predicted affinity. Disabling the encoder branch gives the vanilla
-baseline. Models from several pretrained checkpoints combine into an equal-weight
+sum to the predicted affinity. Inputs are stored once per distinct drug and
+protein, and each branch's first layer is split into a drug block and a protein
+block, computed per distinct entity of a batch. Examples without encoder tables
+give the vanilla baseline. Models from several pretrained checkpoints combine into an equal-weight
 ensemble of their predictions. Metrics are Pearson and Spearman correlation plus MSE.
 
 Datasets are TSV files with a `smiles\tsequence\taffinity[\ttime]` header. Splits:
@@ -13,7 +15,6 @@ a time threshold).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -233,42 +234,61 @@ class CheckpointProvider:
 
 
 @dataclass
+class EntityTables:
+    """One branch's input per distinct entity: row k of `drug` is the vector of
+    drug k of an `EntityIndex`, row k of `protein` that of its protein k."""
+
+    drug: np.ndarray
+    protein: np.ndarray
+
+
+class EntityIndex:
+    """The distinct drugs and proteins of some affinity rows, each numbered by its
+    first appearance; a table built on the index has one row per number."""
+
+    def __init__(self, rows: list[AffinityRow]):
+        if not rows:
+            raise EmptyTrain("no affinity rows to embed")
+        self.drugs = {d: k for k, d in enumerate(dict.fromkeys(r.drug for r in rows))}
+        self.proteins = {p: k for k, p in enumerate(dict.fromkeys(r.protein for r in rows))}
+
+    def rows(self, rows: list[AffinityRow]) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's drug number and protein number, in row order."""
+        return (np.array([self.drugs[r.drug] for r in rows], dtype=np.intp),
+                np.array([self.proteins[r.protein] for r in rows], dtype=np.intp))
+
+
+def _entity_tables(index: EntityIndex, drug, protein) -> EntityTables:
+    return EntityTables(np.array([drug(d) for d in index.drugs], dtype=np.float64),
+                        np.array([protein(p) for p in index.proteins], dtype=np.float64))
+
+
+def initial_tables(registry: HandlerRegistry, index: EntityIndex) -> EntityTables:
+    """The initial-branch input: each entity's SMILES or sequence handler vector,
+    embedded once."""
+    return _entity_tables(index, registry.get(SMILES_MODALITY).embed, registry.get(SEQUENCE_MODALITY).embed)
+
+
+def encoder_tables(provider, index: EntityIndex) -> EntityTables:
+    """The encoder-branch input: each entity's encoder vector from `provider`
+    (anything with `drug(smiles)` and `protein(sequence)` returning a vector, such
+    as a `CheckpointProvider`)."""
+    return _entity_tables(index, provider.drug, provider.protein)
+
+
+@dataclass
 class Examples:
-    """One split's feature arrays: per affinity row, the drug and protein initial
-    vectors concatenated, the drug and protein encoder vectors concatenated, and
-    the label. Every model's `Examples` of a split share its `x_init` and `y`."""
+    """One split's affinity rows by entity: row i pairs drug `drug_row[i]` with
+    protein `protein_row[i]` of the per-entity tables `init` (initial branch) and
+    `gnn` (encoder branch, None for the baseline), and has label `y[i]`. Every
+    model's `Examples` of a split share its index arrays and labels, and each
+    model's splits share its tables."""
 
-    x_init: np.ndarray
-    x_gnn: np.ndarray
+    drug_row: np.ndarray
+    protein_row: np.ndarray
     y: np.ndarray
-
-
-def _pair_features(rows: list[AffinityRow], drug, protein) -> np.ndarray:
-    """Per row, `drug(smiles)` then `protein(sequence)`, written in row order into
-    one preallocated float64 matrix."""
-    if not rows:
-        raise EmptyTrain("no affinity rows to embed")
-    split = len(drug(rows[0].drug))
-    out = np.empty((len(rows), split + len(protein(rows[0].protein))))
-    for i, r in enumerate(rows):
-        out[i, :split] = drug(r.drug)
-        out[i, split:] = protein(r.protein)
-    return out
-
-
-def initial_features(registry: HandlerRegistry, rows: list[AffinityRow]) -> np.ndarray:
-    """The initial-branch input: each row's SMILES and sequence handler vectors
-    concatenated. Every distinct value is embedded once."""
-    drug = functools.cache(registry.get(SMILES_MODALITY).embed)
-    protein = functools.cache(registry.get(SEQUENCE_MODALITY).embed)
-    return _pair_features(rows, drug, protein)
-
-
-def encoder_features(provider, rows: list[AffinityRow]) -> np.ndarray:
-    """The encoder-branch input: each row's drug and protein encoder vectors
-    concatenated, from `provider` (anything with `drug(smiles)` and
-    `protein(sequence)` returning a vector, such as a `CheckpointProvider`)."""
-    return _pair_features(rows, provider.drug, provider.protein)
+    init: EntityTables
+    gnn: EntityTables | None = None
 
 
 # --- model ------------------------------------------------------------------------------
@@ -282,7 +302,6 @@ class DownstreamConfig:
     seed: int = 0
     init_hidden: tuple[int, int] = (1024, 512)
     gnn_hidden: tuple[int, int] = (1024, 1024)
-    use_gnn: bool = True
     eval_every: int = 100
 
     def __post_init__(self):
@@ -293,10 +312,15 @@ class DownstreamConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
-def _branch_params(prefix: str, d_in: int, hidden: tuple[int, int], rng) -> dict[str, Tensor]:
+def _branch_params(prefix: str, tables: EntityTables, hidden: tuple[int, int], rng) -> dict[str, Tensor]:
+    """One Glorot draw for the first layer over the concatenated (drug, protein)
+    input, kept as its drug block and its protein block."""
     h1, h2 = hidden
+    d_drug = tables.drug.shape[1]
+    w1 = nm.glorot(rng, d_drug + tables.protein.shape[1], h1)
     return {
-        f"{prefix}/w1": nm.param(nm.glorot(rng, d_in, h1)),
+        f"{prefix}/w1_drug": nm.param(w1[:d_drug]),
+        f"{prefix}/w1_protein": nm.param(w1[d_drug:]),
         f"{prefix}/b1": nm.param(np.zeros(h1)),
         f"{prefix}/w2": nm.param(nm.glorot(rng, h1, h2)),
         f"{prefix}/b2": nm.param(np.zeros(h2)),
@@ -305,25 +329,39 @@ def _branch_params(prefix: str, d_in: int, hidden: tuple[int, int], rng) -> dict
     }
 
 
-def _branch_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = nm.relu(nm.add(nm.matmul(x, params[f"{prefix}/w1"]), params[f"{prefix}/b1"]))
+def _per_entity(table: np.ndarray, rows: np.ndarray, w: Tensor) -> Tensor:
+    """`table[rows] @ w`, multiplying each distinct row of `table` once."""
+    distinct, back = np.unique(rows, return_inverse=True)
+    return nm.gather_rows(nm.matmul(nm.constant(table[distinct]), w), back)
+
+
+def _branch_forward(params: dict[str, Tensor], prefix: str, tables: EntityTables,
+                    drug_row: np.ndarray, protein_row: np.ndarray) -> Tensor:
+    z = nm.add(_per_entity(tables.drug, drug_row, params[f"{prefix}/w1_drug"]),
+               _per_entity(tables.protein, protein_row, params[f"{prefix}/w1_protein"]))
+    h = nm.relu(nm.add(z, params[f"{prefix}/b1"]))
     h = nm.relu(nm.add(nm.matmul(h, params[f"{prefix}/w2"]), params[f"{prefix}/b2"]))
     return nm.add(nm.rowsum(nm.matmul(h, params[f"{prefix}/w3"])), params[f"{prefix}/b3"])
 
 
 @dataclass
 class FeatureScale:
-    """Branch input scaling fitted on the train split: divides by the mean row
-    norm so encoder outputs and hashed fingerprints land on comparable scales."""
+    """Branch input scaling fitted on the train split: divides by the mean norm of
+    its rows' concatenated (drug, protein) vectors, so encoder outputs and hashed
+    fingerprints land on comparable scales. A row's squared norm is the sum of its
+    two entities' squared norms."""
 
     scale: float
 
     @staticmethod
-    def fit(x: np.ndarray) -> "FeatureScale":
-        return FeatureScale(max(float(np.linalg.norm(x, axis=1).mean()), 1e-12))
+    def fit(tables: EntityTables, drug_row: np.ndarray, protein_row: np.ndarray) -> "FeatureScale":
+        sq_drug = (tables.drug * tables.drug).sum(axis=1)
+        sq_protein = (tables.protein * tables.protein).sum(axis=1)
+        norms = np.sqrt(sq_drug[drug_row] + sq_protein[protein_row])
+        return FeatureScale(max(float(norms.mean()), 1e-12))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x / self.scale
+    def apply(self, tables: EntityTables) -> EntityTables:
+        return EntityTables(tables.drug / self.scale, tables.protein / self.scale)
 
 
 @dataclass
@@ -331,36 +369,40 @@ class DownstreamModel:
     params: dict[str, Tensor]
     cfg: DownstreamConfig
     init_stats: FeatureScale
-    gnn_stats: FeatureScale | None = None  # None when the encoder branch is off
+    gnn_stats: FeatureScale | None = None  # None for the baseline (no encoder branch)
     best_val_mse: float | None = None
 
-    def _scaled(self, ex: Examples) -> tuple[np.ndarray, np.ndarray | None]:
-        x_gnn = self.gnn_stats.apply(ex.x_gnn) if self.cfg.use_gnn else None
-        return self.init_stats.apply(ex.x_init), x_gnn
+    def _scaled(self, ex: Examples) -> tuple[EntityTables, EntityTables | None]:
+        gnn = self.gnn_stats.apply(ex.gnn) if self.gnn_stats is not None else None
+        return self.init_stats.apply(ex.init), gnn
 
-    def _forward(self, x_init: np.ndarray, x_gnn: np.ndarray | None) -> Tensor:
-        out = _branch_forward(self.params, "init", nm.constant(x_init))
-        if self.cfg.use_gnn:
-            out = nm.add(out, _branch_forward(self.params, "gnn", nm.constant(x_gnn)))
+    def _forward(self, tables: tuple[EntityTables, EntityTables | None],
+                 drug_row: np.ndarray, protein_row: np.ndarray) -> Tensor:
+        init, gnn = tables
+        out = _branch_forward(self.params, "init", init, drug_row, protein_row)
+        if gnn is not None:
+            out = nm.add(out, _branch_forward(self.params, "gnn", gnn, drug_row, protein_row))
         return out
 
     def predict(self, ex: Examples) -> np.ndarray:
-        return self._forward(*self._scaled(ex)).data
+        return self._forward(self._scaled(ex), ex.drug_row, ex.protein_row).data
 
 
 def train_downstream(train: Examples, val: Examples | None, cfg: DownstreamConfig) -> DownstreamModel:
     """Minimize MSE with Adam; returns the parameters at best validation loss
-    (best train-batch loss when `val` is None)."""
+    (best train-batch loss when `val` is None). The encoder branch exists when
+    `train` has encoder tables."""
     rng_init = substream(cfg.seed, "dsinit")
-    params = _branch_params("init", train.x_init.shape[1], cfg.init_hidden, rng_init)
+    params = _branch_params("init", train.init, cfg.init_hidden, rng_init)
     gnn_stats = None
-    if cfg.use_gnn:
-        params.update(_branch_params("gnn", train.x_gnn.shape[1], cfg.gnn_hidden, rng_init))
-        gnn_stats = FeatureScale.fit(train.x_gnn)
-    model = DownstreamModel(params, cfg, FeatureScale.fit(train.x_init), gnn_stats)
-    x_train, g_train = model._scaled(train)
+    if train.gnn is not None:
+        params.update(_branch_params("gnn", train.gnn, cfg.gnn_hidden, rng_init))
+        gnn_stats = FeatureScale.fit(train.gnn, train.drug_row, train.protein_row)
+    init_stats = FeatureScale.fit(train.init, train.drug_row, train.protein_row)
+    model = DownstreamModel(params, cfg, init_stats, gnn_stats)
+    tables = model._scaled(train)
     if val is not None:
-        x_val, g_val = model._scaled(val)
+        val_tables = model._scaled(val)
 
     rng_batch = substream(cfg.seed, "batch")
     state = None
@@ -369,7 +411,7 @@ def train_downstream(train: Examples, val: Examples | None, cfg: DownstreamConfi
     n = len(train.y)
     for step in range(1, cfg.steps + 1):
         idx = rng_batch.integers(0, n, size=min(cfg.batch, n))
-        pred = model._forward(x_train[idx], g_train[idx] if g_train is not None else None)
+        pred = model._forward(tables, train.drug_row[idx], train.protein_row[idx])
         loss = nm.mse(pred, train.y[idx])
         if not np.isfinite(loss.data):
             raise NonFinite(f"downstream loss diverged at step {step}")
@@ -378,7 +420,7 @@ def train_downstream(train: Examples, val: Examples | None, cfg: DownstreamConfi
         _, state = nm.adam_step(params, nm.collect_grads(params), state, cfg.lr)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             if val is not None:
-                val_pred = model._forward(x_val, g_val)
+                val_pred = model._forward(val_tables, val.drug_row, val.protein_row)
                 val_mse = float(nm.mse(val_pred, val.y).data)
             else:
                 val_mse = float(loss.data)
@@ -494,8 +536,10 @@ def run_benchmark(
     """Train and evaluate the vanilla baseline, one model per checkpoint, and the
     equal-weight ensemble, averaging metrics over the given seeds.
 
-    Each split's initial features and labels, and the graph's initial table, are
-    built once and shared by every model; each checkpoint adds its encoder features.
+    The dataset's distinct drugs and proteins are numbered once; each split is
+    their index arrays and labels, and the initial-branch tables and the graph's
+    initial table are built once and shared by every model. Each checkpoint adds
+    its encoder tables, one row per entity.
     The (model, seed) fits then run on `min(available CPUs, fits)` forked workers
     (in this process while another thread runs here), and the ensemble averages the
     members' stored test predictions. The report does not depend on the worker
@@ -506,19 +550,20 @@ def run_benchmark(
     if not seeds:
         raise ValueError("run_benchmark needs at least one seed")
     split_rows = make_split(dataset, split_spec)
-    x_init = [initial_features(registry, rows) for rows in split_rows]
+    index = EntityIndex(dataset.rows)
+    entity_rows = [index.rows(rows) for rows in split_rows]
     labels = [np.array([r.affinity for r in rows]) for rows in split_rows]
+    init = initial_tables(registry, index)
 
-    def splits(gnn_features) -> tuple[Examples, Examples, Examples]:
-        return tuple(Examples(x, g, y) for x, g, y in zip(x_init, gnn_features, labels))
+    def splits(gnn: EntityTables | None) -> tuple[Examples, Examples, Examples]:
+        return tuple(Examples(d, p, y, init, gnn) for (d, p), y in zip(entity_rows, labels))
 
-    models = [("baseline", splits(np.empty((len(rows), 0)) for rows in split_rows), False)]
+    models = [("baseline", splits(None))]
     initial = compute_initial_embeddings(graph, registry) if graph is not None and checkpoints else None
     for name, ckpt in checkpoints:
         provider = CheckpointProvider(ckpt, registry, graph=graph, initial=initial)
-        models.append((name, splits(encoder_features(provider, rows) for rows in split_rows), True))
-    cells = [(examples, replace(cfg, seed=seed, use_gnn=use_gnn))
-             for _, examples, use_gnn in models for seed in seeds]
+        models.append((name, splits(encoder_tables(provider, index))))
+    cells = [(examples, replace(cfg, seed=seed)) for _, examples in models for seed in seeds]
     results = iter(_fit_cells(cells))
 
     report = BenchmarkReport(dataset.name, split_spec.kind)
@@ -530,10 +575,10 @@ def run_benchmark(
         report.rows.append(row)
 
     members = []
-    for name, _, use_gnn in models:
+    for name, examples in models:
         preds = {seed: next(results)[0] for seed in seeds}
         record(name, preds)
-        if use_gnn:
+        if examples[0].gnn is not None:
             members.append(preds)
     if len(members) >= 2:
         record("ensemble", {seed: np.stack([m[seed] for m in members]).mean(axis=0) for seed in seeds})

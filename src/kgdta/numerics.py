@@ -282,21 +282,6 @@ def reshape(a, shape) -> Tensor:
 # -- reductions and norms -----------------------------------------------------
 
 
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
-
-
-def mean(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    return _make(
-        np.asarray(a.data.mean()),
-        (a,),
-        lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),),
-    )
-
-
 def rowsum(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
@@ -334,23 +319,6 @@ def mse(pred, target) -> Tensor:
     diff = pred.data - target
     n = diff.size
     return _make(np.asarray((diff * diff).mean()), (pred,), lambda g: (g * 2.0 * diff / n,))
-
-
-# not called by the library: the reference that bce_with_logits is tested against
-def bce(pred, labels) -> Tensor:
-    """Binary cross-entropy on probabilities in (0,1)."""
-    pred = _as_tensor(pred)
-    y = np.asarray(labels, dtype=np.float64)
-    if pred.data.shape != y.shape:
-        raise ShapeMismatch(f"bce shapes differ: {pred.data.shape} vs {y.shape}")
-    p = pred.data
-    n = p.size
-    losses = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    return _make(
-        np.asarray(losses.mean()),
-        (pred,),
-        lambda g: (g * (p - y) / (p * (1.0 - p) * n),),
-    )
 
 
 def bce_with_logits(logits, labels) -> Tensor:

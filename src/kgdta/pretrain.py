@@ -38,6 +38,7 @@ from .gnn import (
     FlowPolicy,
     GnnParams,
     HistoricalStore,
+    MpGraph,
     array_from_doc,
     array_to_doc,
     build_mp,
@@ -467,16 +468,16 @@ def _split_positives(n: int, cfg: PretrainConfig) -> tuple[np.ndarray, np.ndarra
     return perm[:n_train], perm[n_train:]
 
 
-def _final_embeddings(
+def _final_layers(
     graph: MultimodalGraph,
     initial: EmbeddingTable,
     params: GnnParams,
     policy: FlowPolicy,
-) -> EmbeddingView:
+) -> tuple[MpGraph, list[Tensor]]:
+    """The whole-graph forward: its (cached) `MpGraph` and `encode_layers` output."""
     initial.check_aligned(graph)
     mp = build_mp(graph, None, policy)
-    layers = encode_layers(mp, initial, params)
-    return EmbeddingView(layers[-1], mp.row_of(len(graph.index().node_ids)))
+    return mp, encode_layers(mp, initial, params)
 
 
 def score_triples(view: EmbeddingView, fn: ScoreFn, rows: np.ndarray, relations: list[str]) -> np.ndarray:
@@ -567,12 +568,15 @@ def train(
     row_ofs = [mp.row_of(n_nodes) for mp in mps]
     state = None
     log: list[dict] = []
+    # the last validation forward, when the whole graph is the only scope: its
+    # MpGraph is then the training one and the parameters have not moved since
+    forward = None
     for epoch in range(cfg.epochs):
         if cfg.max_seconds is not None and time.monotonic() - t_start > cfg.max_seconds:
             break
         epoch_rows = []
         for p, mp in enumerate(mps):
-            layers = encode_layers(mp, initial, params, history)
+            layers = forward if forward is not None else encode_layers(mp, initial, params, history)
             view = EmbeddingView(layers[-1], row_ofs[p], history.layers[-1])
             pos_p = train_by_part[p]
             if len(pos_p) or len(reg_by_part[p][1]):
@@ -589,19 +593,19 @@ def train(
             for l, h_layer in enumerate(layers[1:]):
                 history.update(l, scopes[p], h_layer.data)
             epoch_rows.append({"epoch": epoch, "partition": p, "train_loss": train_loss})
-        val_loss = _validation_loss(graph, initial, params, fn, cfg, val_pos, sets, forbidden, epoch)
+        val_loss = None
+        if len(val_pos):
+            val_mp, val_layers = _final_layers(graph, initial, params, cfg.policy)
+            view = EmbeddingView(val_layers[-1], val_mp.row_of(n_nodes))
+            negs = sample_negatives(
+                val_pos, sets, cfg.negative_ratio, substream(cfg.seed, "valneg", epoch), forbidden
+            )
+            val_loss = float(pretrain_loss(val_pos, negs, view, fn, gi.relations).data)
+            forward = val_layers if len(mps) == 1 and mps[0] is val_mp else None
         for row in epoch_rows:
             row["val_loss"] = val_loss
             log.append(row)
     return TrainResult(params, fn, regression, history, log, train_pos, val_pos, relations, cfg)
-
-
-def _validation_loss(graph, initial, params, fn, cfg, val_pos, sets, forbidden, epoch):
-    if not len(val_pos):
-        return None
-    view = _final_embeddings(graph, initial, params, cfg.policy)
-    negs = sample_negatives(val_pos, sets, cfg.negative_ratio, substream(cfg.seed, "valneg", epoch), forbidden)
-    return float(pretrain_loss(val_pos, negs, view, fn, graph.index().relations).data)
 
 
 def evaluate_link_auc(
@@ -617,7 +621,8 @@ def evaluate_link_auc(
     gi = graph.index()
     rows = gi.triples[_admitted(gi, cfg.link_filter)]
     sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
-    view = _final_embeddings(graph, initial, result.params, cfg.policy)
+    mp, layers = _final_layers(graph, initial, result.params, cfg.policy)
+    view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
     negs = sample_negatives(result.val_rows, sets, ratio, substream(seed, "auc_neg"), sets.keys(rows))
     pos_scores = score_triples(view, result.score_fn, result.val_rows, gi.relations)
     neg_scores = score_triples(view, result.score_fn, negs, gi.relations)

@@ -17,11 +17,13 @@ from kgdta.downstream import (
     BenchmarkReport,
     CheckpointProvider,
     DownstreamConfig,
+    EntityIndex,
+    EntityTables,
     Examples,
     SplitSpec,
-    encoder_features,
+    encoder_tables,
     evaluate,
-    initial_features,
+    initial_tables,
     load_affinity_tsv,
     make_split,
     pearson,
@@ -177,10 +179,19 @@ class LatentProvider:
         return self.protein_latents[seq]
 
 
-def latent_examples(provider, rows, gnn_dim=4):
-    """The latent factors as initial features, with all-zero encoder features."""
-    return Examples(encoder_features(provider, rows), np.zeros((len(rows), 2 * gnn_dim)),
-                    np.array([r.affinity for r in rows]))
+def latent_examples(provider, rows, gnn_dim=None):
+    """The latent factors as initial tables; with `gnn_dim`, all-zero encoder
+    tables of that width, else none (the baseline)."""
+    index = EntityIndex(rows)
+    zeros = None if gnn_dim is None else EntityTables(np.zeros((len(index.drugs), gnn_dim)),
+                                                      np.zeros((len(index.proteins), gnn_dim)))
+    return Examples(*index.rows(rows), np.array([r.affinity for r in rows]),
+                    encoder_tables(provider, index), zeros)
+
+
+def dense(tables, drug_row, protein_row):
+    """Per row, its drug and protein vectors concatenated."""
+    return np.concatenate([tables.drug[drug_row], tables.protein[protein_row]], axis=1)
 
 
 def realizable_dataset(seed=0, n_drugs=12, n_proteins=8, dim=4):
@@ -198,7 +209,7 @@ def realizable_dataset(seed=0, n_drugs=12, n_proteins=8, dim=4):
 def test_realizable_target_reaches_tiny_train_mse():
     ds, provider = realizable_dataset()
     cfg = DownstreamConfig(
-        lr=3e-3, steps=1500, batch=64, seed=0, init_hidden=(64, 32), use_gnn=False, eval_every=250
+        lr=3e-3, steps=1500, batch=64, seed=0, init_hidden=(64, 32), eval_every=250
     )
     data = latent_examples(provider, ds.rows)
     model = train_downstream(data, None, cfg)
@@ -208,7 +219,7 @@ def test_realizable_target_reaches_tiny_train_mse():
 
 def test_vanilla_baseline_has_single_branch():
     ds, provider = realizable_dataset()
-    cfg = DownstreamConfig(lr=1e-3, steps=10, batch=16, seed=0, init_hidden=(8, 4), use_gnn=False)
+    cfg = DownstreamConfig(lr=1e-3, steps=10, batch=16, seed=0, init_hidden=(8, 4))
     model = train_downstream(latent_examples(provider, ds.rows[:50]), latent_examples(provider, ds.rows[50:60]), cfg)
     assert all(name.startswith("init/") for name in model.params)
     assert model.gnn_stats is None
@@ -217,7 +228,7 @@ def test_vanilla_baseline_has_single_branch():
 
 def test_downstream_training_reproducible():
     ds, provider = realizable_dataset()
-    cfg = DownstreamConfig(lr=1e-3, steps=40, batch=32, seed=5, init_hidden=(16, 8), use_gnn=False)
+    cfg = DownstreamConfig(lr=1e-3, steps=40, batch=32, seed=5, init_hidden=(16, 8))
     train_ex, val_ex = latent_examples(provider, ds.rows[:60]), latent_examples(provider, ds.rows[60:80])
     m1 = train_downstream(train_ex, val_ex, cfg)
     m2 = train_downstream(train_ex, val_ex, cfg)
@@ -226,17 +237,19 @@ def test_downstream_training_reproducible():
 
 
 def test_empty_train_raises():
-    _, provider = realizable_dataset()
     with pytest.raises(EmptyTrain):
-        encoder_features(provider, [])
-    with pytest.raises(EmptyTrain):
-        initial_features(default_registry(), [])
+        EntityIndex([])
 
 
 def test_examples_embed_each_row_once_in_row_order():
+    # per row, in row order, the index points at its own drug's and protein's vectors
     ds, provider = realizable_dataset()
     rows = ds.rows[:5] + ds.rows[:3]
-    x_gnn = encoder_features(provider, rows)
+    index = EntityIndex(rows)
+    drug_row, protein_row = index.rows(rows)
+    gnn = encoder_tables(provider, index)
+    assert gnn.drug.shape == (1, 4) and gnn.protein.shape == (5, 4)
+    x_gnn = dense(gnn, drug_row, protein_row)
     assert x_gnn.shape == (8, 8)
     for i, r in enumerate(rows):
         expected = np.concatenate([provider.drug_latents[r.drug], provider.protein_latents[r.protein]])
@@ -247,19 +260,21 @@ def test_examples_embed_each_row_once_in_row_order():
         handler = registry.get(modality)
         registry.register(Handler(modality, handler.dim,
                                   lambda v, embed=handler.embed: embedded.append(v) or embed(v)))
-    x_init = initial_features(registry, rows)
+    init = initial_tables(registry, index)
     calls = list(embedded)
-    assert x_init.shape == (8, 24)
+    assert init.drug.shape == (1, 16) and init.protein.shape == (5, 8)
+    x_init = dense(init, drug_row, protein_row)
     for i, r in enumerate(rows):
         expected = np.concatenate([registry.get(SMILES_MODALITY).embed(r.drug),
                                    registry.get(SEQUENCE_MODALITY).embed(r.protein)])
         assert np.array_equal(x_init[i], expected)
-    assert sorted(calls) == sorted({r.drug for r in rows} | {r.protein for r in rows})
+    # every distinct value once, in first-appearance order
+    assert calls == list(dict.fromkeys(r.drug for r in rows)) + list(dict.fromkeys(r.protein for r in rows))
 
 
 def test_evaluate_metrics_keys():
     ds, provider = realizable_dataset()
-    cfg = DownstreamConfig(lr=2e-3, steps=200, batch=32, seed=0, init_hidden=(32, 16), use_gnn=False)
+    cfg = DownstreamConfig(lr=2e-3, steps=200, batch=32, seed=0, init_hidden=(32, 16))
     model = train_downstream(latent_examples(provider, ds.rows[:70]), latent_examples(provider, ds.rows[70:80]), cfg)
     test = latent_examples(provider, ds.rows[80:])
     metrics = evaluate(model.predict(test), test.y)
@@ -273,18 +288,55 @@ def test_two_branch_model_gradients_pass_finite_differences():
 
     ds, provider = realizable_dataset(n_drugs=4, n_proteins=3)
     cfg = DownstreamConfig(lr=1e-3, steps=1, batch=4, seed=2,
-                           init_hidden=(6, 4), gnn_hidden=(5, 4), use_gnn=True)
-    data = latent_examples(provider, ds.rows[:8])
+                           init_hidden=(6, 4), gnn_hidden=(5, 4))
+    data = latent_examples(provider, ds.rows[:8], gnn_dim=4)
+    # repeated drugs and proteins: the split first layer scatters into shared entity rows
+    assert len(np.unique(data.drug_row)) < 8 and len(np.unique(data.protein_row)) < 8
     model = train_downstream(data, None, cfg)
+    assert {"init/w1_drug", "init/w1_protein", "gnn/w1_drug", "gnn/w1_protein"} <= set(model.params)
     rng = substream(3, "jitter")
     for p in model.params.values():
         p.data = p.data + rng.normal(size=p.data.shape) * 0.2
-    x_init, x_gnn = model.init_stats.apply(data.x_init), model.gnn_stats.apply(data.x_gnn)
+    tables = model._scaled(data)
 
     def objective(params):
-        return nm.mse(model._forward(x_init, x_gnn), data.y)
+        return nm.mse(model._forward(tables, data.drug_row, data.protein_row), data.y)
 
     assert nm.grad_check(objective, model.params) < 1e-4
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 0, 2, 1, 0, 3], [2]])
+def test_branch_forward_and_scale_on_entity_tables_equal_the_dense_forms(rows):
+    # the first layer per distinct entity, gathered back to batch order, is the
+    # concatenated input times the whole first layer
+    rng = substream(6, "factorised")
+    tables = EntityTables(rng.normal(size=(4, 40)), rng.normal(size=(5, 12)))
+    drug_row = np.array(rows)
+    protein_row = np.array(rows[::-1]) + 1
+    params = ds_mod._branch_params("init", tables, (16, 8), rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(size=p.data.shape) * 0.1
+    got = ds_mod._branch_forward(params, "init", tables, drug_row, protein_row).data
+
+    w = {k.split("/")[1]: p.data for k, p in params.items()}
+    w1 = np.concatenate([w["w1_drug"], w["w1_protein"]])
+    h = np.maximum(dense(tables, drug_row, protein_row) @ w1 + w["b1"], 0.0)
+    h = np.maximum(h @ w["w2"] + w["b2"], 0.0)
+    want = (h @ w["w3"]).sum(axis=1) + w["b3"]
+    assert got.shape == (len(rows),)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the scale is the mean norm of the batch's concatenated rows, repeats counted
+    mean_norm = np.linalg.norm(dense(tables, drug_row, protein_row), axis=1).mean()
+    assert ds_mod.FeatureScale.fit(tables, drug_row, protein_row).scale == pytest.approx(mean_norm, rel=1e-12)
+
+
+def test_first_layer_split_is_the_glorot_draw_of_the_concatenated_input():
+    tables = EntityTables(np.zeros((3, 10)), np.zeros((2, 6)))
+    params = ds_mod._branch_params("gnn", tables, (7, 5), substream(1, "dsinit"))
+    whole = substream(1, "dsinit")
+    w1 = whole.uniform(-np.sqrt(6.0 / 23), np.sqrt(6.0 / 23), size=(16, 7))
+    assert np.array_equal(np.concatenate([params["gnn/w1_drug"].data, params["gnn/w1_protein"].data]), w1)
+    assert np.array_equal(params["gnn/w2"].data, ds_mod.nm.glorot(whole, 7, 5))
 
 
 # --- dataset io --------------------------------------------------------------------------
@@ -388,13 +440,14 @@ def test_ensemble_identity_and_mean(two_checkpoints):
 
 
 def test_ensemble_matches_loop_oracle(two_checkpoints):
-    """A plain loop over (model, seed) cells, each embedding its own splits, with the
-    ensemble as the mean of the members' test predictions, writes the same report,
-    with and without the pretraining graph."""
+    """A plain loop over (model, seed) cells, each embedding its own tables for the
+    dataset's entities, with the ensemble as the mean of the members' test
+    predictions, writes the same report, with and without the pretraining graph."""
     world, ckpts, registry = two_checkpoints
     spec, seeds = SplitSpec("random", seed=0), [0, 1]
     parts = make_split(world.dataset, spec)
     true = np.array([r.affinity for r in parts[2]])
+    index = EntityIndex(world.dataset.rows)
 
     def oracle(graph):
         expected = BenchmarkReport(world.dataset.name, spec.kind)
@@ -405,22 +458,23 @@ def test_ensemble_matches_loop_oracle(two_checkpoints):
             expected.rows.append({"model": name, **means, "per_seed": {str(s): per_seed[s] for s in seeds}})
 
         def embed(provider, rows):
-            x_gnn = np.zeros((len(rows), 0)) if provider is None else encoder_features(provider, rows)
-            return Examples(initial_features(registry, rows), x_gnn, np.array([r.affinity for r in rows]))
+            gnn = None if provider is None else encoder_tables(provider, index)
+            return Examples(*index.rows(rows), np.array([r.affinity for r in rows]),
+                            initial_tables(registry, index), gnn)
 
-        models = [("baseline", None, False)]
+        models = [("baseline", None)]
         initial = None if graph is None else compute_initial_embeddings(graph, registry)
-        models += [(name, CheckpointProvider(ckpt, registry, graph=graph, initial=initial), True)
+        models += [(name, CheckpointProvider(ckpt, registry, graph=graph, initial=initial))
                    for name, ckpt in ckpts]
         member_preds = []
-        for name, provider, use_gnn in models:
+        for name, provider in models:
             preds = {}
             for seed in seeds:
                 train_ex, val_ex, test_ex = (embed(provider, rows) for rows in parts)
-                model = train_downstream(train_ex, val_ex, replace(GRID_CFG, seed=seed, use_gnn=use_gnn))
+                model = train_downstream(train_ex, val_ex, replace(GRID_CFG, seed=seed))
                 preds[seed] = model.predict(test_ex)
             add_row(name, preds)
-            if use_gnn:
+            if provider is not None:
                 member_preds.append(preds)
         add_row("ensemble", {s: sum(p[s] for p in member_preds) / len(member_preds) for s in seeds})
         return expected.to_jsonl()
@@ -431,11 +485,12 @@ def test_ensemble_matches_loop_oracle(two_checkpoints):
 
 
 def test_initial_features_match_graph_and_infer_initial_vectors(two_checkpoints):
-    # every model shares one split's initial features; each provider used to carry
+    # every model shares one initial table per entity; each provider used to carry
     # its own copy, from the graph's table or from `infer`, with these exact bits
     world, ckpts, registry = two_checkpoints
     rows = world.dataset.rows
-    x_init = initial_features(registry, rows)
+    index = EntityIndex(rows)
+    x_init = dense(initial_tables(registry, index), *index.rows(rows))
     table = compute_initial_embeddings(world.graph, registry)
     by_value = {}
     for i, node_id in enumerate(world.graph.index().node_ids):
@@ -452,35 +507,61 @@ def test_initial_features_match_graph_and_infer_initial_vectors(two_checkpoints)
     assert by_value, "no dataset value is in the graph: the graph comparison would be vacuous"
 
 
-@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
-def test_run_benchmark_embeds_each_split_once_per_provider(two_checkpoints, monkeypatch, seeds):
-    # in-process (one CPU): a forked worker's calls would never reach these lists
+def _captured_fits(monkeypatch, dataset, ckpts, registry, seeds):
+    """The (train, val, cfg) arguments of every fit of one in-process run_benchmark
+    (one CPU: a forked worker's calls would never reach the list), with the
+    tables built for it."""
     monkeypatch.setattr(ds_mod, "_available_cpus", lambda: 1)
-    world, ckpts, registry = two_checkpoints
     initial, encoded, fits = [], [], []
 
-    def counting_initial(registry, rows):
-        initial.append(rows)
-        return initial_features(registry, rows)
+    def counting_initial(registry, index):
+        initial.append(index)
+        return initial_tables(registry, index)
 
-    def counting_encoder(provider, rows):
+    def counting_encoder(provider, index):
         encoded.append(provider)
-        return encoder_features(provider, rows)
+        return encoder_tables(provider, index)
 
     def counting_train(*args):
         fits.append(args)
         return train_downstream(*args)
 
-    monkeypatch.setattr(ds_mod, "initial_features", counting_initial)
-    monkeypatch.setattr(ds_mod, "encoder_features", counting_encoder)
+    monkeypatch.setattr(ds_mod, "initial_tables", counting_initial)
+    monkeypatch.setattr(ds_mod, "encoder_tables", counting_encoder)
     monkeypatch.setattr(ds_mod, "train_downstream", counting_train)
-    run_benchmark(world.dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds)
-    assert len(initial) == 3
-    assert len(encoded) == 3 * len(ckpts)
+    run_benchmark(dataset, SplitSpec("random", seed=0), ckpts, registry, GRID_CFG, seeds=seeds)
+    return initial, encoded, fits
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+def test_run_benchmark_embeds_each_entity_once_per_provider(two_checkpoints, monkeypatch, seeds):
+    world, ckpts, registry = two_checkpoints
+    initial, encoded, fits = _captured_fits(monkeypatch, world.dataset, ckpts, registry, seeds)
+    assert len(initial) == 1
+    assert len(encoded) == len(ckpts)
     assert len({id(p) for p in encoded}) == len(ckpts)
     assert len(fits) == len(seeds) * (1 + len(ckpts))
-    # every model's train split holds the one shared initial-feature array
-    assert len({id(train.x_init) for train, _, _ in fits}) == 1
+    # every model's train split holds the one shared index array and initial table
+    assert len({id(train.drug_row) for train, _, _ in fits}) == 1
+    assert len({id(train.init) for train, _, _ in fits}) == 1
+    # and a model's splits share its tables
+    assert all(train.init is val.init and train.gnn is val.gnn for train, val, _ in fits)
+
+
+def test_split_features_hold_no_row_sized_float_array(two_checkpoints, monkeypatch):
+    # many rows over few entities: every float feature array is per entity
+    world, ckpts, registry = two_checkpoints
+    dataset = toy_dataset(n_rows=400, n_drugs=5, n_proteins=4, seed=2, with_time=False)
+    _, _, fits = _captured_fits(monkeypatch, dataset, ckpts, registry, [0])
+    assert len(fits) == 1 + len(ckpts)
+    for train, val, _ in fits:
+        for ex in (train, val):
+            for name in ("drug_row", "protein_row"):
+                assert getattr(ex, name).dtype.kind == "i" and len(getattr(ex, name)) == len(ex.y)
+            tables = [ex.init] + ([ex.gnn] if ex.gnn is not None else [])
+            for table in tables:
+                assert table.drug.shape[0] == 5 and table.protein.shape[0] == 4
+            assert ex.gnn is None or ex.gnn.drug.shape[1] == 8
 
 
 @pytest.mark.parametrize("with_graph", [False, True])
@@ -535,9 +616,13 @@ def test_pool_report_equals_in_process_report(two_checkpoints, monkeypatch, fork
     def refuse(self):
         raise AssertionError("a worker must inherit its feature arrays, not unpickle them")
 
-    monkeypatch.setattr(Examples, "__reduce__", refuse)
-    with pytest.raises(AssertionError, match="inherit"):  # the guard is live
-        pickle.dumps(Examples(np.zeros((1, 1)), np.zeros((1, 0)), np.zeros(1)))
+    tables = EntityTables(np.zeros((1, 1)), np.zeros((1, 1)))
+    for holder, value in ((Examples, Examples(np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp),
+                                              np.zeros(1), tables)),
+                          (EntityTables, tables)):
+        monkeypatch.setattr(holder, "__reduce__", refuse)
+        with pytest.raises(AssertionError, match="inherit"):  # the guard is live
+            pickle.dumps(value)
     graph = world.graph if with_graph else None
     reports = []
     for cpus in (1, 2):  # in this process, then on two workers even on one CPU

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kg_strategies import graphs
 from kgdta import numerics as nm
+import numerics_ref as ref
 from kgdta.errors import EmptyTrainingSet, ExhaustedCandidates, InvalidK, UnknownRelation
 from kgdta.gnn import HistoricalStore
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, Triple, attribute_node, entity
@@ -281,7 +282,7 @@ def test_view_reads_scope_rows_then_history_then_zeros():
     want = [[10, 11, 12], [1, 2, 3], [0, 0, 0], [20, 21, 22], [10, 11, 12], [0, 0, 0]]
     assert np.array_equal(out.data, np.array(want, dtype=np.float64))
     probe = np.arange(18.0).reshape(6, 3)
-    nm.backward(nm.sum_all(nm.mul(out, nm.constant(probe))))
+    nm.backward(ref.sum_all(nm.mul(out, nm.constant(probe))))
     assert np.array_equal(h.grad, np.stack([probe[0] + probe[4], probe[3]]))
     assert np.array_equal(history.layers[1][1:3], [[1, 2, 3], [4, 5, 6]])
     assert not history.layers[0].any()
@@ -504,6 +505,42 @@ def test_gas_k1_matches_full_batch_reference():
         assert abs(result.log[epoch]["train_loss"] - ref_loss) <= 1e-12
     for name, p in named.items():
         assert np.max(np.abs(p.data - trained[name].data)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("score_fn", ["distmult", "classifier"])
+def test_one_partition_reuses_each_validation_forward_for_the_next_epoch(monkeypatch, score_fn):
+    """With the whole graph as the only scope, epoch e's validation forward is epoch
+    e+1's training forward: one `encode_layers` call per epoch plus the first, and
+    the same bits as a run that encodes the training scope afresh every epoch."""
+    import copy
+
+    import kgdta.pretrain as pretrain_mod
+
+    world, _ = small_world()
+    graph, table = with_protein_lengths(world.graph)
+    cfg = PretrainConfig(score_fn=score_fn, epochs=4, lr=1e-2, seed=3, regression=True, **SMALL_DIMS)
+    calls = []
+    encode_layers = pretrain_mod.encode_layers
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return encode_layers(*args, **kwargs)
+
+    monkeypatch.setattr(pretrain_mod, "encode_layers", counting)
+    reused = train(graph, table, cfg)
+    assert len(calls) == cfg.epochs + 1
+    assert len({id(mp) for mp in calls}) == 1  # the training and validation MpGraph are one
+
+    # a copy of the validation MpGraph is not the training one, so nothing is reused
+    build_mp = pretrain_mod.build_mp
+    monkeypatch.setattr(pretrain_mod, "build_mp", lambda graph, scope, policy: (
+        copy.copy(build_mp(graph, scope, policy)) if scope is None else build_mp(graph, scope, policy)))
+    calls.clear()
+    fresh = train(graph, table, cfg)
+    assert len(calls) == 2 * cfg.epochs
+    assert reused.log == fresh.log
+    assert checkpoint_to_json(Checkpoint.from_result(reused)) == checkpoint_to_json(Checkpoint.from_result(fresh))
+    assert np.array_equal(reused.history.layers[-1], fresh.history.layers[-1])
 
 
 def test_partitioned_training_runs_and_is_deterministic():
