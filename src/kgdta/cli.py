@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--sequence-dim", type=int, default=128)
     p_pre.add_argument("--text-dim", type=int, default=128)
     p_pre.add_argument("--fingerprint-dim", type=int, default=FINGERPRINT_DIM)
-    p_pre.add_argument("--max-seconds", type=float, default=None)
     p_pre.add_argument("--seed", type=int, required=True)
     p_pre.add_argument("--out", required=True, help="checkpoint output path")
     p_pre.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
@@ -253,7 +252,6 @@ def _cmd_pretrain(args) -> int:
         proj_dim=args.proj_dim,
         hidden_dim=args.hidden_dim,
         out_dim=args.out_dim,
-        max_seconds=args.max_seconds,
     )
     registry = default_registry(args.sequence_dim, args.text_dim, args.fingerprint_dim)
     initial = compute_initial_embeddings(graph, registry)

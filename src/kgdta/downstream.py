@@ -27,7 +27,7 @@ from . import numerics as nm
 from .errors import EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
 from .gnn import encode, infer
 from .graph import NodeKind
-from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry, compute_initial_embeddings
+from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry, compute_initial_embeddings, embedding_matrix
 from .numerics import Tensor
 from .util import average_ranks, substream
 
@@ -258,22 +258,21 @@ class EntityIndex:
                 np.array([self.proteins[r.protein] for r in rows], dtype=np.intp))
 
 
-def _entity_tables(index: EntityIndex, drug, protein) -> EntityTables:
-    return EntityTables(np.array([drug(d) for d in index.drugs], dtype=np.float64),
-                        np.array([protein(p) for p in index.proteins], dtype=np.float64))
-
-
 def initial_tables(registry: HandlerRegistry, index: EntityIndex) -> EntityTables:
     """The initial-branch input: each entity's SMILES or sequence handler vector,
-    embedded once."""
-    return _entity_tables(index, registry.get(SMILES_MODALITY).embed, registry.get(SEQUENCE_MODALITY).embed)
+    embedded once and checked by `embedding_matrix`."""
+    drugs, proteins = list(index.drugs), list(index.proteins)
+    smiles, sequence = registry.get(SMILES_MODALITY), registry.get(SEQUENCE_MODALITY)
+    return EntityTables(embedding_matrix(smiles, drugs, map(smiles.embed, drugs), "dataset drugs"),
+                        embedding_matrix(sequence, proteins, map(sequence.embed, proteins), "dataset proteins"))
 
 
 def encoder_tables(provider, index: EntityIndex) -> EntityTables:
     """The encoder-branch input: each entity's encoder vector from `provider`
     (anything with `drug(smiles)` and `protein(sequence)` returning a vector, such
     as a `CheckpointProvider`)."""
-    return _entity_tables(index, provider.drug, provider.protein)
+    return EntityTables(np.array([provider.drug(d) for d in index.drugs], dtype=np.float64),
+                        np.array([provider.protein(p) for p in index.proteins], dtype=np.float64))
 
 
 @dataclass

@@ -23,15 +23,12 @@ thus still depend on exactly the two-hop neighborhood.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import KindViolation, MissingProjection, ParseError
+from .errors import KindViolation, MissingProjection
 from .graph import (
     CATEGORICAL,
     GraphIndex,
@@ -372,106 +369,3 @@ def infer(
     table = EmbeddingTable(graph.index().node_ids, np.array([0, -1]), {modality: initial})
     return initial[0], encode_layers(mp, table, params)[-1].data[0]
 
-
-# --- parameter (de)serialization --------------------------------------------------
-
-
-def array_to_doc(a: np.ndarray) -> dict:
-    """One array as `{"shape": [...], "f8": base64 of its little-endian float64
-    bytes}`; exact to the bit, with no decimal formatting."""
-    raw = np.asarray(a, dtype="<f8").tobytes()
-    return {"shape": list(np.shape(a)), "f8": base64.b64encode(raw).decode("ascii")}
-
-
-def array_from_doc(doc: dict, shape: tuple, name: str) -> np.ndarray:
-    """Decode `array_to_doc` output into an owned, writeable float64 array.
-
-    `shape` is the expected shape; a None entry accepts any size on that axis.
-    Raises ParseError when the blob's byte length disagrees with its stored shape,
-    the shape with the expected one, or a value is not finite.
-    """
-    if not isinstance(doc, dict) or not isinstance(doc.get("f8"), str):
-        raise ParseError(f'{name}: expected {{"shape": [...], "f8": "<base64>"}}')
-    stored = doc.get("shape")
-    if not isinstance(stored, list) or not all(type(d) is int and d >= 0 for d in stored):
-        raise ParseError(f"{name}: shape must be a list of non-negative ints, got {stored!r}")
-    if len(stored) != len(shape) or any(e is not None and e != d for e, d in zip(shape, stored)):
-        want = tuple("*" if e is None else e for e in shape)
-        raise ParseError(f"{name}: shape {tuple(stored)} does not match expected {want}")
-    try:
-        raw = base64.b64decode(doc["f8"], validate=True)
-    except binascii.Error as exc:
-        raise ParseError(f"{name}: bad base64: {exc}") from None
-    if len(raw) != 8 * math.prod(stored):
-        raise ParseError(f"{name}: {len(raw)} bytes do not hold shape {tuple(stored)} of float64")
-    out = np.frombuffer(raw, dtype="<f8").reshape(stored).astype(np.float64)
-    if not np.isfinite(out).all():
-        raise ParseError(f"{name}: non-finite value")
-    return out
-
-
-def params_to_dict(params: GnnParams) -> dict:
-    return {
-        "dims": [params.proj_dim, params.hidden_dim, params.out_dim],
-        "projections": {
-            m: {"w": array_to_doc(w.data), "b": array_to_doc(b.data)}
-            for m, (w, b) in sorted(params.projections.items())
-        },
-        "layers": [
-            {
-                "self": array_to_doc(layer.w_self.data),
-                "bias": array_to_doc(layer.bias.data),
-                "default": array_to_doc(layer.w_default.data),
-                "relations": {r: array_to_doc(w.data) for r, w in sorted(layer.w_rel.items())},
-            }
-            for layer in params.layers
-        ],
-    }
-
-
-def params_from_dict(doc: dict) -> GnnParams:
-    """Inverse of `params_to_dict`, checking every array against `dims`: a
-    projection maps any input width to proj_dim, layer l maps dims[l] to
-    dims[l + 1]. A missing field raises the lookup's own KeyError/TypeError."""
-    dims = doc["dims"]
-    if not (
-        isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d > 0 for d in dims)
-    ):
-        raise ParseError(f"gnn.dims must be three positive ints, got {dims!r}")
-    proj_dim = dims[0]
-    projections = {
-        m: (
-            nm.param(array_from_doc(p["w"], (None, proj_dim), f"gnn.projections.{m}.w")),
-            nm.param(array_from_doc(p["b"], (proj_dim,), f"gnn.projections.{m}.b")),
-        )
-        for m, p in doc["projections"].items()
-    }
-    raw_layers = doc["layers"]
-    if not isinstance(raw_layers, list) or len(raw_layers) != len(dims) - 1:
-        raise ParseError(f"gnn.layers must be a list of {len(dims) - 1} layers")
-    layers = []
-    for l, raw in enumerate(raw_layers):
-        weight, where = (dims[l], dims[l + 1]), f"gnn.layers[{l}]"
-        layers.append(
-            RgcnLayer(
-                w_self=nm.param(array_from_doc(raw["self"], weight, f"{where}.self")),
-                bias=nm.param(array_from_doc(raw["bias"], (dims[l + 1],), f"{where}.bias")),
-                w_rel={
-                    r: nm.param(array_from_doc(w, weight, f"{where}.relations.{r}"))
-                    for r, w in raw["relations"].items()
-                },
-                w_default=nm.param(array_from_doc(raw["default"], weight, f"{where}.default")),
-            )
-        )
-    return GnnParams(projections, layers, *dims)
-
-
-def policy_to_dict(policy: FlowPolicy) -> dict:
-    return {
-        "mode": policy.mode,
-        "allowed_inbound": {m: sorted(v) for m, v in sorted(policy.allowed_inbound.items())},
-    }
-
-
-def policy_from_dict(doc: dict) -> FlowPolicy:
-    return FlowPolicy(doc["mode"], {m: frozenset(v) for m, v in doc["allowed_inbound"].items()})

@@ -17,9 +17,10 @@ excluded from both the objectives and message passing (merge identity first via
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -39,15 +40,10 @@ from .gnn import (
     GnnParams,
     HistoricalStore,
     MpGraph,
-    array_from_doc,
-    array_to_doc,
+    RgcnLayer,
     build_mp,
     encode_layers,
     init_gnn_params,
-    params_from_dict,
-    params_to_dict,
-    policy_from_dict,
-    policy_to_dict,
 )
 from .graph import RDF_TYPE, SAME_AS, GraphIndex, MultimodalGraph
 from .handlers import EmbeddingTable, NUMBER_MODALITY
@@ -406,7 +402,6 @@ class PretrainConfig:
     out_dim: int = 128
     clf_hidden: int = 128
     margin: float = 1.0
-    max_seconds: float | None = None
 
     def __post_init__(self):
         sizes = (self.proj_dim, self.hidden_dim, self.out_dim, self.clf_hidden)
@@ -440,10 +435,15 @@ class TrainResult:
     config: PretrainConfig
 
     def named_parameters(self) -> dict[str, Tensor]:
-        named = {**self.params.named_parameters(), **self.score_fn.named_parameters()}
-        if self.regression is not None:
-            named.update(self.regression.named_parameters())
-        return named
+        return model_parameters(self.params, self.score_fn, self.regression)
+
+
+def model_parameters(params: GnnParams, fn: ScoreFn, regression: RegressionHeads | None) -> dict[str, Tensor]:
+    """Every trainable tensor of a model by name: encoder, scorer, then regression heads."""
+    named = {**params.named_parameters(), **fn.named_parameters()}
+    if regression is not None:
+        named.update(regression.named_parameters())
+    return named
 
 
 def _attr_modality_dims(initial: EmbeddingTable) -> dict[str, int]:
@@ -512,7 +512,6 @@ def train(
     copied over after fresh initialization; new relations/modalities keep their
     fresh weights.
     """
-    t_start = time.monotonic()
     initial.check_aligned(graph)
     gi = graph.index()
     n_nodes = len(gi.node_ids)
@@ -549,9 +548,7 @@ def train(
             reg_relations, cfg.out_dim, substream(cfg.seed, "init_reg"), cfg.reg_lambda
         )
 
-    named: dict[str, Tensor] = {**params.named_parameters(), **fn.named_parameters()}
-    if regression is not None:
-        named.update(regression.named_parameters())
+    named = model_parameters(params, fn, regression)
     if warm_start is not None:
         previous = warm_start.named_parameters()
         for name, tensor in named.items():
@@ -572,8 +569,6 @@ def train(
     # MpGraph is then the training one and the parameters have not moved since
     forward = None
     for epoch in range(cfg.epochs):
-        if cfg.max_seconds is not None and time.monotonic() - t_start > cfg.max_seconds:
-            break
         epoch_rows = []
         for p, mp in enumerate(mps):
             layers = forward if forward is not None else encode_layers(mp, initial, params, history)
@@ -677,42 +672,83 @@ class Checkpoint:
         base.update(meta or {})
         return Checkpoint(result.params, result.score_fn, result.regression, result.config.policy, base)
 
+    def named_parameters(self) -> dict[str, Tensor]:
+        return model_parameters(self.params, self.score_fn, self.regression)
+
+
+def array_to_doc(a: np.ndarray) -> dict:
+    """One array as `{"shape": [...], "f8": base64 of its little-endian float64
+    bytes}`; exact to the bit, with no decimal formatting."""
+    raw = np.asarray(a, dtype="<f8").tobytes()
+    return {"shape": list(np.shape(a)), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def array_from_doc(doc: dict, shape: tuple, name: str) -> np.ndarray:
+    """Decode `array_to_doc` output into an owned, writeable float64 array.
+
+    `shape` is the expected shape; a None entry accepts any size on that axis.
+    Raises ParseError when the blob's byte length disagrees with its stored shape,
+    the shape with the expected one, or a value is not finite.
+    """
+    if not isinstance(doc, dict) or not isinstance(doc.get("f8"), str):
+        raise ParseError(f'{name}: expected {{"shape": [...], "f8": "<base64>"}}')
+    stored = doc.get("shape")
+    if not isinstance(stored, list) or not all(type(d) is int and d >= 0 for d in stored):
+        raise ParseError(f"{name}: shape must be a list of non-negative ints, got {stored!r}")
+    if len(stored) != len(shape) or any(e is not None and e != d for e, d in zip(shape, stored)):
+        want = tuple("*" if e is None else e for e in shape)
+        raise ParseError(f"{name}: shape {tuple(stored)} does not match expected {want}")
+    try:
+        raw = base64.b64decode(doc["f8"], validate=True)
+    except binascii.Error as exc:
+        raise ParseError(f"{name}: bad base64: {exc}") from None
+    if len(raw) != 8 * math.prod(stored):
+        raise ParseError(f"{name}: {len(raw)} bytes do not hold shape {tuple(stored)} of float64")
+    out = np.frombuffer(raw, dtype="<f8").reshape(stored).astype(np.float64)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{name}: non-finite value")
+    return out
+
+
+def _tensor_doc(value) -> dict:
+    """`json.dumps` hook: a Tensor as its `array_to_doc` form. Anything else is
+    not JSON and raises TypeError, as it would without the hook."""
+    if not isinstance(value, Tensor):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return array_to_doc(value.data)
+
 
 def checkpoint_to_json(ckpt: Checkpoint) -> str:
+    """The checkpoint as sorted-key JSON text. The document holds the Tensors
+    themselves; `json.dumps` writes each through `_tensor_doc`."""
+    params, fn, reg, allowed = ckpt.params, ckpt.score_fn, ckpt.regression, ckpt.policy.allowed_inbound
     doc = {
         "version": CHECKPOINT_VERSION,
-        "gnn": params_to_dict(ckpt.params),
-        "score": {
-            "kind": ckpt.score_fn.kind,
-            "margin": ckpt.score_fn.margin,
-            "relations": {r: array_to_doc(w.data) for r, w in sorted(ckpt.score_fn.rel_emb.items())},
-            "classifier": (
-                {k: array_to_doc(v.data) for k, v in sorted(ckpt.score_fn.clf.items())}
-                if ckpt.score_fn.clf is not None
-                else None
-            ),
+        "gnn": {
+            "dims": [params.proj_dim, params.hidden_dim, params.out_dim],
+            "projections": {m: {"w": w, "b": b} for m, (w, b) in params.projections.items()},
+            "layers": [
+                {"self": layer.w_self, "bias": layer.bias, "default": layer.w_default,
+                 "relations": layer.w_rel}
+                for layer in params.layers
+            ],
         },
-        "regression": (
-            {
-                "lambda": ckpt.regression.lam,
-                "heads": {
-                    r: {"w": array_to_doc(w.data), "b": array_to_doc(b.data)}
-                    for r, (w, b) in sorted(ckpt.regression.heads.items())
-                },
-            }
-            if ckpt.regression is not None
-            else None
-        ),
-        "policy": policy_to_dict(ckpt.policy),
+        "score": {"kind": fn.kind, "margin": fn.margin, "relations": fn.rel_emb, "classifier": fn.clf},
+        "regression": None if reg is None else {
+            "lambda": reg.lam,
+            "heads": {r: {"w": w, "b": b} for r, (w, b) in reg.heads.items()},
+        },
+        "policy": {"mode": ckpt.policy.mode, "allowed_inbound": {m: sorted(v) for m, v in allowed.items()}},
         "meta": ckpt.meta,
     }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, default=_tensor_doc)
 
 
 def checkpoint_from_json(text: str) -> Checkpoint:
     """Decode and validate a checkpoint document. Anything malformed raises
     ParseError: invalid JSON, another version, a missing or mistyped field, an
-    array whose shape disagrees with the encoder dims, or a non-finite value."""
+    array whose shape disagrees with the encoder dims, a non-finite value, or a
+    policy whose allowed relations are not a list of strings."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -737,48 +773,77 @@ def _finite_number(value, name: str) -> float:
 
 
 def _checkpoint_from_doc(doc: dict) -> Checkpoint:
-    params = params_from_dict(doc["gnn"])
-    out_dim = params.out_dim
-    raw_score = doc["score"]
-    kind = raw_score["kind"]
+    """The inverse of `checkpoint_to_json`, checking every array against
+    `gnn.dims`: a projection maps any input width to proj_dim, layer l maps
+    dims[l] to dims[l + 1], and the scorer and regression heads read out_dim
+    vectors. A missing field raises the lookup's own KeyError/TypeError."""
+
+    def arr(leaf, shape: tuple, name: str) -> Tensor:
+        return nm.param(array_from_doc(leaf, shape, name))
+
+    gnn, raw_score, raw_reg, raw_policy = doc["gnn"], doc["score"], doc["regression"], doc["policy"]
+    dims = gnn["dims"]
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d > 0 for d in dims)):
+        raise ParseError(f"gnn.dims must be three positive ints, got {dims!r}")
+    proj_dim, out_dim = dims[0], dims[-1]
+    projections = {
+        m: (arr(p["w"], (None, proj_dim), f"gnn.projections.{m}.w"),
+            arr(p["b"], (proj_dim,), f"gnn.projections.{m}.b"))
+        for m, p in gnn["projections"].items()
+    }
+    if not isinstance(gnn["layers"], list) or len(gnn["layers"]) != len(dims) - 1:
+        raise ParseError(f"gnn.layers must be a list of {len(dims) - 1} layers")
+    layers = []
+    for l, raw in enumerate(gnn["layers"]):
+        weight, where = (dims[l], dims[l + 1]), f"gnn.layers[{l}]"
+        layers.append(
+            RgcnLayer(
+                w_self=arr(raw["self"], weight, f"{where}.self"),
+                bias=arr(raw["bias"], (dims[l + 1],), f"{where}.bias"),
+                w_rel={r: arr(w, weight, f"{where}.relations.{r}") for r, w in raw["relations"].items()},
+                w_default=arr(raw["default"], weight, f"{where}.default"),
+            )
+        )
+
+    kind, raw_clf = raw_score["kind"], raw_score["classifier"]
     if kind not in SCORE_KINDS:
         raise ParseError(f"unknown score kind {kind!r}")
-    raw_clf = raw_score["classifier"]
     if (kind == "classifier") != (raw_clf is not None):
         raise ParseError("score.classifier must be present exactly when the kind is classifier")
     clf = None
     if raw_clf is not None:
-        w1 = array_from_doc(raw_clf["w1"], (3 * out_dim, None), "score.classifier.w1")
-        hidden = w1.shape[1]
+        w1 = arr(raw_clf["w1"], (3 * out_dim, None), "score.classifier.w1")
+        hidden = w1.data.shape[1]
         clf = {
-            "w1": nm.param(w1),
-            "b1": nm.param(array_from_doc(raw_clf["b1"], (hidden,), "score.classifier.b1")),
-            "w2": nm.param(array_from_doc(raw_clf["w2"], (hidden, 1), "score.classifier.w2")),
-            "b2": nm.param(array_from_doc(raw_clf["b2"], (1,), "score.classifier.b2")),
+            "w1": w1,
+            "b1": arr(raw_clf["b1"], (hidden,), "score.classifier.b1"),
+            "w2": arr(raw_clf["w2"], (hidden, 1), "score.classifier.w2"),
+            "b2": arr(raw_clf["b2"], (1,), "score.classifier.b2"),
         }
     fn = ScoreFn(
         kind=kind,
-        rel_emb={
-            r: nm.param(array_from_doc(w, (out_dim,), f"score.relations.{r}"))
-            for r, w in raw_score["relations"].items()
-        },
+        rel_emb={r: arr(w, (out_dim,), f"score.relations.{r}") for r, w in raw_score["relations"].items()},
         margin=_finite_number(raw_score["margin"], "score.margin"),
         clf=clf,
     )
+
     regression = None
-    if doc["regression"] is not None:
-        raw = doc["regression"]
+    if raw_reg is not None:
         regression = RegressionHeads(
             {
-                r: (
-                    nm.param(array_from_doc(h["w"], (out_dim, 1), f"regression.heads.{r}.w")),
-                    nm.param(array_from_doc(h["b"], (1,), f"regression.heads.{r}.b")),
-                )
-                for r, h in raw["heads"].items()
+                r: (arr(h["w"], (out_dim, 1), f"regression.heads.{r}.w"),
+                    arr(h["b"], (1,), f"regression.heads.{r}.b"))
+                for r, h in raw_reg["heads"].items()
             },
-            _finite_number(raw["lambda"], "regression.lambda"),
+            _finite_number(raw_reg["lambda"], "regression.lambda"),
         )
-    return Checkpoint(params, fn, regression, policy_from_dict(doc["policy"]), doc.get("meta", {}))
+
+    allowed = raw_policy["allowed_inbound"]
+    for m, relations in allowed.items():
+        if not (isinstance(relations, list) and all(isinstance(r, str) for r in relations)):
+            raise ParseError(f"policy.allowed_inbound.{m} must be a list of strings, got {relations!r}")
+    policy = FlowPolicy(raw_policy["mode"], {m: frozenset(v) for m, v in allowed.items()})
+    return Checkpoint(GnnParams(projections, layers, *dims), fn, regression, policy, doc.get("meta", {}))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str):

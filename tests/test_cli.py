@@ -7,7 +7,8 @@ import pytest
 
 from kgdta.cli import main
 from kgdta.downstream import save_affinity_tsv
-from kgdta.gnn import array_from_doc, array_to_doc
+from kgdta.gnn import FlowPolicy
+from kgdta.pretrain import array_from_doc, array_to_doc, checkpoint_to_json, load_checkpoint
 from kgdta.schema import parse_ntriples
 from kgdta.synthetic import make_planted_world
 
@@ -251,6 +252,10 @@ MALFORMED_CHECKPOINTS = {
     "missing_gnn_layers": _edit(lambda doc: doc["gnn"].pop("layers")),
     "version_99": _edit(lambda doc: doc.update(version=99)),
     "version_1_document": _edit(_as_version_1),
+    # a string is iterable, so it must not pass for a list of relation names
+    "policy_allowed_set_is_a_string": _edit(
+        lambda doc: doc.update(policy={"mode": "controlled", "allowed_inbound": {"protein": "sequence"}})
+    ),
 }
 
 
@@ -261,6 +266,22 @@ def test_infer_malformed_checkpoint_exit_3(case, checkpoint_text, tmp_path, caps
     code, out, err_out = run(["infer", "--ckpt", str(ckpt), "--modality", "smiles", "--value", "CCO"], capsys)
     assert code == 3, err_out
     assert err_out.startswith("data error:") and out == ""
+
+
+def test_checkpoint_fixture_of_format_version_2(capsys):
+    """`checkpoint_v2.json` was written by an earlier revision, so reading it
+    checks this revision's reader and writer against a fixed file, not against
+    each other. Its recipe covers every field: a 6-drug, 4-protein planted world
+    whose proteins carry a numeric `length`, handler dims 8/8/16, encoder dims
+    4/3/3, the classifier scorer (hidden 2), regression on and the default
+    controlled policy, seed 6, two epochs at lr 1e-3."""
+    path = FIXTURES / "checkpoint_v2.json"
+    ckpt = load_checkpoint(str(path))
+    assert checkpoint_to_json(ckpt).encode("utf-8") == path.read_bytes()
+    assert ckpt.policy == FlowPolicy.controlled()
+    assert ckpt.score_fn.clf is not None and ckpt.regression is not None
+    code, out, _ = run(["infer", "--ckpt", str(path), "--modality", "sequence", "--value", "MKV"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2
 
 
 def test_benchmark_end_to_end(tmp_path, capsys):

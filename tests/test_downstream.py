@@ -32,7 +32,7 @@ from kgdta.downstream import (
     spearman,
     train_downstream,
 )
-from kgdta.errors import EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
+from kgdta.errors import DimMismatch, EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
 from kgdta.gnn import infer
 from kgdta.handlers import SEQUENCE_MODALITY, SMILES_MODALITY, Handler, default_registry
 from kgdta.pretrain import Checkpoint, PretrainConfig, train
@@ -270,6 +270,19 @@ def test_examples_embed_each_row_once_in_row_order():
         assert np.array_equal(x_init[i], expected)
     # every distinct value once, in first-appearance order
     assert calls == list(dict.fromkeys(r.drug for r in rows)) + list(dict.fromkeys(r.protein for r in rows))
+
+
+@pytest.mark.parametrize("modality", [SMILES_MODALITY, SEQUENCE_MODALITY])
+def test_initial_tables_check_every_handler_vector(modality):
+    rows = toy_dataset(n_rows=6).rows
+    registry = default_registry(sequence_dim=8, fingerprint_dim=16)
+    dim = registry.get(modality).dim
+    registry.register(Handler(modality, dim, lambda v: np.zeros(dim + 1)))
+    with pytest.raises(DimMismatch):
+        initial_tables(registry, EntityIndex(rows))
+    registry.register(Handler(modality, dim, lambda v: np.full(dim, np.nan)))
+    with pytest.raises(NonFinite):
+        initial_tables(registry, EntityIndex(rows))
 
 
 def test_evaluate_metrics_keys():

@@ -18,10 +18,6 @@ from kgdta.gnn import (
     encode_layers,
     infer,
     init_gnn_params,
-    params_from_dict,
-    params_to_dict,
-    policy_from_dict,
-    policy_to_dict,
 )
 from kgdta.graph import MultimodalGraph, NodeId, NodeKind, Relation, RelationKind, attribute_node, entity
 from kgdta.handlers import (
@@ -581,15 +577,6 @@ def test_encode_gradients_pass_finite_differences():
         return ref.mean(nm.mul(layers[-1], layers[-1]))
 
     assert nm.grad_check(f, named) < 1e-4
-
-
-def test_params_roundtrip_through_dict():
-    params = init_gnn_params({"smiles": 16}, ["binding_to"], substream(5, "init"), 4, 6, 6)
-    doc = params_to_dict(params)
-    back = params_from_dict(doc)
-    assert params_to_dict(back) == doc
-    policy = FlowPolicy.controlled({"drug": {"smiles"}})
-    assert policy_from_dict(policy_to_dict(policy)) == policy
 
 
 def test_controlled_policy_requires_nonempty_sets():

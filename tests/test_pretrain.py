@@ -684,10 +684,7 @@ def test_sequential_warm_start_and_vocabulary_growth():
 
 
 def _checkpoint_arrays(ckpt):
-    named = {**ckpt.params.named_parameters(), **ckpt.score_fn.named_parameters()}
-    if ckpt.regression is not None:
-        named.update(ckpt.regression.named_parameters())
-    return {name: t.data for name, t in named.items()}
+    return {name: t.data for name, t in ckpt.named_parameters().items()}
 
 
 def with_protein_lengths(graph):
