@@ -357,6 +357,13 @@ def _cmd_benchmark(args) -> int:
         raise ValueError("--ckpts needs at least one checkpoint path")
     checkpoints = [(Path(p).stem, load_checkpoint(p)) for p in paths]
     registry = registry_for_checkpoint(checkpoints[0][1])
+    for path, (_, ckpt) in zip(paths, checkpoints):
+        for modality, (w, _) in ckpt.params.projections.items():
+            if modality in registry and w.data.shape[0] != registry.get(modality).dim:
+                raise err.DimMismatch(
+                    f"{path}: {modality!r} projection takes {w.data.shape[0]} inputs, but the "
+                    f"handler shared by all checkpoints (from {paths[0]}) gives {registry.get(modality).dim}"
+                )
     graph = parse_ntriples(Path(args.graph).read_text(encoding="utf-8")) if args.graph else None
     report = run_benchmark(
         dataset, spec, checkpoints, registry, cfg, seeds=_parse_seeds(args.seeds), graph=graph

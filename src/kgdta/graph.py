@@ -21,6 +21,8 @@ from .util import fnv1a64
 
 SAME_AS = "sameAs"
 RDF_TYPE = "rdf:type"
+# metadata, not domain structure: no relation code, so no messages and no training
+META_RELATIONS = (RDF_TYPE, SAME_AS)
 
 # attribute nodes carrying this modality are zero-initialized like entities
 CATEGORICAL = "categorical"
@@ -111,9 +113,10 @@ class GraphIndex:
     Node i is `node_ids[i]`, and ints follow canonical (sorted `NodeId`) order, so
     sorting ints sorts ids. Node i has modality `modalities[modality[i]]`.
     `triples` holds every triple as a (source, relation code, target) row, in
-    insertion order; an `rdf:type` triple, which has no code, has relation -1.
+    insertion order; a metadata triple (`META_RELATIONS`), which has no code, has
+    relation -1.
 
-    Message edges are the triples other than `rdf:type`, each in both directions,
+    Message edges are the triples with a relation code, each in both directions,
     deduplicated and sorted by (relation, receiver, sender): each relation's edges
     form one run, a receiver's edges under one relation list its neighbours in
     order, and no sum over them depends on triple insertion order. Edge e carries
@@ -142,7 +145,7 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
     nodes = [graph.nodes[nid] for nid in node_ids]
     modalities = sorted({node.modality for node in nodes})
     modality_code = {m: k for k, m in enumerate(modalities)}
-    relations = sorted(set(graph.relation_kinds) - {RDF_TYPE})
+    relations = sorted(set(graph.relation_kinds) - set(META_RELATIONS))
     relation_code = {name: k for k, name in enumerate(relations)}
     n = max(len(nodes), 1)
     rows, keys = [], []

@@ -64,8 +64,11 @@ def hashed_ngram_embed(
     `fnv1a64(g) % dim`, hashing its UTF-8 bytes.
 
     Binary mode sets hit buckets to 1 (fingerprint-like); counting mode accumulates
-    counts and L2-normalizes. The empty string maps to the zero vector.
+    counts and L2-normalizes. The empty string maps to the zero vector; a value that
+    is not a string raises KindViolation.
     """
+    if not isinstance(value, str):
+        raise KindViolation(f"n-gram embedding needs a string literal, got {value!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     sizes = [n] if isinstance(n, int) else list(n)
@@ -86,23 +89,18 @@ def hashed_ngram_embed(
     return vec
 
 
-def smiles_fingerprint(smiles: str | None, dim: int = FINGERPRINT_DIM) -> np.ndarray:
+def smiles_fingerprint(smiles: str, dim: int = FINGERPRINT_DIM) -> np.ndarray:
     """Binary hashed fingerprint over n-grams of size 1..5 of the SMILES string."""
-    if not isinstance(smiles, str) or not smiles:
-        return np.zeros(dim, dtype=np.float64)
     return hashed_ngram_embed(smiles, range(1, 6), dim, binary=True)
 
 
-def sequence_embed(seq: str | None, dim: int = 128) -> np.ndarray:
+def sequence_embed(seq: str, dim: int = 128) -> np.ndarray:
     """Counting 3-gram embedding of a sequence truncated to 1022 residues, L2-normalized."""
-    if not isinstance(seq, str):
-        return np.zeros(dim, dtype=np.float64)
-    return hashed_ngram_embed(seq[:SEQUENCE_TRUNCATION], 3, dim, binary=False)
+    # only a string is cut: anything else reaches hashed_ngram_embed whole, which rejects it
+    return hashed_ngram_embed(seq[:SEQUENCE_TRUNCATION] if isinstance(seq, str) else seq, 3, dim)
 
 
-def text_embed(text: str | None, dim: int = 128) -> np.ndarray:
-    if not isinstance(text, str):
-        return np.zeros(dim, dtype=np.float64)
+def text_embed(text: str, dim: int = 128) -> np.ndarray:
     return hashed_ngram_embed(text, 3, dim, binary=False)
 
 

@@ -10,9 +10,9 @@ entities, and embeddings of out-of-partition neighbors are read from the histori
 store instead of being recomputed. With a single partition this reduces exactly to
 full-batch training.
 
-Relations named "rdf:type" and "sameAs" are metadata, not domain structure, and are
-excluded from both the objectives and message passing (merge identity first via
-`resolve_same_as`).
+Relations named "rdf:type" and "sameAs" are metadata, not domain structure: the graph
+index gives them no relation code, so they carry no messages and are no objective's
+positives (merge identity first via `resolve_same_as`).
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from .gnn import (
     encode_layers,
     init_gnn_params,
 )
-from .graph import RDF_TYPE, SAME_AS, GraphIndex, MultimodalGraph
+from .graph import META_RELATIONS, GraphIndex, MultimodalGraph
 from .handlers import EmbeddingTable, NUMBER_MODALITY
 from .numerics import Tensor
 from .util import average_ranks, substream
 
 CHECKPOINT_VERSION = 2
-META_RELATIONS = (RDF_TYPE, SAME_AS)
 
 SCORE_KINDS = ("distmult", "transe", "classifier")
 
@@ -343,8 +342,7 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
     part = np.zeros(n_all + 1, dtype=np.intp)  # slot n_all: part 0 for unreferenced attributes
     if n:
         # entity neighbours of each entity over domain relations, sorted and unique
-        meta = [c for c, name in enumerate(gi.relations) if name in META_RELATIONS]
-        keep = gi.is_entity[gi.receiver] & gi.is_entity[gi.sender] & ~np.isin(gi.relation, meta)
+        keep = gi.is_entity[gi.receiver] & gi.is_entity[gi.sender]
         receiver, sender = np.divmod(np.unique(gi.receiver[keep] * n_all + gi.sender[keep]), n_all)
         bounds = np.searchsorted(receiver, np.arange(n_all + 1)).tolist()
         sender = sender.tolist()
@@ -451,7 +449,7 @@ def _attr_modality_dims(initial: EmbeddingTable) -> dict[str, int]:
 
 
 def trainable_relations(graph: MultimodalGraph) -> list[str]:
-    return [name for name in graph.index().relations if name not in META_RELATIONS]
+    return list(graph.index().relations)
 
 
 def _admitted(gi: GraphIndex, link_filter: LinkFilter) -> np.ndarray:

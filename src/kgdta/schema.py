@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -63,7 +65,7 @@ from .handlers import NUMBER_MODALITY
 class DataSourceSpec:
     name: str
     path: str
-    format: str  # "delimited" | "jsonl"
+    format: str = "delimited"  # "delimited" | "jsonl"
     delimiter: str = "\t"
     null_markers: tuple[str, ...] = ("",)
 
@@ -91,14 +93,16 @@ class SameAsSpec:
 
 @dataclass(frozen=True)
 class EntityTypeSpec:
+    """A property block field names the spec of its entries in its `item` metadata."""
+
     name: str
     source: str
     namespace: str
     id_column: str
     modality: str
-    data_properties: tuple[DataPropertySpec, ...] = ()
-    object_properties: tuple[ObjectPropertySpec, ...] = ()
-    same_as_links: tuple[SameAsSpec, ...] = ()
+    data_properties: tuple[DataPropertySpec, ...] = field(default=(), metadata={"item": DataPropertySpec})
+    object_properties: tuple[ObjectPropertySpec, ...] = field(default=(), metadata={"item": ObjectPropertySpec})
+    same_as_links: tuple[SameAsSpec, ...] = field(default=(), metadata={"item": SameAsSpec})
 
 
 @dataclass(frozen=True)
@@ -116,16 +120,9 @@ class Schema:
 
 @dataclass
 class BuildReport:
-    rows: dict[str, int] = field(default_factory=dict)
     entities: dict[str, int] = field(default_factory=dict)
     skipped_missing_id: int = 0
     errors: list[str] = field(default_factory=list)
-
-
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise SchemaValidation(f"{context}: missing field {key!r}")
-    return obj[key]
 
 
 def _nonempty_str(value, context: str) -> str:
@@ -134,27 +131,80 @@ def _nonempty_str(value, context: str) -> str:
     return value
 
 
-def _source_header(spec: DataSourceSpec, base_dir: Path) -> list[str]:
+def _expect(value, kind: type, context: str):
+    """`value`, if it is a `kind` (dict for a JSON object, list for a JSON list)."""
+    if not isinstance(value, kind):
+        what = "object" if kind is dict else "list"
+        raise SchemaValidation(f"{context}: expected a JSON {what}, got {value!r}")
+    return value
+
+
+def _spec(cls, raw, ctx: str, header: list[str] | None = None):
+    """The spec dataclass `cls` built from the JSON object `raw`.
+
+    A field with no default must be a non-empty string, and one whose name ends in
+    `column` must name a column of `header`. A field with a default takes it when
+    absent; a JSON list becomes a tuple, and a property block (a field with `item`
+    metadata) must be a list of objects, each parsed as that spec."""
+    _expect(raw, dict, ctx)
+    values = {}
+    for f in fields(cls):
+        where = f"{ctx}.{f.name}"
+        if "item" in f.metadata:
+            items = _expect(raw.get(f.name, []), list, where)
+            values[f.name] = tuple(
+                _spec(f.metadata["item"], item, f"{where}[{j}]", header) for j, item in enumerate(items)
+            )
+        elif f.default is MISSING:
+            if f.name not in raw:
+                raise SchemaValidation(f"{ctx}: missing field {f.name!r}")
+            value = values[f.name] = _nonempty_str(raw[f.name], where)
+            if f.name.endswith("column") and value not in header:
+                raise SchemaValidation(f"{where}: column {value!r} not in the source header {header}")
+        elif f.name in raw:
+            value = raw[f.name]
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**values)
+
+
+def _read_source(spec: DataSourceSpec, base_dir: Path) -> tuple[list[str], Iterator[tuple[int, dict | str]]]:
+    """The header of a source and its rows, decoded as they are drawn.
+
+    A row is (line number, dict), or (line number, message) if it cannot be decoded;
+    the line number is that of the row's last line in the file. A delimited source's
+    header is its first record; a JSON-lines source's is the keys of its first row,
+    which raises SourceRead if it cannot be decoded."""
     path = base_dir / spec.path
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise SourceRead(f"cannot read source {spec.name!r} at {path}: {exc}") from None
     if spec.format == "delimited":
         reader = csv.reader(io.StringIO(text), delimiter=spec.delimiter)
-        for row in reader:
-            return [c.strip() for c in row]
-        return []
-    for line in text.splitlines():
-        if line.strip():
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SourceRead(f"{path}:1: bad JSON line: {exc}") from None
-            if not isinstance(record, dict):
-                raise SourceRead(f"{path}:1: JSON-lines rows must be objects")
-            return list(record)
-    return []
+        header = [c.strip() for c in next(reader, [])]
+        rows = (
+            (reader.line_num, dict(zip(header, cells)) if len(cells) == len(header)
+             else f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(cells)}")
+            for cells in reader
+            if cells
+        )
+        return header, rows
+    numbered = enumerate(text.splitlines(), start=1)
+    rows = ((n, _json_row(line, f"{path}:{n}")) for n, line in numbered if line.strip())
+    first = next(rows, None)
+    if first is None:
+        return [], rows
+    if isinstance(first[1], str):
+        raise SourceRead(first[1])
+    return list(first[1]), itertools.chain([first], rows)
+
+
+def _json_row(line: str, where: str) -> dict | str:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"{where}: bad JSON: {exc.msg}"
+    return record if isinstance(record, dict) else f"{where}: row is not an object"
 
 
 def parse_schema(text: str | bytes, base_dir: str | Path = ".") -> Schema:
@@ -171,126 +221,43 @@ def parse_schema(text: str | bytes, base_dir: str | Path = ".") -> Schema:
 
     base_dir = Path(base_dir)
     sources = []
-    seen_sources = set()
-    for i, raw in enumerate(_require(doc, "sources", "schema")):
+    for i, raw in enumerate(_expect(doc.get("sources"), list, "sources")):
         ctx = f"sources[{i}]"
-        name = _nonempty_str(_require(raw, "name", ctx), f"{ctx}.name")
-        if name in seen_sources:
-            raise SchemaValidation(f"{ctx}: duplicate source name {name!r}")
-        seen_sources.add(name)
-        fmt = raw.get("format", "delimited")
-        if fmt not in ("delimited", "jsonl"):
-            raise SchemaValidation(f"{ctx}.format: expected 'delimited' or 'jsonl', got {fmt!r}")
-        delimiter = raw.get("delimiter", "\t")
-        if fmt == "delimited" and (not isinstance(delimiter, str) or len(delimiter) != 1):
+        src = _spec(DataSourceSpec, raw, ctx)
+        if any(s.name == src.name for s in sources):
+            raise SchemaValidation(f"{ctx}: duplicate source name {src.name!r}")
+        if src.format not in ("delimited", "jsonl"):
+            raise SchemaValidation(f"{ctx}.format: expected 'delimited' or 'jsonl', got {src.format!r}")
+        if src.format == "delimited" and (not isinstance(src.delimiter, str) or len(src.delimiter) != 1):
             raise SchemaValidation(f"{ctx}.delimiter: must be a single character")
-        markers = raw.get("null_markers", [""])
-        if not isinstance(markers, list) or not all(isinstance(m, str) for m in markers):
+        if not isinstance(src.null_markers, tuple) or not all(isinstance(m, str) for m in src.null_markers):
             raise SchemaValidation(f"{ctx}.null_markers: must be a list of strings")
-        sources.append(
-            DataSourceSpec(
-                name=name,
-                path=_nonempty_str(_require(raw, "path", ctx), f"{ctx}.path"),
-                format=fmt,
-                delimiter=delimiter,
-                null_markers=tuple(markers),
-            )
-        )
-    schema_sources = {s.name: s for s in sources}
-    headers = {s.name: _source_header(s, base_dir) for s in sources}
+        sources.append(src)
+    headers = {s.name: _read_source(s, base_dir)[0] for s in sources}
 
     namespace_modalities: dict[str, str] = {}
-    for ns, modality in doc.get("namespaces", {}).items():
+    for ns, modality in _expect(doc.get("namespaces", {}), dict, "namespaces").items():
         namespace_modalities[_nonempty_str(ns, "namespaces key")] = _nonempty_str(
             modality, f"namespaces[{ns}]"
         )
 
     entity_types = []
-    raw_types = _require(doc, "entity_types", "schema")
+    raw_types = _expect(doc.get("entity_types"), list, "entity_types")
     if not raw_types:
         raise SchemaValidation("schema declares no entity types")
     for i, raw in enumerate(raw_types):
         ctx = f"entity_types[{i}]"
-        source_name = _nonempty_str(_require(raw, "source", ctx), f"{ctx}.source")
-        if source_name not in schema_sources:
-            raise SchemaValidation(f"{ctx}.source: unknown source {source_name!r}")
-        header = headers[source_name]
-        namespace = _nonempty_str(_require(raw, "namespace", ctx), f"{ctx}.namespace")
-        modality = _nonempty_str(_require(raw, "modality", ctx), f"{ctx}.modality")
-        if namespace_modalities.setdefault(namespace, modality) != modality:
+        # read first: the source picks the header that `_spec` checks the columns against
+        source = _nonempty_str(_expect(raw, dict, ctx).get("source"), f"{ctx}.source")
+        if source not in headers:
+            raise SchemaValidation(f"{ctx}.source: unknown source {source!r}")
+        et = _spec(EntityTypeSpec, raw, ctx, headers[source])
+        if namespace_modalities.setdefault(et.namespace, et.modality) != et.modality:
             raise SchemaValidation(
-                f"{ctx}: namespace {namespace!r} already bound to modality "
-                f"{namespace_modalities[namespace]!r}"
+                f"{ctx}: namespace {et.namespace!r} already bound to modality "
+                f"{namespace_modalities[et.namespace]!r}"
             )
-
-        def check_column(col: str, where: str) -> str:
-            if col not in header:
-                raise SchemaValidation(
-                    f"{where}: column {col!r} not in header of source {source_name!r} "
-                    f"(columns: {header})"
-                )
-            return col
-
-        id_column = check_column(
-            _nonempty_str(_require(raw, "id_column", ctx), f"{ctx}.id_column"), f"{ctx}.id_column"
-        )
-        data_props = []
-        for j, dp in enumerate(raw.get("data_properties", [])):
-            dctx = f"{ctx}.data_properties[{j}]"
-            data_props.append(
-                DataPropertySpec(
-                    relation=_nonempty_str(_require(dp, "relation", dctx), f"{dctx}.relation"),
-                    column=check_column(
-                        _nonempty_str(_require(dp, "column", dctx), f"{dctx}.column"), dctx
-                    ),
-                    modality=_nonempty_str(_require(dp, "modality", dctx), f"{dctx}.modality"),
-                )
-            )
-        object_props = []
-        for j, op in enumerate(raw.get("object_properties", [])):
-            octx = f"{ctx}.object_properties[{j}]"
-            object_props.append(
-                ObjectPropertySpec(
-                    relation=_nonempty_str(_require(op, "relation", octx), f"{octx}.relation"),
-                    target_namespace=_nonempty_str(
-                        _require(op, "target_namespace", octx), f"{octx}.target_namespace"
-                    ),
-                    target_column=check_column(
-                        _nonempty_str(_require(op, "target_column", octx), f"{octx}.target_column"),
-                        octx,
-                    ),
-                )
-            )
-        same_as = []
-        for j, sa in enumerate(raw.get("same_as_links", [])):
-            sctx = f"{ctx}.same_as_links[{j}]"
-            same_as.append(
-                SameAsSpec(
-                    source_column=check_column(
-                        _nonempty_str(_require(sa, "source_column", sctx), f"{sctx}.source_column"),
-                        sctx,
-                    ),
-                    target_namespace=_nonempty_str(
-                        _require(sa, "target_namespace", sctx), f"{sctx}.target_namespace"
-                    ),
-                    target_column=check_column(
-                        _nonempty_str(_require(sa, "target_column", sctx), f"{sctx}.target_column"),
-                        sctx,
-                    ),
-                )
-            )
-        entity_types.append(
-            EntityTypeSpec(
-                name=_nonempty_str(_require(raw, "name", ctx), f"{ctx}.name"),
-                source=source_name,
-                namespace=namespace,
-                id_column=id_column,
-                modality=modality,
-                data_properties=tuple(data_props),
-                object_properties=tuple(object_props),
-                same_as_links=tuple(same_as),
-            )
-        )
+        entity_types.append(et)
 
     schema = Schema(tuple(sources), tuple(entity_types), namespace_modalities)
     # referenced target namespaces must resolve to a modality
@@ -315,41 +282,6 @@ def parse_schema(text: str | bytes, base_dir: str | Path = ".") -> Schema:
     return schema
 
 
-def _iter_rows(spec: DataSourceSpec, base_dir: Path):
-    """Yield (line_number, row_dict), or (line_number, message) for a row that cannot be decoded."""
-    path = base_dir / spec.path
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SourceRead(f"cannot read source {spec.name!r} at {path}: {exc}") from None
-    if spec.format == "delimited":
-        reader = csv.reader(io.StringIO(text), delimiter=spec.delimiter)
-        header: list[str] | None = None
-        for lineno, row in enumerate(reader, start=1):
-            if header is None:
-                header = [c.strip() for c in row]
-                continue
-            if not row:
-                continue
-            if len(row) != len(header):
-                yield lineno, f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                continue
-            yield lineno, dict(zip(header, row))
-    else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield lineno, f"{path}:{lineno}: bad JSON: {exc.msg}"
-                continue
-            if not isinstance(record, dict):
-                yield lineno, f"{path}:{lineno}: row is not an object"
-                continue
-            yield lineno, record
-
-
 def _is_null(value, markers: tuple[str, ...]) -> bool:
     if value is None:
         return True
@@ -367,11 +299,10 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
         markers = src.null_markers
         path = base_dir / src.path
         count = 0
-        for lineno, row in _iter_rows(src, base_dir):
+        for lineno, row in _read_source(src, base_dir)[1]:
             if isinstance(row, str):
                 report.errors.append(row)
                 continue
-            report.rows[src.name] = report.rows.get(src.name, 0) + 1
             raw_id = row.get(et.id_column)
             if _is_null(raw_id, markers):
                 report.skipped_missing_id += 1

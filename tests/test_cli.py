@@ -81,6 +81,18 @@ def test_build_kg_missing_source_exit_3(workdir, capsys):
     assert code == 3
 
 
+def test_build_kg_non_object_source_exit_2(workdir, capsys):
+    doc = json.loads((workdir / "schema.json").read_text())
+    doc["sources"][1] = 5
+    bad = workdir / "bad3.json"
+    bad.write_text(json.dumps(doc))
+    out = workdir / "x.nt"
+    code, _, err_out = run(["build-kg", "--schema", str(bad), "--out", str(out)], capsys)
+    assert code == 2, err_out
+    assert err_out.startswith("error:") and "sources[1]" in err_out
+    assert not out.exists()
+
+
 PRETRAIN_DIMS = [
     "--proj-dim", "8", "--hidden-dim", "8", "--out-dim", "8",
     "--sequence-dim", "8", "--text-dim", "8", "--fingerprint-dim", "16",
@@ -339,6 +351,40 @@ def test_benchmark_invalid_flag_exit_2(case, checkpoint_text, tmp_path, capsys):
     assert code == 2, err_out
     assert err_out.startswith("error:") and out == ""
     assert not (tmp_path / "report.jsonl").exists() and not (tmp_path / "report.txt").exists()
+
+
+def test_benchmark_checkpoints_of_different_handler_widths_exit_3(tmp_path, capsys):
+    world, kg = _write_world_nt(tmp_path)
+    wide, narrow = tmp_path / "wide.json", tmp_path / "narrow.json"
+    for path, width in ((wide, "16"), (narrow, "8")):
+        flags = [*PRETRAIN_SMALL, "--sequence-dim", width]
+        assert run(["pretrain", "--graph", str(kg), "--seed", "0", "--out", str(path), *flags], capsys)[0] == 0
+    data = tmp_path / "affinity.tsv"
+    save_affinity_tsv(world.dataset, str(data))
+    code, out, err_out = run(
+        ["benchmark", "--dataset", str(data), "--split", "random", "--ckpts", f"{wide},{narrow}",
+         "--seeds", "0", "--seed", "0", "--steps", "10", "--batch", "16",
+         "--init-hidden", "8,4", "--gnn-hidden", "8,4", "--out", str(tmp_path / "report")],
+        capsys,
+    )
+    assert code == 3, err_out
+    assert err_out.startswith("data error:") and "narrow.json" in err_out and "protein_sequence" in err_out
+    assert out == "" and not (tmp_path / "report.jsonl").exists()
+
+
+def test_pretrain_number_literal_on_a_string_modality_exit_3(tmp_path, capsys):
+    from kgdta.graph import MultimodalGraph, Relation, RelationKind, attribute_node, entity
+    from kgdta.schema import to_ntriples
+
+    g = MultimodalGraph()
+    g.add_triple(entity("drugbank", "D1", "drug"), Relation("smiles", RelationKind.DATA), attribute_node("smiles", 2.0))
+    kg = tmp_path / "kg.nt"
+    kg.write_text(to_ntriples(g), encoding="utf-8")
+    out = tmp_path / "c.json"
+    code, _, err_out = run(["pretrain", "--graph", str(kg), "--seed", "0", "--out", str(out), *PRETRAIN_SMALL], capsys)
+    assert code == 3, err_out
+    assert err_out.startswith("data error:") and "string" in err_out
+    assert not out.exists()
 
 
 def test_benchmark_infeasible_split_exit_3(tmp_path, capsys):

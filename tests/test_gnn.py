@@ -449,6 +449,25 @@ def test_infer_rejects_bools_categorical_and_unhandled_modalities():
     assert embedded == []
 
 
+def test_infer_rejects_a_number_for_a_string_modality():
+    with pytest.raises(KindViolation, match="string"):
+        infer(INFER_PARAMS, FlowPolicy.controlled(), 2.0, "smiles", default_registry())
+
+
+def test_same_as_triples_carry_no_messages():
+    g = MultimodalGraph()
+    d1, d2 = entity("drugbank", "D1", "drug"), entity("chembl", "C1", "drug")
+    g.add_triple(d1, Relation("smiles", RelationKind.DATA), attribute_node("smiles", "CCO"))
+    g.add_triple(d2, Relation("smiles", RelationKind.DATA), attribute_node("smiles", "c1ccccc1N"))
+    params = init_gnn_params({"smiles": 2048}, ["smiles"], substream(5, "init"))
+    before = encode(g, compute_initial_embeddings(g, default_registry()), params)
+    g.add_triple(d1, Relation("sameAs", RelationKind.OBJECT), d2)  # left unresolved
+    after = encode(g, compute_initial_embeddings(g, default_registry()), params)
+    for d in (d1, d2):
+        assert after[d.id].any() and after[d.id].tobytes() == before[d.id].tobytes()
+    assert g.index().relations == ["smiles"] and g.index().triples[-1, 1] == -1
+
+
 def test_a_warm_infer_call_builds_no_graph_index_or_table(monkeypatch):
     registry, policy = default_registry(), FlowPolicy.controlled()
     infer(INFER_PARAMS, policy, "CCO", "smiles", registry)  # cold: builds the kept graph once

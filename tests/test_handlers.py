@@ -24,6 +24,7 @@ from kgdta.handlers import (
     number_embed,
     sequence_embed,
     smiles_fingerprint,
+    text_embed,
 )
 from kgdta.util import fnv1a64
 
@@ -75,6 +76,20 @@ def test_empty_string_embeds_to_zeros():
     assert not hashed_ngram_embed("", 3, 64).any()
     assert not smiles_fingerprint("").any()
     assert not sequence_embed("").any()
+
+
+@pytest.mark.parametrize("value", [2.0, 7, None, ["C"]])
+def test_string_handlers_reject_a_value_that_is_not_a_string(value):
+    for embed in (smiles_fingerprint, sequence_embed, text_embed):
+        with pytest.raises(KindViolation, match="string"):
+            embed(value)
+
+
+def test_a_number_literal_on_a_string_modality_has_no_initial_embedding():
+    g = MultimodalGraph()
+    g.add_triple(entity("drugbank", "D1", "drug"), Relation("smiles", RelationKind.DATA), attribute_node("smiles", 2.0))
+    with pytest.raises(KindViolation, match="string"):
+        compute_initial_embeddings(g, default_registry())
 
 
 def test_equal_strings_equal_vectors_and_single_edits_differ():

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kg_strategies import graphs
 from kgdta.errors import NTriplesParse, SchemaParse, SchemaValidation, SourceRead
 from kgdta.graph import MultimodalGraph, NodeId, resolve_same_as
-from kgdta.schema import build_graph, parse_schema, parse_ntriples, to_ntriples
+from kgdta.schema import Schema, build_graph, parse_schema, parse_ntriples, to_ntriples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -75,6 +76,13 @@ def test_missing_source_file(tmp_path):
         parse_schema(json.dumps(doc), base_dir=tmp_path)
 
 
+def test_source_that_is_not_utf8_raises_source_read(tmp_path):
+    doc = minimal_schema(tmp_path)
+    (tmp_path / "t.tsv").write_bytes("id\tseq\nÄ1\tMKTA\n".encode("latin-1"))
+    with pytest.raises(SourceRead, match="t.tsv"):
+        parse_schema(json.dumps(doc), base_dir=tmp_path)
+
+
 def test_conflicting_namespace_modalities(tmp_path):
     doc = minimal_schema(tmp_path)
     doc["namespaces"] = {"uniprot": "drug"}
@@ -90,6 +98,93 @@ def test_same_as_modality_mismatch_rejected(tmp_path):
     ]
     with pytest.raises(SchemaValidation, match="mixes"):
         parse_schema(json.dumps(doc), base_dir=tmp_path)
+
+
+def fixture_doc():
+    return json.loads((FIXTURES / "schema.json").read_text())
+
+
+MALFORMED = {
+    "source_not_an_object": lambda doc: doc["sources"].__setitem__(0, 5),
+    "sources_not_a_list": lambda doc: doc.__setitem__("sources", {"a": 1}),
+    "namespaces_not_an_object": lambda doc: doc.__setitem__("namespaces", []),
+    "entity_type_not_an_object": lambda doc: doc["entity_types"].__setitem__(2, "drug"),
+    "property_not_an_object": lambda doc: doc["entity_types"][0]["data_properties"].__setitem__(1, 7),
+    "property_block_not_a_list": lambda doc: doc["entity_types"][0].__setitem__(
+        "data_properties", {"relation": "sequence", "column": "seq", "modality": "protein_sequence"}
+    ),
+    "null_markers_not_a_list": lambda doc: doc["sources"][0].__setitem__("null_markers", "NA"),
+    "required_field_missing": lambda doc: doc["entity_types"][1]["same_as_links"][0].pop("target_column"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_entries_raise_schema_validation(case):
+    doc = fixture_doc()
+    MALFORMED[case](doc)
+    with pytest.raises(SchemaValidation):
+        parse_schema(json.dumps(doc), base_dir=FIXTURES)
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_schemas(draw):
+    """The fixture schema with one to three entries, fields or blocks dropped or
+    replaced by a number, string, list or object."""
+    doc = fixture_doc()
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_schemas())
+def test_a_mutated_schema_parses_or_raises_a_schema_error(doc):
+    try:
+        schema = parse_schema(json.dumps(doc), base_dir=FIXTURES)
+    except (SchemaParse, SchemaValidation, SourceRead):
+        return
+    assert isinstance(schema, Schema)
+
+
+JSONL_SCHEMA = json.dumps({
+    "sources": [{"name": "r", "path": "rows.jsonl", "format": "jsonl"}],
+    "entity_types": [{"name": "t", "source": "r", "namespace": "uniprot", "id_column": "id", "modality": "protein"}],
+})
+
+
+def test_undecodable_first_jsonl_row_names_its_line(tmp_path):
+    (tmp_path / "rows.jsonl").write_text('\n  \n{"id": \n{"id": "A1"}\n')
+    with pytest.raises(SourceRead, match=r"rows\.jsonl:3: bad JSON"):
+        parse_schema(JSONL_SCHEMA, base_dir=tmp_path)
+
+
+def test_later_undecodable_jsonl_rows_are_tallied_with_their_lines(tmp_path):
+    (tmp_path / "rows.jsonl").write_text('{"id": "A1"}\n\n[1]\n{"id": \n{"id": "A2"}\n')
+    _, report = build_graph(parse_schema(JSONL_SCHEMA, base_dir=tmp_path), base_dir=tmp_path)
+    assert len(report.errors) == 2
+    assert "rows.jsonl:3: row is not an object" in report.errors[0]
+    assert "rows.jsonl:4: bad JSON" in report.errors[1]
+    assert report.entities["t"] == 2
 
 
 def test_build_fixture_graph_counts():
@@ -143,6 +238,17 @@ def test_row_decode_errors_are_tallied(tmp_path):
     graph, report = build_graph(parse_schema(json.dumps(doc), base_dir=tmp_path), base_dir=tmp_path)
     assert len(report.errors) == 1 and "bad.tsv:2" in report.errors[0]
     assert report.entities["thing"] == 2  # build continued
+
+
+def test_row_errors_name_the_file_line_after_a_quoted_line_break(tmp_path):
+    (tmp_path / "q.tsv").write_text('id\tlength\n"A\nB"\t1\nC\tx\nD\n')
+    doc = minimal_schema(tmp_path)
+    doc["sources"][0]["path"] = "q.tsv"
+    doc["entity_types"][0]["data_properties"] = [{"relation": "length", "column": "length", "modality": "number"}]
+    _, report = build_graph(parse_schema(json.dumps(doc), base_dir=tmp_path), base_dir=tmp_path)
+    assert len(report.errors) == 2
+    assert "q.tsv:4: 'length' is not a number" in report.errors[0]
+    assert "q.tsv:5: expected 2 cells, got 1" in report.errors[1]
 
 
 def test_build_is_deterministic():
