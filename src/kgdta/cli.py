@@ -35,6 +35,7 @@ from .pretrain import (
     train,
 )
 from .schema import build_graph, parse_ntriples, parse_schema, to_ntriples
+from .util import read_utf8
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,6 +166,11 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [rest[0]] + flags + rest[1:]
 
 
+def _read_ntriples(path: str):
+    """The graph in the N-Triples file at `path`; text that is not UTF-8 is a data error."""
+    return parse_ntriples(read_utf8(path, err.NTriplesParse, "N-Triples file"))
+
+
 # --- build-kg ------------------------------------------------------------------
 
 
@@ -174,7 +180,7 @@ def _cmd_build_kg(args) -> int:
     graph, report = build_graph(schema, base_dir=schema_path.parent)
     merged_entities = 0
     if args.merge:
-        other = parse_ntriples(Path(args.merge).read_text(encoding="utf-8"))
+        other = _read_ntriples(args.merge)
         merged_entities = len(
             {n.id for n in graph.entities()} & {n.id for n in other.entities()}
         )
@@ -232,7 +238,7 @@ def _auto_partitions(n_entities: int) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    graph = parse_ntriples(Path(args.graph).read_text(encoding="utf-8"))
+    graph = _read_ntriples(args.graph)
     if args.partitions == "auto":
         partitions = _auto_partitions(len(graph.entities()))
     else:
@@ -364,7 +370,7 @@ def _cmd_benchmark(args) -> int:
                     f"{path}: {modality!r} projection takes {w.data.shape[0]} inputs, but the "
                     f"handler shared by all checkpoints (from {paths[0]}) gives {registry.get(modality).dim}"
                 )
-    graph = parse_ntriples(Path(args.graph).read_text(encoding="utf-8")) if args.graph else None
+    graph = _read_ntriples(args.graph) if args.graph else None
     report = run_benchmark(
         dataset, spec, checkpoints, registry, cfg, seeds=_parse_seeds(args.seeds), graph=graph
     )

@@ -29,7 +29,7 @@ from .gnn import encode, infer
 from .graph import NodeKind
 from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry, compute_initial_embeddings, embedding_matrix
 from .numerics import Tensor
-from .util import average_ranks, substream
+from .util import average_ranks, read_utf8, substream
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class AffinityDataset:
 
 
 def load_affinity_tsv(path: str, name: str | None = None) -> AffinityDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in read_utf8(path, ParseError, "dataset").split("\n") if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty dataset file")
     header = [c.strip() for c in lines[0].split("\t")]
@@ -366,7 +365,6 @@ class FeatureScale:
 @dataclass
 class DownstreamModel:
     params: dict[str, Tensor]
-    cfg: DownstreamConfig
     init_stats: FeatureScale
     gnn_stats: FeatureScale | None = None  # None for the baseline (no encoder branch)
     best_val_mse: float | None = None
@@ -398,7 +396,7 @@ def train_downstream(train: Examples, val: Examples | None, cfg: DownstreamConfi
         params.update(_branch_params("gnn", train.gnn, cfg.gnn_hidden, rng_init))
         gnn_stats = FeatureScale.fit(train.gnn, train.drug_row, train.protein_row)
     init_stats = FeatureScale.fit(train.init, train.drug_row, train.protein_row)
-    model = DownstreamModel(params, cfg, init_stats, gnn_stats)
+    model = DownstreamModel(params, init_stats, gnn_stats)
     tables = model._scaled(train)
     if val is not None:
         val_tables = model._scaled(val)
@@ -414,9 +412,8 @@ def train_downstream(train: Examples, val: Examples | None, cfg: DownstreamConfi
         loss = nm.mse(pred, train.y[idx])
         if not np.isfinite(loss.data):
             raise NonFinite(f"downstream loss diverged at step {step}")
-        nm.zero_grads(params)
         nm.backward(loss)
-        _, state = nm.adam_step(params, nm.collect_grads(params), state, cfg.lr)
+        state = nm.adam_step(params, state, cfg.lr)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             if val is not None:
                 val_pred = model._forward(val_tables, val.drug_row, val.protein_row)

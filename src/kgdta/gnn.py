@@ -298,13 +298,8 @@ def encode_layers(
     for l, layer in enumerate(params.layers):
         if l > 0:
             fill = [(mp.scope_rows, h_scope)]
-            if len(mp.out_rows):
-                hist = (
-                    history.layers[l - 1][mp.closure[mp.out_rows]]
-                    if history is not None
-                    else np.zeros((len(mp.out_rows), dims[l]))
-                )
-                fill.append((mp.out_rows, hist))
+            if len(mp.out_rows) and history is not None:
+                fill.append((mp.out_rows, history.layers[l - 1][mp.closure[mp.out_rows]]))
             h_full = nm.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
         for rel, sender, receiver, weight in edges:

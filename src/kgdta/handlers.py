@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimMismatch, KindViolation, MissingHandler, ModalityConflict, NonFinite, ParseError
 from .graph import CATEGORICAL, MultimodalGraph, NodeId, NodeKind
-from .util import FNV64_OFFSET, FNV64_PRIME
+from .util import FNV64_OFFSET, FNV64_PRIME, read_utf8
 
 SEQUENCE_MODALITY = "protein_sequence"
 SMILES_MODALITY = "smiles"
@@ -198,9 +198,7 @@ def import_external_embeddings(path: str) -> dict[str, dict[NodeId, np.ndarray]]
     key is either `namespace:local_id` or a bare attribute content hash. The header's
     dim checks each row, and its modality is the one the vectors are filed under.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in read_utf8(path, ParseError, "embedding table").split("\n") if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty embedding table")
     head = lines[0].split(",")

@@ -11,7 +11,7 @@ speed here: float64 everywhere, no threading assumptions beyond BLAS.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,14 +57,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn) -> Tensor:
     out = Tensor(data)
     for p in parents:  # a loop, not a generator: every op pays for this check
-        if p.requires_grad or p._parents:
+        if p.requires_grad:
             out.requires_grad = True
             out._parents = tuple(parents)
             out._grad_fn = grad_fn
@@ -113,11 +109,6 @@ def scale(a, c: float) -> Tensor:
     return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
-def add_scalar(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    return _make(a.data + c, (a,), lambda g: (g,))
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -128,7 +119,7 @@ def matmul(a, b) -> Tensor:
 
     def grad_fn(g):
         # a constant operand (e.g. an input batch) gets no gradient, so no product for it
-        return (g @ b.data.T if _needs_grad(a) else None, a.data.T @ g if _needs_grad(b) else None)
+        return (g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None)
 
     return _make(data, (a, b), grad_fn)
 
@@ -294,12 +285,12 @@ def rowsum(a) -> Tensor:
     )
 
 
-def l2norm_rows(a, eps: float = 0.0) -> Tensor:
+def l2norm_rows(a) -> Tensor:
     """Euclidean norm of each row of an (n, m) tensor. Subgradient 0 at the origin."""
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeMismatch(f"l2norm_rows needs a 2-d tensor, got {a.data.shape}")
-    norms = np.sqrt((a.data * a.data).sum(axis=1) + eps)
+    norms = np.sqrt((a.data * a.data).sum(axis=1))
 
     def grad_fn(g):
         safe = np.where(norms > 0.0, norms, 1.0)
@@ -357,7 +348,7 @@ def backward(loss: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen and (parent.requires_grad or parent._parents):
+            if id(parent) not in seen and parent.requires_grad:
                 stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -368,25 +359,12 @@ def backward(loss: Tensor):
         if node._grad_fn is not None:
             parent_grads = node._grad_fn(g)
             for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not (parent.requires_grad or parent._parents):
+                if pg is None or not parent.requires_grad:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
         elif node.requires_grad:
             node.grad = g if node.grad is None else node.grad + g
-
-
-def zero_grads(params: Mapping[str, Tensor] | Iterable[Tensor]):
-    values = params.values() if isinstance(params, Mapping) else params
-    for p in values:
-        p.grad = None
-
-
-def collect_grads(params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
 
 
 # -- gradient checking ----------------------------------------------------------
@@ -399,14 +377,15 @@ def grad_check(
 ) -> float:
     """Max relative error between tape gradients and central finite differences.
 
-    The denominator is max(|analytic|, |numeric|, 1e-8) per component.
+    The denominator is max(|analytic|, |numeric|, 1e-8) per component. The analytic
+    gradients are left on `.grad`.
     """
-    zero_grads(params)
+    for p in params.values():
+        p.grad = None
     out = f(params)
     if not np.isfinite(out.data).all():
         raise NonFinite("grad_check: objective is not finite")
     backward(out)
-    analytic = {k: v.copy() for k, v in collect_grads(params).items()}
 
     def evaluate() -> float:
         value = f(params)
@@ -416,9 +395,9 @@ def grad_check(
         return v
 
     max_err = 0.0
-    for name, p in params.items():
+    for p in params.values():
         flat = p.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
+        ana = np.zeros(flat.size) if p.grad is None else p.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -452,18 +431,14 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(
-    params: Mapping[str, Tensor],
-    grads: Mapping[str, np.ndarray],
-    state: AdamState | None,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[Mapping[str, Tensor], AdamState]:
-    """Standard Adam update. A parameter missing from `grads` is stepped with a zero
-    gradient. Each parameter gets a new `.data` array, a slice of one buffer per step;
-    the arrays it had before are never written."""
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: Mapping[str, Tensor], state: AdamState | None, lr: float) -> AdamState:
+    """Standard Adam update on the gradients `backward` left on each parameter's
+    `.grad`, which it consumes: every `.grad` is None afterwards, and a parameter with
+    no `.grad` is stepped with a zero gradient. Each parameter gets a new `.data` array,
+    a slice of one buffer per step; the arrays it had before are never written."""
     if state is None:
         state = AdamState(params)
     if len(params) != len(state.layout):
@@ -475,34 +450,30 @@ def adam_step(
         offset, shape = state.layout.get(name, (None, None))
         if shape != p.data.shape:
             raise ShapeMismatch(f"adam: param {name!r} of shape {p.data.shape} does not match the state ({shape})")
-        n = p.data.size
-        if name in grads:
-            grad = np.asarray(grads[name], dtype=np.float64)
-            if grad.shape != shape:
-                raise ShapeMismatch(f"adam: grad shape {grad.shape} != param shape {shape} ({name})")
-            g[offset : offset + n] = grad.reshape(-1)
-        else:
-            g[offset : offset + n] = 0.0
+        if p.grad is not None and p.grad.shape != shape:
+            raise ShapeMismatch(f"adam: grad shape {p.grad.shape} != param shape {shape} ({name})")
+        g[offset : offset + p.data.size] = 0.0 if p.grad is None else p.grad.reshape(-1)
     state.step += 1
     t = state.step
     # the per-element operation sequence of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     # p = p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), done in place
-    np.multiply(g, 1.0 - beta1, out=s)
-    np.multiply(state.m, beta1, out=state.m)
+    np.multiply(g, 1.0 - _BETA1, out=s)
+    np.multiply(state.m, _BETA1, out=state.m)
     np.add(state.m, s, out=state.m)
     np.multiply(g, g, out=g)
-    np.multiply(g, 1.0 - beta2, out=g)
-    np.multiply(state.v, beta2, out=state.v)
+    np.multiply(g, 1.0 - _BETA2, out=g)
+    np.multiply(state.v, _BETA2, out=state.v)
     np.add(state.v, g, out=state.v)
-    np.divide(state.m, 1.0 - beta1**t, out=s)
+    np.divide(state.m, 1.0 - _BETA1**t, out=s)
     np.multiply(s, lr, out=s)
-    np.divide(state.v, 1.0 - beta2**t, out=g)
+    np.divide(state.v, 1.0 - _BETA2**t, out=g)
     np.sqrt(g, out=g)
-    np.add(g, eps, out=g)
+    np.add(g, _EPS, out=g)
     np.divide(s, g, out=s)
     for name, p in params.items():
         offset, shape = state.layout[name]
         new = s[offset : offset + p.data.size]
         np.subtract(p.data.reshape(-1), new, out=new)
         p.data = new.reshape(shape)
-    return params, state
+        p.grad = None
+    return state

@@ -48,7 +48,7 @@ from .gnn import (
 from .graph import META_RELATIONS, GraphIndex, MultimodalGraph
 from .handlers import EmbeddingTable, NUMBER_MODALITY
 from .numerics import Tensor
-from .util import average_ranks, substream
+from .util import average_ranks, read_utf8, substream
 
 CHECKPOINT_VERSION = 2
 
@@ -129,7 +129,7 @@ def score_logits(fn: ScoreFn, relation: str, h_src: Tensor, h_tgt: Tensor) -> Te
         return nm.rowsum(nm.mul(nm.mul(h_src, w), h_tgt))
     if fn.kind == "transe":
         dist = nm.l2norm_rows(nm.sub(nm.add(h_src, w), h_tgt))
-        return nm.add_scalar(nm.scale(dist, -1.0), fn.margin)
+        return nm.sub(fn.margin, dist)
     w_tiled = nm.matmul(nm.constant(np.ones((n, 1))), nm.reshape(w, (1, -1)))
     x = nm.concat_cols([h_src, h_tgt, w_tiled])
     hidden = nm.relu(nm.add(nm.matmul(x, fn.clf["w1"]), fn.clf["b1"]))
@@ -236,11 +236,8 @@ class EmbeddingView:
         pieces = []
         if len(pos_in):
             pieces.append((pos_in, nm.gather_rows(self.h, rows[pos_in])))
-        if self.fallback is None:
-            const = np.zeros((len(pos_out), self.dim))
-        else:
-            const = self.fallback[nodes[pos_out]]
-        pieces.append((pos_out, const))
+        if self.fallback is not None:
+            pieces.append((pos_out, self.fallback[nodes[pos_out]]))
         return nm.assemble_rows(len(nodes), self.dim, pieces)
 
 
@@ -577,9 +574,8 @@ def train(
                     pos_p, sets, cfg.negative_ratio, substream(cfg.seed, "neg", epoch, p), forbidden
                 )
                 loss = pretrain_loss(pos_p, negs, view, fn, gi.relations, regression, reg_by_part[p])
-                nm.zero_grads(named)
                 nm.backward(loss)
-                _, state = nm.adam_step(named, nm.collect_grads(named), state, cfg.lr)
+                state = nm.adam_step(named, state, cfg.lr)
                 train_loss = float(loss.data)
             else:
                 train_loss = None  # partition holds no training triples
@@ -850,9 +846,4 @@ def save_checkpoint(ckpt: Checkpoint, path: str):
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"checkpoint {path} is not UTF-8 text: {exc}") from None
-    return checkpoint_from_json(text)
+    return checkpoint_from_json(read_utf8(path, ParseError, "checkpoint"))

@@ -288,6 +288,16 @@ def _is_null(value, markers: tuple[str, ...]) -> bool:
     return isinstance(value, str) and value in markers
 
 
+def _cell_text(cell, column: str, where: str, errors: list[str]) -> str | None:
+    """A string, int or float cell as text; any other value is a row error (None)."""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+        return str(cell)
+    errors.append(f"{where}: {column!r} has unsupported type {type(cell).__name__}")
+    return None
+
+
 def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalGraph, BuildReport]:
     """Construct the graph declared by `schema`. Row-level problems are recorded in
     the report and the build continues; unreadable sources abort with SourceRead."""
@@ -303,11 +313,14 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
             if isinstance(row, str):
                 report.errors.append(row)
                 continue
+            where = f"{path}:{lineno}"
             raw_id = row.get(et.id_column)
             if _is_null(raw_id, markers):
                 report.skipped_missing_id += 1
                 continue
-            subject = entity(et.namespace, str(raw_id), et.modality)
+            if (key := _cell_text(raw_id, et.id_column, where, report.errors)) is None:
+                continue
+            subject = entity(et.namespace, key, et.modality)
             graph.add_node(subject)
             count += 1
             for dp in et.data_properties:
@@ -318,21 +331,12 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                     try:
                         value = float(cell)
                     except (TypeError, ValueError):
-                        report.errors.append(
-                            f"{path}:{lineno}: {dp.column!r} is not a number: {cell!r}"
-                        )
+                        report.errors.append(f"{where}: {dp.column!r} is not a number: {cell!r}")
                         continue
                     if not math.isfinite(value):
-                        report.errors.append(f"{path}:{lineno}: {dp.column!r} is not finite")
+                        report.errors.append(f"{where}: {dp.column!r} is not finite")
                         continue
-                elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                    value = str(cell)
-                elif isinstance(cell, str):
-                    value = cell
-                else:
-                    report.errors.append(
-                        f"{path}:{lineno}: {dp.column!r} has unsupported type {type(cell).__name__}"
-                    )
+                elif (value := _cell_text(cell, dp.column, where, report.errors)) is None:
                     continue
                 graph.add_triple(
                     subject,
@@ -343,19 +347,20 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                 cell = row.get(op.target_column)
                 if _is_null(cell, markers):
                     continue
-                target = entity(
-                    op.target_namespace, str(cell), schema.namespace_modalities[op.target_namespace]
-                )
+                if (key := _cell_text(cell, op.target_column, where, report.errors)) is None:
+                    continue
+                target = entity(op.target_namespace, key, schema.namespace_modalities[op.target_namespace])
                 graph.add_triple(subject, Relation(op.relation, RelationKind.OBJECT), target)
             for sa in et.same_as_links:
-                left = row.get(sa.source_column)
-                right = row.get(sa.target_column)
+                left, right = row.get(sa.source_column), row.get(sa.target_column)
                 if _is_null(left, markers) or _is_null(right, markers):
                     continue
-                a = entity(et.namespace, str(left), et.modality)
-                b = entity(
-                    sa.target_namespace, str(right), schema.namespace_modalities[sa.target_namespace]
-                )
+                left = _cell_text(left, sa.source_column, where, report.errors)
+                right = _cell_text(right, sa.target_column, where, report.errors)
+                if left is None or right is None:
+                    continue
+                a = entity(et.namespace, left, et.modality)
+                b = entity(sa.target_namespace, right, schema.namespace_modalities[sa.target_namespace])
                 graph.add_triple(a, Relation(SAME_AS, RelationKind.OBJECT), b)
         report.entities[et.name] = report.entities.get(et.name, 0) + count
     return graph, report

@@ -1,4 +1,5 @@
-"""Low-level helpers shared across the pipeline: stable hashing and seeded RNG substreams."""
+"""Low-level helpers shared across the pipeline: stable hashing, seeded RNG substreams
+and reading a UTF-8 input file."""
 
 from __future__ import annotations
 
@@ -7,6 +8,15 @@ import numpy as np
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def read_utf8(path, error: type[Exception], what: str) -> str:
+    """The text of the file at `path`; raises `error` naming the file if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def fnv1a64(data: str | bytes) -> int:

@@ -387,6 +387,26 @@ def test_pretrain_number_literal_on_a_string_modality_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+NOT_UTF8_INPUTS = {
+    "pretrain_graph": lambda wd, bad: ["pretrain", "--graph", bad, "--seed", "0", *PRETRAIN_SMALL],
+    "build_kg_merge": lambda wd, bad: ["build-kg", "--schema", str(wd / "schema.json"), "--merge", bad],
+    "benchmark_dataset": lambda wd, bad: [
+        "benchmark", "--dataset", bad, "--split", "random", "--ckpts", str(wd / "c.json"), "--seed", "0",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8_INPUTS))
+def test_input_file_that_is_not_utf8_exit_3(case, workdir, capsys):
+    bad = workdir / "latin1.txt"
+    bad.write_bytes("smiles\tsequence\taffinity\nÄ\tM\t1.0\n".encode("latin-1"))
+    out = workdir / "out"
+    code, stdout, err_out = run([*NOT_UTF8_INPUTS[case](workdir, str(bad)), "--out", str(out)], capsys)
+    assert code == 3, err_out
+    assert err_out.startswith("data error:") and "latin1.txt" in err_out and "UTF-8" in err_out
+    assert stdout == "" and not out.exists()
+
+
 def test_benchmark_infeasible_split_exit_3(tmp_path, capsys):
     from kgdta.downstream import AffinityDataset, AffinityRow
 

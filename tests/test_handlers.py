@@ -300,3 +300,10 @@ def test_external_vector_for_a_node_without_a_row_is_rejected(target, tmp_path):
     path.write_text(f"{node.modality},4\n{node.id.namespace}:{node.id.local_id},1,2,3,4\n")
     with pytest.raises(KindViolation, match=node.modality):
         compute_initial_embeddings(g, default_registry(), external=import_external_embeddings(str(path)))
+
+
+def test_import_external_table_that_is_not_utf8_raises_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("protein_sequence,2\nÄ1,1,2\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="latin1.csv is not UTF-8"):
+        import_external_embeddings(str(path))

@@ -110,9 +110,11 @@ def test_grad_accumulates_over_reuse():
 
 def test_adam_zero_gradient_leaves_params():
     p = {"w": nm.param(np.array([1.0, -2.0]))}
-    _, state = nm.adam_step(p, {"w": np.zeros(2)}, None, lr=0.1)
+    p["w"].grad = np.zeros(2)
+    state = nm.adam_step(p, None, lr=0.1)
     assert np.array_equal(p["w"].data, [1.0, -2.0])
-    nm.adam_step(p, {"w": np.zeros(2)}, state, lr=0.1)
+    p["w"].grad = np.zeros(2)
+    nm.adam_step(p, state, lr=0.1)
     assert np.array_equal(p["w"].data, [1.0, -2.0])
 
 
@@ -120,7 +122,7 @@ def test_adam_descends_on_square():
     p = {"x": nm.param(np.array(1.0))}
     loss = nm.mul(p["x"], p["x"])
     nm.backward(loss)
-    nm.adam_step(p, nm.collect_grads(p), None, lr=0.1)
+    nm.adam_step(p, None, lr=0.1)
     assert p["x"].data < 1.0
 
 
@@ -130,10 +132,9 @@ def test_adam_deterministic():
         p = {"w": nm.param(rng.normal(size=(4,)))}
         state = None
         for _ in range(25):
-            nm.zero_grads(p)
             loss = ref.sum_all(nm.mul(p["w"], p["w"]))
             nm.backward(loss)
-            _, state = nm.adam_step(p, nm.collect_grads(p), state, lr=0.05)
+            state = nm.adam_step(p, state, lr=0.05)
         return p["w"].data.copy()
 
     assert np.array_equal(run(), run())
@@ -141,8 +142,29 @@ def test_adam_deterministic():
 
 def test_adam_shape_mismatch():
     p = {"w": nm.param(np.ones(3))}
+    p["w"].grad = np.ones(4)
     with pytest.raises(ShapeMismatch):
-        nm.adam_step(p, {"w": np.ones(4)}, None, lr=0.1)
+        nm.adam_step(p, None, lr=0.1)
+
+
+def test_adam_step_consumes_grad():
+    p = {"w": nm.param(np.array([1.0, -2.0])), "idle": nm.param(np.array([0.5]))}
+    nm.backward(ref.sum_all(nm.mul(p["w"], p["w"])))
+    assert p["idle"].grad is None
+    state = nm.adam_step(p, None, lr=0.1)
+    assert isinstance(state, nm.AdamState) and state.step == 1
+    assert p["w"].data[0] < 1.0 and p["w"].data[1] > -2.0
+    assert np.array_equal(p["idle"].data, [0.5])  # no .grad is a zero-gradient step
+    assert all(t.grad is None for t in p.values())
+    # with every .grad consumed, the next step has zero gradients; m still moves w
+    w_before = p["w"].data.copy()
+    nm.adam_step(p, state, lr=0.1)
+    assert not np.array_equal(p["w"].data, w_before)
+    assert np.array_equal(p["idle"].data, [0.5])
+    p["w"].grad = np.ones((2, 1))
+    with pytest.raises(ShapeMismatch):
+        nm.adam_step(p, state, lr=0.1)
+    assert state.step == 2 and p["w"].grad.shape == (2, 1)  # a refused step consumes nothing
 
 
 def test_grad_check_rejects_nonfinite():
@@ -332,7 +354,9 @@ def test_fused_adam_is_bit_identical_to_the_per_parameter_update():
     for step in range(25):
         # "idle" never has a gradient; the others get a fresh, widely scaled one
         grads = {name: rng.normal(size=x.shape) * 10.0 ** rng.integers(-6, 3) for name, x in init.items() if name != "idle"}
-        _, state = nm.adam_step(fused, grads, state, lr=0.01 * (1 + step % 3))
+        for name, grad in grads.items():
+            fused[name].grad = grad
+        state = nm.adam_step(fused, state, lr=0.01 * (1 + step % 3))
         _reference_adam(ref, grads, ref_state, lr=0.01 * (1 + step % 3))
         for name in init:
             assert fused[name].data.shape == init[name].shape
@@ -343,15 +367,16 @@ def test_fused_adam_is_bit_identical_to_the_per_parameter_update():
 
 def test_fused_adam_state_is_fixed_to_its_parameters():
     p = {"w": nm.param(np.ones(3)), "b": nm.param(np.zeros(2))}
-    _, state = nm.adam_step(p, {}, None, lr=0.1)
+    state = nm.adam_step(p, None, lr=0.1)
     with pytest.raises(ShapeMismatch):
-        nm.adam_step({"w": p["w"]}, {}, state, lr=0.1)
+        nm.adam_step({"w": p["w"]}, state, lr=0.1)
     with pytest.raises(ShapeMismatch):
-        nm.adam_step({"w": p["w"], "c": nm.param(np.zeros(2))}, {}, state, lr=0.1)
+        nm.adam_step({"w": p["w"], "c": nm.param(np.zeros(2))}, state, lr=0.1)
     with pytest.raises(ShapeMismatch):
-        nm.adam_step({"w": p["w"], "b": nm.param(np.zeros(3))}, {}, state, lr=0.1)
+        nm.adam_step({"w": p["w"], "b": nm.param(np.zeros(3))}, state, lr=0.1)
     with pytest.raises(ShapeMismatch):
-        nm.adam_step({"w": p["w"], "b": nm.param(np.zeros((1, 2)))}, {}, state, lr=0.1)
+        nm.adam_step({"w": p["w"], "b": nm.param(np.zeros((1, 2)))}, state, lr=0.1)
     # the same names in another order address the same moments
-    nm.adam_step({"b": p["b"], "w": p["w"]}, {"w": np.ones(3)}, state, lr=0.1)
+    p["w"].grad = np.ones(3)
+    nm.adam_step({"b": p["b"], "w": p["w"]}, state, lr=0.1)
     assert state.step == 2

@@ -187,6 +187,43 @@ def test_later_undecodable_jsonl_rows_are_tallied_with_their_lines(tmp_path):
     assert report.entities["t"] == 2
 
 
+def test_jsonl_id_target_and_same_as_cells_of_other_types_are_row_errors(tmp_path):
+    (tmp_path / "rows.jsonl").write_text(
+        '{"id": "A1", "x": "B1", "alias": 7}\n'
+        '{"id": [1, 2], "x": "B2", "alias": "C2"}\n'
+        '{"id": "A3", "x": {"a": 1}, "alias": "C3"}\n'
+        '{"id": true, "x": "B4", "alias": "C4"}\n'
+        '{"id": "A5", "x": false, "alias": [5]}\n'
+        '{"id": 6, "x": 6.5, "alias": null}\n'
+    )
+    doc = json.loads(JSONL_SCHEMA)
+    doc["entity_types"][0]["object_properties"] = [
+        {"relation": "binds", "target_namespace": "drugbank", "target_column": "x"}
+    ]
+    doc["entity_types"][0]["same_as_links"] = [
+        {"source_column": "id", "target_namespace": "chembl", "target_column": "alias"}
+    ]
+    doc["namespaces"] = {"drugbank": "drug", "chembl": "protein"}
+    graph, report = build_graph(parse_schema(json.dumps(doc), base_dir=tmp_path), base_dir=tmp_path)
+    assert report.errors == [
+        f"{tmp_path / 'rows.jsonl'}:2: 'id' has unsupported type list",
+        f"{tmp_path / 'rows.jsonl'}:3: 'x' has unsupported type dict",
+        f"{tmp_path / 'rows.jsonl'}:4: 'id' has unsupported type bool",
+        f"{tmp_path / 'rows.jsonl'}:5: 'x' has unsupported type bool",
+        f"{tmp_path / 'rows.jsonl'}:5: 'alias' has unsupported type list",
+    ]
+    assert report.entities["t"] == 4  # rows 2 and 4 have no usable id
+    assert sorted(str(n.id) for n in graph.entities()) == [
+        "chembl:7", "chembl:C3", "drugbank:6.5", "drugbank:B1", "uniprot:6", "uniprot:A1", "uniprot:A3", "uniprot:A5",
+    ]
+    assert graph.triple_keys() == {
+        ("uniprot:A1", "binds", "drugbank:B1"),
+        ("uniprot:A1", "sameAs", "chembl:7"),
+        ("uniprot:A3", "sameAs", "chembl:C3"),
+        ("uniprot:6", "binds", "drugbank:6.5"),
+    }
+
+
 def test_build_fixture_graph_counts():
     graph, report = build_graph(load_fixture_schema(), base_dir=FIXTURES)
     # 4 protein rows -> 4 entities; one molecule row missing its id
