@@ -278,11 +278,7 @@ def rowsum(a) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"rowsum needs a 2-d tensor, got {a.data.shape}")
     n_cols = a.data.shape[1]
-    return _make(
-        a.data.sum(axis=1),
-        (a,),
-        lambda g: (np.repeat(g[:, None], n_cols, axis=1),),
-    )
+    return _make(a.data.sum(axis=1), (a,), lambda g: (np.repeat(g[:, None], n_cols, axis=1),))
 
 
 def l2norm_rows(a) -> Tensor:
@@ -321,18 +317,15 @@ def bce_with_logits(logits, labels) -> Tensor:
     x = logits.data
     n = x.size
     losses = (1.0 - y) * x + np.logaddexp(0.0, -x)
-    return _make(
-        np.asarray(losses.mean()),
-        (logits,),
-        lambda g: (g * (_sigmoid(x) - y) / n,),
-    )
+    return _make(np.asarray(losses.mean()), (logits,), lambda g: (g * (_sigmoid(x) - y) / n,))
 
 
 # -- tape ---------------------------------------------------------------------
 
 
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar; accumulates into `.grad` of reachable leaves."""
+    """Reverse-mode sweep from a scalar; adds into `.grad` of reachable leaves, which
+    keeps accumulating over sweeps until `adam_step` consumes it."""
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar, got shape {loss.data.shape}")
     order: list[Tensor] = []
@@ -437,7 +430,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 def adam_step(params: Mapping[str, Tensor], state: AdamState | None, lr: float) -> AdamState:
     """Standard Adam update on the gradients `backward` left on each parameter's
     `.grad`, which it consumes: every `.grad` is None afterwards, and a parameter with
-    no `.grad` is stepped with a zero gradient. Each parameter gets a new `.data` array,
+    no `.grad` is stepped with a zero gradient; a `.grad` left by an earlier `backward`
+    or `grad_check` is part of the step. Each parameter gets a new `.data` array,
     a slice of one buffer per step; the arrays it had before are never written."""
     if state is None:
         state = AdamState(params)

@@ -59,6 +59,7 @@ from .graph import (
     entity,
 )
 from .handlers import NUMBER_MODALITY
+from .util import read_utf8
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def _read_source(spec: DataSourceSpec, base_dir: Path) -> tuple[list[str], Itera
     which raises SourceRead if it cannot be decoded."""
     path = base_dir / spec.path
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:
+        text = read_utf8(path, SourceRead, f"source {spec.name!r} at")
+    except OSError as exc:
         raise SourceRead(f"cannot read source {spec.name!r} at {path}: {exc}") from None
     if spec.format == "delimited":
         reader = csv.reader(io.StringIO(text), delimiter=spec.delimiter)
@@ -289,10 +290,11 @@ def _is_null(value, markers: tuple[str, ...]) -> bool:
 
 
 def _cell_text(cell, column: str, where: str, errors: list[str]) -> str | None:
-    """A string, int or float cell as text; any other value is a row error (None)."""
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+    """A string, int or finite float cell as text; any other value is a row error (None)."""
+    if isinstance(cell, float) and not math.isfinite(cell):
+        errors.append(f"{where}: {column!r} is not finite")
+        return None
+    if isinstance(cell, (str, int, float)) and not isinstance(cell, bool):
         return str(cell)
     errors.append(f"{where}: {column!r} has unsupported type {type(cell).__name__}")
     return None

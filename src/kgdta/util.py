@@ -1,5 +1,4 @@
-"""Low-level helpers shared across the pipeline: stable hashing, seeded RNG substreams
-and reading a UTF-8 input file."""
+"""Low-level helpers shared across the pipeline: stable hashing, seeded RNG substreams, UTF-8 reads."""
 
 from __future__ import annotations
 

@@ -682,6 +682,19 @@ def test_sequential_warm_start_and_vocabulary_growth():
     assert phases == {0, 1}
 
 
+def test_warm_start_after_grad_check_on_its_parameters_trains_the_same():
+    world, table = small_world(seed=0)
+    cfg = PretrainConfig(score_fn="distmult", epochs=2, lr=1e-3, seed=4, **SMALL_DIMS)
+    phase1 = train(world.graph, table, cfg)
+    clean = checkpoint_to_json(Checkpoint.from_result(train(world.graph, table, cfg, warm_start=phase1)))
+    # grad_check leaves its analytic gradients on .grad of the warm-start parameters
+    name, tensor = next(iter(phase1.named_parameters().items()))
+    nm.grad_check(lambda p: ref.sum_all(nm.mul(p[name], p[name])), {name: tensor})
+    assert tensor.grad is not None
+    after = checkpoint_to_json(Checkpoint.from_result(train(world.graph, table, cfg, warm_start=phase1)))
+    assert after == clean
+
+
 def _checkpoint_arrays(ckpt):
     return {name: t.data for name, t in ckpt.named_parameters().items()}
 

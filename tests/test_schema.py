@@ -195,6 +195,8 @@ def test_jsonl_id_target_and_same_as_cells_of_other_types_are_row_errors(tmp_pat
         '{"id": true, "x": "B4", "alias": "C4"}\n'
         '{"id": "A5", "x": false, "alias": [5]}\n'
         '{"id": 6, "x": 6.5, "alias": null}\n'
+        '{"id": NaN, "x": "B7", "alias": "C7"}\n'
+        '{"id": "A8", "x": Infinity, "alias": 1e400}\n'
     )
     doc = json.loads(JSONL_SCHEMA)
     doc["entity_types"][0]["object_properties"] = [
@@ -211,10 +213,14 @@ def test_jsonl_id_target_and_same_as_cells_of_other_types_are_row_errors(tmp_pat
         f"{tmp_path / 'rows.jsonl'}:4: 'id' has unsupported type bool",
         f"{tmp_path / 'rows.jsonl'}:5: 'x' has unsupported type bool",
         f"{tmp_path / 'rows.jsonl'}:5: 'alias' has unsupported type list",
+        f"{tmp_path / 'rows.jsonl'}:7: 'id' is not finite",
+        f"{tmp_path / 'rows.jsonl'}:8: 'x' is not finite",
+        f"{tmp_path / 'rows.jsonl'}:8: 'alias' is not finite",
     ]
-    assert report.entities["t"] == 4  # rows 2 and 4 have no usable id
+    assert report.entities["t"] == 5  # rows 2, 4 and 7 have no usable id
     assert sorted(str(n.id) for n in graph.entities()) == [
-        "chembl:7", "chembl:C3", "drugbank:6.5", "drugbank:B1", "uniprot:6", "uniprot:A1", "uniprot:A3", "uniprot:A5",
+        "chembl:7", "chembl:C3", "drugbank:6.5", "drugbank:B1",
+        "uniprot:6", "uniprot:A1", "uniprot:A3", "uniprot:A5", "uniprot:A8",
     ]
     assert graph.triple_keys() == {
         ("uniprot:A1", "binds", "drugbank:B1"),
