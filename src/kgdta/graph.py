@@ -6,7 +6,11 @@ such as a sequence or a mass). Edges are data properties (entity -> attribute) o
 object properties (entity -> entity). Triples are unique per (source, relation name,
 target), and entities with equal ids merge across graphs.
 
-All collections iterate in insertion order, so builds are reproducible run to run.
+A graph is a node table, `nodes` in insertion order, plus its triples as three int
+columns: source node, relation code and target node. `triples()` is a view built
+from the columns on each call, and `index()` turns them into a `GraphIndex` with
+numpy. All collections iterate in insertion order, so builds are reproducible run
+to run.
 """
 
 from __future__ import annotations
@@ -148,14 +152,15 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
     relations = sorted(set(graph.relation_kinds) - set(META_RELATIONS))
     relation_code = {name: k for k, name in enumerate(relations)}
     n = max(len(nodes), 1)
-    rows, keys = [], []
-    for source, name, target in graph._triples:
-        s, t = position[source], position[target]
-        r = relation_code.get(name, -1)
-        rows.append((s, r, t))
-        if r >= 0:  # one int per edge, ordered as (relation, receiver, sender)
-            keys += ((r * n + t) * n + s, (r * n + s) * n + t)
-    segments, sender = np.divmod(np.unique(np.array(keys, dtype=np.intp)), n)
+    # insertion position -> canonical position, and first-use code -> sorted code
+    rank = np.array([position[nid] for nid in graph.nodes], dtype=np.intp)
+    recode = np.array([relation_code.get(name, -1) for name in graph.relation_kinds], dtype=np.intp)
+    source, code, target = graph.columns()
+    s, r, t = rank[source], recode[code], rank[target]
+    es, er, et = s[r >= 0], r[r >= 0], t[r >= 0]
+    # one int per edge, ordered as (relation, receiver, sender)
+    keys = np.concatenate([(er * n + et) * n + es, (er * n + es) * n + et])
+    segments, sender = np.divmod(np.unique(keys), n)
     # segments are sorted, so each (relation, receiver) run's length is its degree
     degree = np.searchsorted(segments, segments, "right") - np.searchsorted(segments, segments, "left")
     relation, receiver = np.divmod(segments, n)
@@ -165,7 +170,7 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
         is_entity=np.array([node.kind is NodeKind.ENTITY for node in nodes], dtype=bool),
         modalities=modalities,
         modality=np.array([modality_code[node.modality] for node in nodes], dtype=np.intp),
-        triples=np.array(rows, dtype=np.intp).reshape(-1, 3),
+        triples=np.stack([s, r, t], axis=1),
         relations=relations,
         relation=relation,
         receiver=receiver,
@@ -179,33 +184,62 @@ class MultimodalGraph:
 
     def __init__(self):
         self.nodes: dict[NodeId, Node] = {}
-        self._triples: dict[tuple[NodeId, str, NodeId], Triple] = {}
         self.relation_kinds: dict[str, RelationKind] = {}
         # canonical id -> ids merged away by resolve_same_as
         self.aliases: dict[NodeId, tuple[NodeId, ...]] = {}
+        self._position: dict[NodeId, int] = {}
+        self._relation_code: dict[str, int] = {}
+        self._source: list[int] = []
+        self._relation: list[int] = []
+        self._target: list[int] = []
+        self._keys: set[tuple[int, int, int]] = set()
         self._index: GraphIndex | None = None  # built on demand, dropped on mutation
 
     # -- mutation ---------------------------------------------------------
 
-    def add_node(self, node: Node) -> Node:
-        existing = self.nodes.get(node.id)
-        if existing is not None:
-            if existing.modality != node.modality:
-                raise ModalityConflict(
-                    f"node {node.id}: modality {existing.modality!r} vs {node.modality!r}"
-                )
-            if existing.kind != node.kind:
-                raise KindViolation(
-                    f"node {node.id}: kind {existing.kind.value} vs {node.kind.value}"
-                )
-            if existing.value != node.value:
-                raise ModalityConflict(
-                    f"node {node.id}: conflicting literal {existing.value!r} vs {node.value!r}"
-                )
-            return existing
-        self._index = None
-        self.nodes[node.id] = node
-        return node
+    def add_node(self, node: Node) -> int:
+        """The position of `node` in `nodes`, where it is added if its id is new.
+        Raises if the graph holds a node of another modality, kind or value under it."""
+        position = self._position.get(node.id)
+        if position is None:
+            self._index = None
+            position = self._position[node.id] = len(self.nodes)
+            self.nodes[node.id] = node
+            return position
+        existing = self.nodes[node.id]
+        if existing.modality != node.modality:
+            raise ModalityConflict(
+                f"node {node.id}: modality {existing.modality!r} vs {node.modality!r}"
+            )
+        if existing.kind != node.kind:
+            raise KindViolation(
+                f"node {node.id}: kind {existing.kind.value} vs {node.kind.value}"
+            )
+        if existing.value != node.value:
+            raise ModalityConflict(
+                f"node {node.id}: conflicting literal {existing.value!r} vs {node.value!r}"
+            )
+        return position
+
+    def _code(self, name: str, kind: RelationKind) -> int:
+        """The code of relation `name`, which is added if new."""
+        known_kind = self.relation_kinds.get(name)
+        if known_kind is None:
+            self.relation_kinds[name] = kind
+            self._relation_code[name] = len(self._relation_code)
+        elif known_kind is not kind:
+            raise KindViolation(f"relation {name!r} used as both data and object property")
+        return self._relation_code[name]
+
+    def _append(self, source: int, relation: int, target: int) -> None:
+        """Add the triple row unless the graph already holds it."""
+        key = (source, relation, target)
+        if key not in self._keys:
+            self._index = None
+            self._keys.add(key)
+            self._source.append(source)
+            self._relation.append(relation)
+            self._target.append(target)
 
     def add_triple(self, source: Node, relation: Relation, target: Node) -> "MultimodalGraph":
         if source.kind is not NodeKind.ENTITY:
@@ -214,27 +248,26 @@ class MultimodalGraph:
             raise KindViolation(f"data property {relation.name!r} must target an attribute")
         if relation.kind is RelationKind.OBJECT and target.kind is not NodeKind.ENTITY:
             raise KindViolation(f"object property {relation.name!r} must target an entity")
-        known_kind = self.relation_kinds.get(relation.name)
-        if known_kind is not None and known_kind is not relation.kind:
-            raise KindViolation(
-                f"relation {relation.name!r} used as both data and object property"
-            )
-        self.add_node(source)
-        self.add_node(target)
-        self.relation_kinds.setdefault(relation.name, relation.kind)
-        triple = Triple(source.id, relation, target.id)
-        if triple.key not in self._triples:
-            self._index = None
-            self._triples[triple.key] = triple
+        code = self._code(relation.name, relation.kind)
+        self._append(self.add_node(source), code, self.add_node(target))
         return self
 
     # -- queries ----------------------------------------------------------
 
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The (source, relation, target) int columns, one row per triple in insertion
+        order: node i is the i-th key of `nodes`, relation k the k-th key of
+        `relation_kinds`. They are the graph's own lists: read them, do not change them."""
+        return self._source, self._relation, self._target
+
     def triples(self) -> list[Triple]:
-        return list(self._triples.values())
+        """Every triple in insertion order, built from the columns on each call."""
+        ids = list(self.nodes)
+        relations = [Relation(name, kind) for name, kind in self.relation_kinds.items()]
+        return [Triple(ids[s], relations[r], ids[t]) for s, r, t in zip(*self.columns())]
 
     def num_triples(self) -> int:
-        return len(self._triples)
+        return len(self._source)
 
     def entities(self) -> list[Node]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.ENTITY]
@@ -249,24 +282,20 @@ class MultimodalGraph:
         return self._index
 
     def triple_keys(self) -> set[tuple[str, str, str]]:
-        """Hashable view used by tests and merge code for set comparisons."""
-        return {(str(s), r, str(t)) for (s, r, t) in self._triples}
+        """The triples as (source, relation name, target) strings, for set comparisons."""
+        return {(str(t.source), t.relation.name, str(t.target)) for t in self.triples()}
 
 
 def merge_graphs(a: MultimodalGraph, b: MultimodalGraph) -> MultimodalGraph:
     """Union of nodes and triples; entities with equal ids merge their incident triples."""
     merged = MultimodalGraph()
     for g in (a, b):
-        for node in g.nodes.values():
-            merged.add_node(node)
-        for triple in g.triples():
-            merged.add_triple(g.nodes[triple.source], triple.relation, g.nodes[triple.target])
-    for g in (a, b):
+        position = [merged.add_node(node) for node in g.nodes.values()]
+        code = [merged._code(name, kind) for name, kind in g.relation_kinds.items()]
+        for s, r, t in zip(*g.columns()):
+            merged._append(position[s], code[r], position[t])
         for canonical, alias_ids in g.aliases.items():
-            seen = merged.aliases.get(canonical, ())
-            merged.aliases[canonical] = tuple(
-                sorted(set(seen) | set(alias_ids))
-            )
+            merged.aliases[canonical] = tuple(sorted({*merged.aliases.get(canonical, ()), *alias_ids}))
     return merged
 
 
@@ -277,64 +306,58 @@ def resolve_same_as(graph: MultimodalGraph) -> MultimodalGraph:
     component. sameAs triples are dropped; everything else is rewritten onto the
     canonical ids. The merged-away ids are recorded in `aliases`.
     """
-    parent: dict[NodeId, NodeId] = {}
+    ids = list(graph.nodes)
+    nodes = list(graph.nodes.values())
+    parent = list(range(len(ids)))
 
-    def find(x: NodeId) -> NodeId:
+    def find(x: int) -> int:
         root = x
-        while parent.get(root, root) != root:
+        while parent[root] != root:
             root = parent[root]
-        while parent.get(x, x) != x:
+        while parent[x] != root:
             parent[x], x = root, parent[x]
         return root
 
-    def union(x: NodeId, y: NodeId):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            # keep the smaller id as the root so canonicals fall out of find()
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    same_as = [t for t in graph.triples() if t.relation.name == SAME_AS]
-    for triple in same_as:
-        parent.setdefault(triple.source, triple.source)
-        parent.setdefault(triple.target, triple.target)
-        union(triple.source, triple.target)
-
-    canon: dict[NodeId, NodeId] = {nid: find(nid) for nid in parent}
+    same_as = graph._relation_code.get(SAME_AS, -1)
+    linked: dict[int, None] = {}  # nodes of sameAs triples, in first-use order
+    for s, r, t in zip(*graph.columns()):
+        if r == same_as:
+            linked[s] = linked[t] = None
+            # the smaller id stays the root, so canonicals fall out of find()
+            low, high = sorted((find(s), find(t)), key=ids.__getitem__)
+            parent[high] = low
 
     # modality consistency inside each component
-    members: dict[NodeId, list[NodeId]] = {}
-    for nid, root in canon.items():
-        members.setdefault(root, []).append(nid)
-    for root, ids in members.items():
-        modalities = {graph.nodes[i].modality for i in ids if i in graph.nodes}
+    members: dict[int, list[int]] = {}
+    for i in linked:
+        members.setdefault(find(i), []).append(i)
+    for root, group in members.items():
+        modalities = {nodes[i].modality for i in group}
         if len(modalities) > 1:
             raise ModalityConflict(
-                f"sameAs component of {root} mixes modalities {sorted(modalities)}"
+                f"sameAs component of {ids[root]} mixes modalities {sorted(modalities)}"
             )
 
     resolved = MultimodalGraph()
-    for node in graph.nodes.values():
-        target_id = canon.get(node.id, node.id)
-        if target_id == node.id:
-            resolved.add_node(node)
-        else:
-            resolved.add_node(Node(target_id, node.modality, node.kind, node.value))
-    for triple in graph.triples():
-        if triple.relation.name == SAME_AS:
-            continue
-        s = canon.get(triple.source, triple.source)
-        t = canon.get(triple.target, triple.target)
-        resolved.add_triple(resolved.nodes[s], triple.relation, resolved.nodes[t])
+    position = []
+    for i, node in enumerate(nodes):
+        root = find(i)
+        if root != i:
+            node = Node(ids[root], node.modality, node.kind, node.value)
+        position.append(resolved.add_node(node))
+    code = [-1 if name == SAME_AS else resolved._code(name, kind) for name, kind in graph.relation_kinds.items()]
+    for s, r, t in zip(*graph.columns()):
+        if code[r] >= 0:
+            resolved._append(position[s], code[r], position[t])
 
-    for root, ids in sorted(members.items()):
-        dropped = tuple(sorted(i for i in ids if i != root))
+    for root in sorted(members, key=ids.__getitem__):
+        dropped = tuple(sorted(ids[i] for i in members[root] if i != root))
         if dropped:
-            resolved.aliases[root] = dropped
+            resolved.aliases[ids[root]] = dropped
     # carry forward aliases from earlier resolutions, remapped onto new canonicals
     for canonical, alias_ids in graph.aliases.items():
-        root = canon.get(canonical, canonical)
+        i = graph._position.get(canonical)
+        root = canonical if i is None else ids[find(i)]
         seen = set(resolved.aliases.get(root, ()))
         seen.update(alias_ids)
         seen.discard(root)

@@ -330,6 +330,9 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                 if _is_null(cell, markers):
                     continue
                 if dp.modality == NUMBER_MODALITY:
+                    if isinstance(cell, bool):
+                        report.errors.append(f"{where}: {dp.column!r} has unsupported type bool")
+                        continue
                     try:
                         value = float(cell)
                     except (TypeError, ValueError):
@@ -375,31 +378,19 @@ _META_MODALITY = "ns://meta/modality"
 _FLOAT_TAG = "ns://meta/float"
 _REL_PREFIX = "ns://rel/"
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _escape_literal(s: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in s)
+def _unescape_literal(s: str, lineno: int) -> str:
+    def unescape(m: re.Match) -> str:
+        mapped = _UNESCAPES.get(m.group(1))
+        if mapped is None:
+            raise NTriplesParse(f"line {lineno}: unknown escape \\{m.group(1)}")
+        return mapped
 
-
-def _unescape_literal(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            if i + 1 >= len(s):
-                raise ValueError("dangling escape")
-            nxt = s[i + 1]
-            mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(nxt)
-            if mapped is None:
-                raise ValueError(f"unknown escape \\{nxt}")
-            out.append(mapped)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(unescape, s)
 
 
 def _node_iri(node_id: NodeId) -> str:
@@ -408,23 +399,17 @@ def _node_iri(node_id: NodeId) -> str:
 
 def to_ntriples(graph: MultimodalGraph) -> str:
     """Serialize to the sorted N-Triples dialect described in the module docstring."""
-    lines = []
-    for triple in graph.triples():
-        lines.append(
-            f"<{_node_iri(triple.source)}> <{_REL_PREFIX}{quote(triple.relation.name, safe='')}> "
-            f"<{_node_iri(triple.target)}> ."
-        )
-    for node in graph.nodes.values():
-        iri = _node_iri(node.id)
-        lines.append(f'<{iri}> <{_META_MODALITY}> "{_escape_literal(node.modality)}" .')
+    iris = [f"<{_node_iri(node_id)}>" for node_id in graph.nodes]
+    relations = [f"<{_REL_PREFIX}{quote(name, safe='')}>" for name in graph.relation_kinds]
+    lines = [f"{iris[s]} {relations[r]} {iris[t]} ." for s, r, t in zip(*graph.columns())]
+    for iri, node in zip(iris, graph.nodes.values()):
+        lines.append(f'{iri} <{_META_MODALITY}> "{node.modality.translate(_ESCAPES)}" .')
         if node.kind is NodeKind.ATTRIBUTE:
             if isinstance(node.value, float):
-                lines.append(f'<{iri}> <{_META_VALUE}> "{node.value!r}"^^<{_FLOAT_TAG}> .')
+                lines.append(f'{iri} <{_META_VALUE}> "{node.value!r}"^^<{_FLOAT_TAG}> .')
             else:
-                lines.append(f'<{iri}> <{_META_VALUE}> "{_escape_literal(node.value)}" .')
-    if not lines:
-        return ""
-    return "\n".join(sorted(lines)) + "\n"
+                lines.append(f'{iri} <{_META_VALUE}> "{node.value.translate(_ESCAPES)}" .')
+    return "\n".join(sorted(lines)) + "\n" if lines else ""
 
 
 _LINE_RE = re.compile(
@@ -433,23 +418,28 @@ _LINE_RE = re.compile(
 )
 
 
-def _parse_iri(iri: str, lineno: int) -> NodeId:
+def _node_id(iri: str, lineno: int, parsed: dict[str, NodeId]) -> NodeId:
+    """The id that node IRI `iri` names, parsed at its first line and kept in `parsed`."""
+    if iri in parsed:
+        return parsed[iri]
     if not iri.startswith("ns://"):
         raise NTriplesParse(f"line {lineno}: unsupported IRI scheme in {iri!r}")
-    rest = iri[len("ns://") :]
-    if "/" not in rest:
-        raise NTriplesParse(f"line {lineno}: malformed node IRI {iri!r}")
-    ns, local = rest.split("/", 1)
+    ns, _, local = iri[len("ns://") :].partition("/")
     if not ns or not local:
         raise NTriplesParse(f"line {lineno}: malformed node IRI {iri!r}")
-    return NodeId(unquote(ns), unquote(local))
+    parsed[iri] = NodeId(unquote(ns), unquote(local))
+    return parsed[iri]
 
 
 def parse_ntriples(text: str) -> MultimodalGraph:
-    """Parse the dialect emitted by `to_ntriples`; inverse of it on triple sets."""
+    """Parse the dialect emitted by `to_ntriples`; inverse of it on triple sets.
+
+    Each distinct IRI is parsed at its first line, and each node is built once. A
+    node's modality and value lines may repeat only with the same literal."""
+    node_ids: dict[str, NodeId] = {}
     modalities: dict[NodeId, str] = {}
     values: dict[NodeId, str | float] = {}
-    edges: list[tuple[NodeId, str, NodeId, int]] = []
+    edges: list[tuple[str, str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -458,48 +448,51 @@ def parse_ntriples(text: str) -> MultimodalGraph:
         if m is None:
             raise NTriplesParse(f"line {lineno}: malformed N-Triples line: {raw!r}")
         subject_iri, predicate_iri, object_iri, literal, datatype = m.groups()
-        subject = _parse_iri(subject_iri, lineno)
+        subject = _node_id(subject_iri, lineno, node_ids)
         if predicate_iri == _META_MODALITY:
             if literal is None:
                 raise NTriplesParse(f"line {lineno}: modality must be a literal")
-            modalities[subject] = _unescape_literal(literal)
+            modality = _unescape_literal(literal, lineno)
+            if modalities.setdefault(subject, modality) != modality:
+                raise NTriplesParse(
+                    f"line {lineno}: node {subject}: modality {modalities[subject]!r} vs {modality!r}"
+                )
         elif predicate_iri == _META_VALUE:
             if literal is None:
                 raise NTriplesParse(f"line {lineno}: value must be a literal")
             if datatype == _FLOAT_TAG:
                 try:
-                    values[subject] = float(literal)
+                    value = float(literal)
                 except ValueError:
                     raise NTriplesParse(f"line {lineno}: bad float literal {literal!r}") from None
             elif datatype is not None:
                 raise NTriplesParse(f"line {lineno}: unknown literal datatype {datatype!r}")
             else:
-                try:
-                    values[subject] = _unescape_literal(literal)
-                except ValueError as exc:
-                    raise NTriplesParse(f"line {lineno}: {exc}") from None
+                value = _unescape_literal(literal, lineno)
+            # by repr, so that 1.0 and "1.0" differ and nan equals itself
+            if repr(values.setdefault(subject, value)) != repr(value):
+                raise NTriplesParse(
+                    f"line {lineno}: node {subject}: conflicting literal {values[subject]!r} vs {value!r}"
+                )
         else:
             if not predicate_iri.startswith(_REL_PREFIX):
                 raise NTriplesParse(f"line {lineno}: unknown predicate {predicate_iri!r}")
             if object_iri is None:
                 raise NTriplesParse(f"line {lineno}: relation triple needs an IRI object")
-            relation = unquote(predicate_iri[len(_REL_PREFIX) :])
-            edges.append((subject, relation, _parse_iri(object_iri, lineno), lineno))
+            _node_id(object_iri, lineno, node_ids)
+            edges.append((subject_iri, predicate_iri, object_iri, lineno))
 
     graph = MultimodalGraph()
-
-    def node_for(node_id: NodeId, lineno: int) -> Node:
-        modality = modalities.get(node_id)
-        if modality is None:
-            raise NTriplesParse(f"line {lineno}: node {node_id} has no modality triple")
-        if node_id in values:
-            return Node(node_id, modality, NodeKind.ATTRIBUTE, values[node_id])
-        return Node(node_id, modality, NodeKind.ENTITY)
-
-    for node_id in modalities:
-        graph.add_node(node_for(node_id, 0))
-    for subject, relation, obj, lineno in edges:
-        target = node_for(obj, lineno)
+    for nid, modality in modalities.items():
+        kind = NodeKind.ATTRIBUTE if nid in values else NodeKind.ENTITY
+        graph.add_node(Node(nid, modality, kind, values.get(nid)))
+    nodes = {iri: graph.nodes.get(nid) for iri, nid in node_ids.items()}
+    names = {p: unquote(p[len(_REL_PREFIX) :]) for p in {edge[1] for edge in edges}}
+    for subject_iri, predicate_iri, object_iri, lineno in edges:
+        for iri in (object_iri, subject_iri):
+            if nodes[iri] is None:
+                raise NTriplesParse(f"line {lineno}: node {node_ids[iri]} has no modality triple")
+        target = nodes[object_iri]
         kind = RelationKind.DATA if target.kind is NodeKind.ATTRIBUTE else RelationKind.OBJECT
-        graph.add_triple(node_for(subject, lineno), Relation(relation, kind), target)
+        graph.add_triple(nodes[subject_iri], Relation(names[predicate_iri], kind), target)
     return graph

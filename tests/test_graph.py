@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_ref import reference_index
+from kg_strategies import graphs as kg_graphs
 from kgdta.errors import KindViolation, ModalityConflict
 from kgdta.graph import (
     MultimodalGraph,
@@ -239,3 +242,64 @@ def test_resolve_same_as_idempotent(g):
     twice = resolve_same_as(once)
     assert twice.triple_keys() == once.triple_keys()
     assert set(twice.nodes) == set(once.nodes)
+
+
+# --- the int columns and the index built from them ------------------------------
+
+
+@st.composite
+def graphs_with_same_as(draw):
+    """A gnarly graph plus sameAs links among its drug namespaces."""
+    g = draw(kg_graphs(gnarly=True))
+    ids = st.sampled_from(["x0", "x1", "x2", "a b"])
+    namespaces = st.sampled_from(["drugbank", "chembl"])
+    for _ in range(draw(st.integers(0, 4))):
+        left = entity(draw(namespaces), draw(ids), "drug")
+        g.add_triple(left, SAME_AS_REL, entity(draw(namespaces), draw(ids), "drug"))
+    return g
+
+
+def assert_index_matches_reference(g):
+    got, want = g.index(), reference_index(g)
+    for name in ("node_ids", "position", "modalities", "relations"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("is_entity", "modality", "triples", "relation", "receiver", "sender", "weight"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+@settings(max_examples=150)
+@given(kg_graphs(gnarly=True))
+def test_index_matches_the_per_triple_reference(g):
+    assert_index_matches_reference(g)
+
+
+@settings(max_examples=100)
+@given(graphs_with_same_as(), graphs_with_same_as())
+def test_index_of_merged_and_resolved_graphs_matches_the_reference(a, b):
+    merged = merge_graphs(a, b)
+    for g in (merged, resolve_same_as(a), resolve_same_as(merged)):
+        assert_index_matches_reference(g)
+
+
+@settings(max_examples=100)
+@given(graphs_with_same_as(), graphs_with_same_as())
+def test_merge_and_resolve_keep_insertion_order(a, b):
+    """Both add nodes and triples in the order that replaying the inputs' triples
+    row by row through `add_node` and `add_triple` would."""
+    want = MultimodalGraph()
+    for g in (a, b):
+        for node in g.nodes.values():
+            want.add_node(node)
+        for t in g.triples():
+            want.add_triple(g.nodes[t.source], t.relation, g.nodes[t.target])
+    merged = merge_graphs(a, b)
+    assert list(merged.nodes.values()) == list(want.nodes.values())
+    assert merged.triples() == want.triples()
+
+    resolved = resolve_same_as(a)
+    canon = {alias: root for root, aliases in resolved.aliases.items() for alias in aliases}
+    assert list(resolved.nodes) == list(dict.fromkeys(canon.get(nid, nid) for nid in a.nodes))
+    rows = ((canon.get(t.source, t.source), t.relation, canon.get(t.target, t.target))
+            for t in a.triples() if t.relation.name != "sameAs")
+    assert [(t.source, t.relation, t.target) for t in resolved.triples()] == list(dict.fromkeys(rows))

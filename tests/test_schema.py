@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kg_strategies import graphs
-from kgdta.errors import NTriplesParse, SchemaParse, SchemaValidation, SourceRead
+from kgdta.errors import KindViolation, NTriplesParse, SchemaParse, SchemaValidation, SourceRead
 from kgdta.graph import MultimodalGraph, NodeId, resolve_same_as
 from kgdta.schema import Schema, build_graph, parse_schema, parse_ntriples, to_ntriples
 
@@ -230,6 +230,19 @@ def test_jsonl_id_target_and_same_as_cells_of_other_types_are_row_errors(tmp_pat
     }
 
 
+
+def test_jsonl_bool_in_a_number_column_is_a_row_error(tmp_path):
+    (tmp_path / "rows.jsonl").write_text('{"id": "A1", "len": true}\n{"id": "A2", "len": false}\n{"id": "A3", "len": 4}\n')
+    doc = json.loads(JSONL_SCHEMA)
+    doc["entity_types"][0]["data_properties"] = [{"relation": "length", "column": "len", "modality": "number"}]
+    graph, report = build_graph(parse_schema(json.dumps(doc), base_dir=tmp_path), base_dir=tmp_path)
+    assert report.errors == [
+        f"{tmp_path / 'rows.jsonl'}:1: 'len' has unsupported type bool",
+        f"{tmp_path / 'rows.jsonl'}:2: 'len' has unsupported type bool",
+    ]
+    assert report.entities["t"] == 3
+    assert [n.value for n in graph.attributes()] == [4.0]
+
 def test_build_fixture_graph_counts():
     graph, report = build_graph(load_fixture_schema(), base_dir=FIXTURES)
     # 4 protein rows -> 4 entities; one molecule row missing its id
@@ -386,3 +399,64 @@ def test_unknown_predicate_rejected():
 def test_node_without_modality_rejected():
     with pytest.raises(NTriplesParse, match="modality"):
         parse_ntriples("<ns://a/b> <ns://rel/r> <ns://a/c> .\n")
+
+
+def nt(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+_TEXT_NODE = '<ns://a/x> <ns://meta/modality> "text" .'
+
+
+@pytest.mark.parametrize("lines", [
+    [_TEXT_NODE, '<ns://a/x> <ns://meta/modality> "drug" .'],
+    [_TEXT_NODE, '<ns://a/x> <ns://meta/value> "one" .', '<ns://a/x> <ns://meta/value> "two" .'],
+    [_TEXT_NODE, '<ns://a/x> <ns://meta/value> "1.0"^^<ns://meta/float> .', '<ns://a/x> <ns://meta/value> "1.0" .'],
+])
+def test_conflicting_meta_lines_name_the_second(lines):
+    with pytest.raises(NTriplesParse, match=f"^line {len(lines)}: node a:x"):
+        parse_ntriples(nt(*lines))
+
+
+def test_repeated_meta_lines_with_the_same_literal_are_accepted():
+    lines = [_TEXT_NODE, '<ns://a/x> <ns://meta/value> "nan"^^<ns://meta/float> .']
+    graph = parse_ntriples(nt(*lines, *lines))
+    (node,) = graph.nodes.values()
+    assert node.modality == "text" and node.value != node.value
+
+
+def test_a_bad_iri_reports_its_first_line():
+    good = '<ns://a/x> <ns://meta/modality> "drug" .'
+    bad = '<ns://a> <ns://meta/modality> "drug" .'
+    with pytest.raises(NTriplesParse, match="^line 2: malformed node IRI"):
+        parse_ntriples(nt(good, bad, good, good, bad))
+
+
+def test_a_node_without_modality_reports_the_first_edge_line_using_it():
+    text = nt(
+        '<ns://a/b> <ns://meta/modality> "drug" .',
+        '<ns://a/b> <ns://rel/r> <ns://a/c> .',
+        '<ns://a/b> <ns://rel/s> <ns://a/c> .',
+    )
+    with pytest.raises(NTriplesParse, match="^line 2: node a:c has no modality triple"):
+        parse_ntriples(text)
+
+
+def test_a_relation_with_attribute_and_entity_targets_is_a_kind_violation():
+    text = nt(
+        '<ns://a/b> <ns://meta/modality> "drug" .',
+        '<ns://a/c> <ns://meta/modality> "drug" .',
+        '<ns://v/h> <ns://meta/modality> "text" .',
+        '<ns://v/h> <ns://meta/value> "hi" .',
+        '<ns://a/b> <ns://rel/r> <ns://a/c> .',
+        '<ns://a/b> <ns://rel/r> <ns://v/h> .',
+    )
+    with pytest.raises(KindViolation, match="used as both data and object property"):
+        parse_ntriples(text)
+
+
+@pytest.mark.parametrize("predicate", ["modality", "value"])
+def test_an_unknown_escape_reports_its_line(predicate):
+    text = nt('<ns://v/h> <ns://meta/modality> "text" .', f'<ns://v/h> <ns://meta/{predicate}> "a\\qb" .')
+    with pytest.raises(NTriplesParse, match=r"^line 2: unknown escape \\q"):
+        parse_ntriples(text)
