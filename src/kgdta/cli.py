@@ -4,7 +4,8 @@ Every stochastic command requires --seed and is byte-reproducible: identical inp
 and flags produce identical output files. A JSON config file may supply any flag
 (--config path); explicit flags win.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure. Each
+error type in `kgdta.errors` carries its own as `exit_code`.
 """
 
 from __future__ import annotations
@@ -37,30 +38,8 @@ from .pretrain import (
 from .schema import build_graph, parse_ntriples, parse_schema, to_ntriples
 from .util import read_utf8
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
-USAGE_ERRORS = (err.SchemaParse, err.SchemaValidation, ValueError)
-DATA_ERRORS = (
-    err.SourceRead,
-    err.NTriplesParse,
-    err.ParseError,
-    err.InfeasibleSplit,
-    err.EmptyTrainingSet,
-    err.EmptyTrain,
-    err.ExhaustedCandidates,
-    err.InvalidK,
-    err.ModalityConflict,
-    err.KindViolation,
-    err.MissingHandler,
-    err.MissingProjection,
-    err.UnknownRelation,
-    err.DimMismatch,
-    OSError,
-)
-NUMERIC_ERRORS = (err.NonFinite, err.ShapeMismatch, err.ZeroVariance)
+# the stderr prefix of each failing exit code
+PREFIXES = {2: "error", 3: "data error", 4: "numeric failure"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +178,7 @@ def _cmd_build_kg(args) -> int:
     for line in report.errors:
         print(f"row error: {line}", file=sys.stderr)
     print(f"row errors: {len(report.errors)}")
-    return EXIT_OK
+    return 0
 
 
 # --- pretrain -------------------------------------------------------------------
@@ -288,7 +267,7 @@ def _cmd_pretrain(args) -> int:
     else:
         print(f"wrote {args.out} (no epochs ran)")
     print(f"training log: {log_path}")
-    return EXIT_OK
+    return 0
 
 
 # --- infer -----------------------------------------------------------------------
@@ -311,7 +290,7 @@ def _cmd_infer(args) -> int:
     initial, enhanced = infer(ckpt.params, ckpt.policy, args.value, modality, registry)
     print(json.dumps({"embedding": "initial", "dim": len(initial), "values": initial.tolist()}))
     print(json.dumps({"embedding": "gnn", "dim": len(enhanced), "values": enhanced.tolist()}))
-    return EXIT_OK
+    return 0
 
 
 # --- benchmark ----------------------------------------------------------------------
@@ -381,7 +360,7 @@ def _cmd_benchmark(args) -> int:
     Path(text_path).write_text(text, encoding="utf-8", newline="\n")
     print(text, end="")
     print(f"wrote {jsonl_path} and {text_path}")
-    return EXIT_OK
+    return 0
 
 
 COMMANDS = {
@@ -395,26 +374,14 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _inject_config(argv)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(_inject_config(argv))
         return COMMANDS[args.command](args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code) if exc.code else 0
+    except (err.KgdtaError, ValueError, OSError) as exc:  # a ValueError is a bad flag value
+        code = exc.exit_code if isinstance(exc, err.KgdtaError) else 2 if isinstance(exc, ValueError) else 3
+        print(f"{PREFIXES[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint():

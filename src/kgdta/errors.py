@@ -2,7 +2,10 @@
 
 
 class KgdtaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. `exit_code` is the CLI's exit status when
+    one reaches it: 2 for a usage or config error, 3 for bad data, 4 for a numeric failure."""
+
+    exit_code = 3
 
 
 # graph construction
@@ -18,9 +21,13 @@ class KindViolation(KgdtaError):
 class SchemaParse(KgdtaError):
     """Schema file is not valid JSON."""
 
+    exit_code = 2
+
 
 class SchemaValidation(KgdtaError):
     """Schema is well-formed JSON but semantically invalid."""
+
+    exit_code = 2
 
 
 class SourceRead(KgdtaError):
@@ -47,10 +54,14 @@ class ParseError(KgdtaError):
 class NonFinite(KgdtaError):
     """A computation produced or received NaN/inf."""
 
+    exit_code = 4
+
 
 # numerics
 class ShapeMismatch(KgdtaError):
     """Tensor shapes incompatible for the requested operation."""
+
+    exit_code = 4
 
 
 # gnn
@@ -82,6 +93,8 @@ class InfeasibleSplit(KgdtaError):
 
 class ZeroVariance(KgdtaError):
     """Correlation undefined: predictions or labels are constant."""
+
+    exit_code = 4
 
 
 class EmptyTrain(KgdtaError):

@@ -30,6 +30,8 @@ META_RELATIONS = (RDF_TYPE, SAME_AS)
 
 # attribute nodes carrying this modality are zero-initialized like entities
 CATEGORICAL = "categorical"
+# the namespace of attribute node ids, which are content hashes
+ATTR_NAMESPACE = "attr"
 
 
 class NodeKind(Enum):
@@ -96,7 +98,13 @@ def literal(value: str | float) -> str | float:
     return value if isinstance(value, str) else float(value)
 
 
-def attribute_node(modality: str, value: str | float, namespace: str = "attr") -> Node:
+def same_literal(a: str | float, b: str | float) -> bool:
+    """Whether two attribute literals are one value: equal, or both NaN. A number
+    never equals a string, so 1.0 and "1.0" differ."""
+    return a == b or (a != a and b != b)
+
+
+def attribute_node(modality: str, value: str | float) -> Node:
     """Attribute node whose id is a stable content hash of (modality, value).
 
     Identical literals become shared nodes, which both deduplicates storage and lets
@@ -107,7 +115,7 @@ def attribute_node(modality: str, value: str | float, namespace: str = "attr") -
         digest = fnv1a64(f"{modality}\x00num\x00{value!r}")
     else:
         digest = fnv1a64(f"{modality}\x00str\x00{value}")
-    return Node(NodeId(namespace, f"{digest:016x}"), modality, NodeKind.ATTRIBUTE, value)
+    return Node(NodeId(ATTR_NAMESPACE, f"{digest:016x}"), modality, NodeKind.ATTRIBUTE, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +223,7 @@ class MultimodalGraph:
             raise KindViolation(
                 f"node {node.id}: kind {existing.kind.value} vs {node.kind.value}"
             )
-        if existing.value != node.value:
+        if not same_literal(existing.value, node.value):
             raise ModalityConflict(
                 f"node {node.id}: conflicting literal {existing.value!r} vs {node.value!r}"
             )

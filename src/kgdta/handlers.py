@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DimMismatch, KindViolation, MissingHandler, ModalityConflict, NonFinite, ParseError
-from .graph import CATEGORICAL, MultimodalGraph, NodeId, NodeKind
+from .graph import ATTR_NAMESPACE, CATEGORICAL, MultimodalGraph, NodeId, NodeKind
 from .util import FNV64_OFFSET, FNV64_PRIME, read_utf8
 
 SEQUENCE_MODALITY = "protein_sequence"
@@ -152,9 +152,6 @@ class HandlerRegistry:
     def __contains__(self, modality: str) -> bool:
         return modality in self._handlers
 
-    def modalities(self) -> list[str]:
-        return list(self._handlers)
-
 
 def default_registry(
     sequence_dim: int = 128,
@@ -229,7 +226,7 @@ def import_external_embeddings(path: str) -> dict[str, dict[NodeId, np.ndarray]]
             namespace, local = key.split(":", 1)
             node_id = NodeId(namespace, local)
         else:
-            node_id = NodeId("attr", key)
+            node_id = NodeId(ATTR_NAMESPACE, key)
         vectors[node_id] = np.array(values, dtype=np.float64)
     return {modality: vectors}
 

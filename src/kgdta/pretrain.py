@@ -621,18 +621,12 @@ def evaluate_link_auc(
 def sequential_pretrain(
     graphs: list[MultimodalGraph],
     cfg: PretrainConfig,
-    initial_tables: list[EmbeddingTable] | None = None,
-    registry=None,
+    initial_tables: list[EmbeddingTable],
 ) -> TrainResult:
     """Train on each graph in order, warm-starting every phase from the previous
     checkpoint; relations and modalities introduced later get fresh weights."""
     if not graphs:
         raise EmptyTrainingSet("no graphs to pretrain on")
-    if initial_tables is None:
-        from .handlers import compute_initial_embeddings, default_registry
-
-        registry = registry or default_registry()
-        initial_tables = [compute_initial_embeddings(g, registry) for g in graphs]
     result: TrainResult | None = None
     log: list[dict] = []
     for phase, (graph, initial) in enumerate(zip(graphs, initial_tables)):

@@ -57,6 +57,7 @@ from .graph import (
     RelationKind,
     attribute_node,
     entity,
+    same_literal,
 )
 from .handlers import NUMBER_MODALITY
 from .util import read_utf8
@@ -190,7 +191,7 @@ def _read_source(spec: DataSourceSpec, base_dir: Path) -> tuple[list[str], Itera
             if cells
         )
         return header, rows
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(text.split("\n"), start=1)  # a JSON string may hold U+2028
     rows = ((n, _json_row(line, f"{path}:{n}")) for n, line in numbered if line.strip())
     first = next(rows, None)
     if first is None:
@@ -440,7 +441,7 @@ def parse_ntriples(text: str) -> MultimodalGraph:
     modalities: dict[NodeId, str] = {}
     values: dict[NodeId, str | float] = {}
     edges: list[tuple[str, str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # a literal may hold U+2028 raw
         line = raw.strip()
         if not line:
             continue
@@ -469,8 +470,7 @@ def parse_ntriples(text: str) -> MultimodalGraph:
                 raise NTriplesParse(f"line {lineno}: unknown literal datatype {datatype!r}")
             else:
                 value = _unescape_literal(literal, lineno)
-            # by repr, so that 1.0 and "1.0" differ and nan equals itself
-            if repr(values.setdefault(subject, value)) != repr(value):
+            if not same_literal(values.setdefault(subject, value), value):
                 raise NTriplesParse(
                     f"line {lineno}: node {subject}: conflicting literal {values[subject]!r} vs {value!r}"
                 )

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from kgdta import cli, errors
 from kgdta.cli import main
 from kgdta.downstream import save_affinity_tsv
 from kgdta.gnn import FlowPolicy
@@ -489,3 +490,59 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert code == 0
     assert json.loads(out2.read_text())["meta"]["seed"] == 5
     assert json.loads(out.read_text())["meta"]["seed"] == 4
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+PACKAGE_ERRORS = _subclasses(errors.KgdtaError)
+# the types that do not exit 3, as the README documents them
+NOT_DATA_ERRORS = {"SchemaParse": 2, "SchemaValidation": 2, "NonFinite": 4, "ShapeMismatch": 4, "ZeroVariance": 4}
+PREFIXES = {2: "error:", 3: "data error:", 4: "numeric failure:"}
+INFER_ARGV = ["infer", "--ckpt", "c.json", "--modality", "smiles", "--value", "CCO"]
+
+
+def _run_raising(exc, monkeypatch, capsys):
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "infer", command)
+    return run(INFER_ARGV, capsys)
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_class_code_and_prefix(error, monkeypatch, capsys):
+    code, out, err_out = _run_raising(error("boom"), monkeypatch, capsys)
+    assert code in (2, 3, 4)
+    assert code == error.exit_code == NOT_DATA_ERRORS.get(error.__name__, 3)
+    assert (out, err_out) == ("", f"{PREFIXES[code]} boom\n")
+
+
+def test_a_new_package_error_exits_3_as_a_data_error(monkeypatch, capsys):
+    class Unlisted(errors.KgdtaError):
+        pass
+
+    assert _run_raising(Unlisted("boom"), monkeypatch, capsys) == (3, "", "data error: boom\n")
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (FileNotFoundError, 3)])
+def test_value_and_os_errors_exit_2_and_3(error, code, monkeypatch, capsys):
+    assert _run_raising(error("boom"), monkeypatch, capsys) == (code, "", f"{PREFIXES[code]} boom\n")
+
+
+BAD_CONFIGS = {
+    "no_path": [],
+    "missing_file": ["no-such-file.json"],
+    "not_json": ["bad.json"],
+    "not_an_object": ["list.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_a_bad_config_exits_2_before_any_command(case, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "list.json").write_text("[]")
+    monkeypatch.chdir(tmp_path)
+    code, _, err_out = run([*INFER_ARGV, "--config", *BAD_CONFIGS[case]], capsys)
+    assert code == 2 and err_out.startswith("error:")

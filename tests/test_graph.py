@@ -18,6 +18,7 @@ from kgdta.graph import (
     merge_graphs,
     resolve_same_as,
 )
+from kgdta.schema import parse_ntriples, to_ntriples
 
 TARGET_OF = Relation("target_of", RelationKind.OBJECT)
 SEQUENCE = Relation("sequence", RelationKind.DATA)
@@ -61,6 +62,30 @@ def test_modality_conflict_on_reused_id():
     g.add_triple(protein("P1"), TARGET_OF, drug("D1"))
     with pytest.raises(ModalityConflict):
         g.add_triple(entity("uniprot", "P1", "drug"), TARGET_OF, drug("D2"))
+
+
+def test_a_nan_literal_is_the_same_literal_as_itself():
+    g = MultimodalGraph()
+    mass = Relation("mass", RelationKind.DATA)
+    g.add_triple(protein("P1"), mass, attribute_node("number", float("nan")))
+    g.add_triple(protein("P2"), mass, attribute_node("number", float("nan")))
+    assert g.num_triples() == 2 and len(g.attributes()) == 1
+
+
+def test_a_nan_literal_round_trips_through_ntriples():
+    nan = attribute_node("number", float("nan"))
+    g = MultimodalGraph().add_triple(protein("P1"), Relation("mass", RelationKind.DATA), nan)
+    back = parse_ntriples(to_ntriples(g))
+    assert back.triple_keys() == g.triple_keys()
+    (value,) = [n.value for n in back.attributes()]
+    assert value != value
+
+
+def test_a_number_and_its_text_are_different_literals():
+    g = MultimodalGraph()
+    g.add_node(Node(NodeId("attr", "v"), "text", NodeKind.ATTRIBUTE, 1.0))
+    with pytest.raises(ModalityConflict, match="conflicting literal 1.0 vs '1.0'"):
+        g.add_node(Node(NodeId("attr", "v"), "text", NodeKind.ATTRIBUTE, "1.0"))
 
 
 def test_kind_violation_data_property_to_entity():

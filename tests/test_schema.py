@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kg_strategies import graphs
 from kgdta.errors import KindViolation, NTriplesParse, SchemaParse, SchemaValidation, SourceRead
-from kgdta.graph import MultimodalGraph, NodeId, resolve_same_as
+from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, attribute_node, entity, resolve_same_as
 from kgdta.schema import Schema, build_graph, parse_schema, parse_ntriples, to_ntriples
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -229,6 +229,17 @@ def test_jsonl_id_target_and_same_as_cells_of_other_types_are_row_errors(tmp_pat
         ("uniprot:6", "binds", "drugbank:6.5"),
     }
 
+
+@pytest.mark.parametrize("boundary", ["\u2028", "\u2029", "\x85"])  # the others are control characters JSON escapes
+def test_a_jsonl_string_holding_a_unicode_line_boundary_stays_one_row(tmp_path, boundary):
+    rows = [{"id": "A1", "name": f"x{boundary}y"}, {"id": "A2", "name": "z"}]
+    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows) + '{"id": \n'
+    (tmp_path / "rows.jsonl").write_text(text, encoding="utf-8")
+    doc = json.loads(JSONL_SCHEMA)
+    doc["entity_types"][0]["data_properties"] = [{"relation": "label", "column": "name", "modality": "text"}]
+    graph, report = build_graph(parse_schema(json.dumps(doc), base_dir=tmp_path), base_dir=tmp_path)
+    assert report.errors == [f"{tmp_path / 'rows.jsonl'}:3: bad JSON: Expecting value"]
+    assert [n.value for n in graph.attributes()] == [f"x{boundary}y", "z"]
 
 
 def test_jsonl_bool_in_a_number_column_is_a_row_error(tmp_path):
@@ -453,6 +464,16 @@ def test_a_relation_with_attribute_and_entity_targets_is_a_kind_violation():
     )
     with pytest.raises(KindViolation, match="used as both data and object property"):
         parse_ntriples(text)
+
+
+# the characters besides "\n" and "\r" that str.splitlines ends a line at
+@pytest.mark.parametrize("boundary", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_a_text_literal_holding_a_unicode_line_boundary_round_trips(boundary):
+    label = attribute_node("text", f"{boundary}a{boundary}b{boundary}")
+    g = MultimodalGraph().add_triple(entity("a", "x", "drug"), Relation("label", RelationKind.DATA), label)
+    back = parse_ntriples(to_ntriples(g))
+    assert graph_signature(back) == graph_signature(g)
+    assert back.nodes[label.id].value == label.value
 
 
 @pytest.mark.parametrize("predicate", ["modality", "value"])
