@@ -33,7 +33,7 @@ from .handlers import (
     sequence_embed,
     smiles_fingerprint,
 )
-from .gnn import FlowPolicy, GnnParams, HistoricalStore, encode, infer, init_gnn_params
+from .gnn import FlowPolicy, GnnParams, encode, infer, init_gnn_params
 from .pretrain import (
     AdmissibleSets,
     Checkpoint,

@@ -2,7 +2,7 @@
 
 Every stochastic command requires --seed and is byte-reproducible: identical inputs
 and flags produce identical output files. A JSON config file may supply any flag
-(--config path); explicit flags win.
+(--config PATH or --config=PATH; a list value repeats its flag); explicit flags win.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure. Each
 error type in `kgdta.errors` carries its own as `exit_code`.
@@ -45,15 +45,16 @@ PREFIXES = {2: "error", 3: "data error", 4: "numeric failure"}
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgdta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # `_inject_config` expands --config before parsing; this declaration is for --help
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON file supplying any flag; flags override")
 
-    p_build = sub.add_parser("build-kg", help="build a knowledge graph from a schema")
-    p_build.add_argument("--config", help="JSON file supplying any flag; flags override")
+    p_build = sub.add_parser("build-kg", parents=[common], help="build a knowledge graph from a schema")
     p_build.add_argument("--schema", required=True, help="schema JSON path")
     p_build.add_argument("--out", required=True, help="output N-Triples path")
     p_build.add_argument("--merge", help="existing N-Triples file to merge in")
 
-    p_pre = sub.add_parser("pretrain", help="pretrain encoder + scorer on a graph")
-    p_pre.add_argument("--config")
+    p_pre = sub.add_parser("pretrain", parents=[common], help="pretrain encoder + scorer on a graph")
     p_pre.add_argument("--graph", required=True, help="N-Triples graph path")
     p_pre.add_argument("--score", choices=["distmult", "transe", "classifier"], default="distmult")
     p_pre.add_argument("--flow-control", action="store_true",
@@ -82,14 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--out", required=True, help="checkpoint output path")
     p_pre.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
 
-    p_inf = sub.add_parser("infer", help="embed a new SMILES or sequence with a checkpoint")
-    p_inf.add_argument("--config")
+    p_inf = sub.add_parser("infer", parents=[common], help="embed a new SMILES or sequence with a checkpoint")
     p_inf.add_argument("--ckpt", required=True)
     p_inf.add_argument("--modality", choices=["smiles", "sequence"], required=True)
     p_inf.add_argument("--value", required=True)
 
-    p_bench = sub.add_parser("benchmark", help="affinity regression benchmark with ensembling")
-    p_bench.add_argument("--config")
+    p_bench = sub.add_parser("benchmark", parents=[common], help="affinity regression benchmark with ensembling")
     p_bench.add_argument("--dataset", required=True, help="TSV with smiles/sequence/affinity[/time]")
     p_bench.add_argument("--split", required=True,
                          help="random | drug | target | temporal:<threshold>")
@@ -114,14 +113,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _names_config(arg: str) -> bool:
+    """Whether argparse would read `arg` as --config: the name, an abbreviation of
+    it, either one followed by `=value`."""
+    name = arg.split("=", 1)[0]
+    return len(name) > 2 and "--config".startswith(name)
+
+
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config file.json into flags placed before explicit ones."""
-    if "--config" not in argv:
+    """Expand `--config PATH` or `--config=PATH` into the file's flags, placed
+    before the explicit ones. A list value gives its flag once per item. Any other
+    spelling of --config, or a second one, is a usage error."""
+    at = [i for i, arg in enumerate(argv) if _names_config(arg)]
+    if not at:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise err.SchemaParse("--config needs a path")
-    path = argv[i + 1]
+    i = at[0]
+    flag, eq, path = argv[i].partition("=")
+    if flag != "--config":
+        raise err.SchemaParse(f"{flag} abbreviates --config: write --config in full")
+    if len(at) > 1:
+        raise err.SchemaParse("--config given more than once")
+    if not eq:
+        if i + 1 >= len(argv):
+            raise err.SchemaParse("--config needs a path")
+        path = argv[i + 1]
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -134,12 +149,17 @@ def _inject_config(argv: list[str]) -> list[str]:
     for key in sorted(doc):
         flag = "--" + str(key).replace("_", "-")
         value = doc[key]
-        if isinstance(value, bool):
-            if value:
-                flags.append(flag)
-        else:
-            flags.extend([flag, str(value)])
-    rest = argv[:i] + argv[i + 2 :]
+        if _names_config(flag):
+            raise err.SchemaParse(f"config {path}: {key!r} would name another config")
+        for item in value if isinstance(value, list) else [value]:
+            if not isinstance(item, (str, int, float)):
+                raise err.SchemaParse(f"config {path}: {key!r} must be a string, number, boolean or list of those")
+            if isinstance(item, bool):
+                if item:
+                    flags.append(flag)
+            else:
+                flags.extend([flag, str(item)])
+    rest = argv[:i] + argv[i + (1 if eq else 2) :]
     if not rest:
         raise err.SchemaParse("config given without a subcommand")
     return [rest[0]] + flags + rest[1:]

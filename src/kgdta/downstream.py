@@ -25,8 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
-from .gnn import encode, infer
-from .graph import NodeKind
+from .gnn import build_mp, encode_layers, infer
 from .handlers import SEQUENCE_MODALITY, SMILES_MODALITY, HandlerRegistry, compute_initial_embeddings, embedding_matrix
 from .numerics import Tensor
 from .util import average_ranks, read_utf8, substream
@@ -197,32 +196,31 @@ class CheckpointProvider:
     protocol: benchmark entities already in the KG keep their pretrained
     neighborhood). Unknown values fall back to the inductive two-node inference
     path, which is all a truly novel entity has. `graph` comes with its initial
-    table `initial`, as `compute_initial_embeddings` returns it.
+    table `initial`, as `compute_initial_embeddings` returns it. Inferred vectors
+    are not kept: `EntityIndex` asks for each value once.
     """
 
     def __init__(self, checkpoint, registry: HandlerRegistry, graph=None, initial=None):
         self.checkpoint = checkpoint
         self.registry = registry
-        # (modality, value) -> encoder vector; seeded from the graph
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
+        # (modality, value) -> encoder vector of the first entity pointing at it
+        self._known: dict[tuple[str, str], np.ndarray] = {}
         if (graph is None) != (initial is None):
             raise ValueError("pass graph= together with its initial= table")
         if graph is not None:
-            embeddings = encode(graph, initial, checkpoint.params, checkpoint.policy)
-            for triple in graph.triples():
-                target = graph.nodes[triple.target]
-                if target.kind is not NodeKind.ATTRIBUTE:
-                    continue
-                if target.modality not in (SMILES_MODALITY, SEQUENCE_MODALITY):
-                    continue
-                self._cache.setdefault((target.modality, target.value), embeddings[triple.source])
+            initial.check_aligned(graph)
+            mp = build_mp(graph, None, checkpoint.policy)
+            final = encode_layers(mp, initial, checkpoint.params)[-1].data
+            gi = graph.index()
+            literal = ~gi.is_entity & np.isin(gi.modalities, [SMILES_MODALITY, SEQUENCE_MODALITY])[gi.modality]
+            for s, _, t in gi.triples[literal[gi.triples[:, 2]]].tolist():  # insertion order: the first wins
+                node = graph.nodes[gi.node_ids[t]]
+                self._known.setdefault((node.modality, node.value), final[mp.row[s]])
 
     def _embed(self, modality: str, value: str) -> np.ndarray:
-        key = (modality, value)
-        hit = self._cache.get(key)
+        hit = self._known.get((modality, value))
         if hit is None:
             _, hit = infer(self.checkpoint.params, self.checkpoint.policy, value, modality, self.registry)
-            self._cache[key] = hit
         return hit
 
     def drug(self, smiles: str) -> np.ndarray:

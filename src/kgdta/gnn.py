@@ -16,9 +16,10 @@ Messages travel along the sparse edge list of the graph's integer index: one
 weighted scatter-add (`numerics.segment_sum`) per relation and layer, never an
 n x n matrix.
 Encoding covers the scope plus its one-hop, flow-permitted in-neighbors only,
-because out-of-scope neighbors at layers >= 1 read from a historical store when
-one is provided (partitioned training) and zeros otherwise. Full-graph embeddings
-thus still depend on exactly the two-hop neighborhood.
+because out-of-scope neighbors at layers >= 1 read from the history (partitioned
+training: one array per layer >= 1, a row per index node) when given and zeros
+otherwise. Full-graph embeddings thus still depend on exactly the two-hop
+neighborhood. Readers of the output find each node's row in `MpGraph.row`.
 """
 
 from __future__ import annotations
@@ -163,18 +164,6 @@ def init_gnn_params(
     return GnnParams(projections, layers, proj_dim, hidden_dim, out_dim)
 
 
-class HistoricalStore:
-    """Last-computed per-layer embeddings of every node of a graph, kept in host
-    memory for partitioned training: `layers[l]` is an (n_nodes x dims[l]) array
-    indexed by the graph's index ints. A row never written reads as zeros."""
-
-    def __init__(self, n_nodes: int, dims: list[int]):
-        self.layers = [np.zeros((n_nodes, d)) for d in dims]
-
-    def update(self, layer: int, nodes: np.ndarray, values: np.ndarray):
-        self.layers[layer][nodes] = values
-
-
 @dataclass
 class MpGraph:
     """Message-passing structure for (graph, scope, policy).
@@ -187,7 +176,9 @@ class MpGraph:
     `receiver[e]`, scaled by `weight[e]`, the receiver's 1/degree under that
     relation (mean aggregation). Memory is O(closure + edges), never O(closure^2).
     `projected` also counts attributes whose only edge into the scope is blocked:
-    they send nothing, but their modality must still have a projection.
+    they send nothing, but their modality must still have a projection. `row`
+    maps each index node to its row in `encode_layers`' scope outputs, or -1
+    outside the scope.
     """
 
     node_ids: list[NodeId]
@@ -201,13 +192,7 @@ class MpGraph:
     weight: np.ndarray
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
     projected: list[str]  # non-categorical attribute modalities in or next to the scope
-
-    def row_of(self, n_nodes: int) -> np.ndarray:
-        """Per index node of the graph: its row in `encode_layers`' scope outputs,
-        or -1 outside the scope."""
-        row_of = np.full(n_nodes, -1, dtype=np.intp)
-        row_of[self.closure[self.scope_rows]] = np.arange(len(self.scope_rows))
-        return row_of
+    row: np.ndarray
 
 
 def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolicy) -> MpGraph:
@@ -239,6 +224,8 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
         for m in sorted(set(modality.tolist()) - {-1})  # codes follow sorted modality names
         if gi.modalities[m] != CATEGORICAL
     }
+    row = np.full(len(every), -1, dtype=np.intp)
+    row[rows] = np.arange(len(rows))  # scope outputs follow sorted node order
     near = in_scope.copy()
     near[gi.sender[into_scope]] = True
     codes = sorted(set(gi.modality[near & ~gi.is_entity].tolist()))
@@ -254,6 +241,7 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
         weight=gi.weight[live],
         attr_rows=attr_rows,
         projected=[gi.modalities[m] for m in codes if gi.modalities[m] != CATEGORICAL],
+        row=row,
     )
     for a in (*vars(mp).values(), *attr_rows.values()):
         if isinstance(a, np.ndarray):
@@ -265,10 +253,11 @@ def encode_layers(
     mp: MpGraph,
     table: EmbeddingTable,
     params: GnnParams,
-    history: HistoricalStore | None = None,
+    history: list[np.ndarray] | None = None,
 ) -> list[Tensor]:
     """Forward pass. Returns per-layer tensors whose rows follow mp.scope_rows order
-    for layers >= 1; layer 0 covers the whole closure.
+    for layers >= 1; layer 0 covers the whole closure. `history[l - 1]`, when
+    given, holds layer l of every index node, read for the out-of-scope rows.
 
     Relation r adds (A_r h) W_r, where A_r h, the mean of each receiver's messages
     under r, is one `segment_sum` over r's edges."""
@@ -299,7 +288,7 @@ def encode_layers(
         if l > 0:
             fill = [(mp.scope_rows, h_scope)]
             if len(mp.out_rows) and history is not None:
-                fill.append((mp.out_rows, history.layers[l - 1][mp.closure[mp.out_rows]]))
+                fill.append((mp.out_rows, history[l - 1][mp.closure[mp.out_rows]]))
             h_full = nm.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
         for rel, sender, receiver, weight in edges:
@@ -316,7 +305,7 @@ def encode(
     initial: EmbeddingTable,
     params: GnnParams,
     policy: FlowPolicy | None = None,
-    history: HistoricalStore | None = None,
+    history: list[np.ndarray] | None = None,
     scope: set[NodeId] | list[NodeId] | None = None,
 ) -> dict[NodeId, np.ndarray]:
     """Embed the scope nodes (default: all) given initial embeddings and parameters."""

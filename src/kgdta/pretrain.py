@@ -6,9 +6,9 @@ distance, or a small classifier network — optionally combined with a regressio
 objective that predicts numeric attribute literals from the source entity embedding.
 
 Large graphs train partition by partition: a balance-first multi-seed BFS splits the
-entities, and embeddings of out-of-partition neighbors are read from the historical
-store instead of being recomputed. With a single partition this reduces exactly to
-full-batch training.
+entities, and embeddings of out-of-partition neighbors are read from the history (one
+array per encoder layer >= 1, a row per index node) instead of being recomputed.
+With a single partition this reduces exactly to full-batch training.
 
 Relations named "rdf:type" and "sameAs" are metadata, not domain structure: the graph
 index gives them no relation code, so they carry no messages and are no objective's
@@ -38,8 +38,6 @@ from .errors import (
 from .gnn import (
     FlowPolicy,
     GnnParams,
-    HistoricalStore,
-    MpGraph,
     RgcnLayer,
     build_mp,
     encode_layers,
@@ -218,18 +216,18 @@ def _relation_groups(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 class EmbeddingView:
     """Final-layer embeddings by index node: differentiable rows of `h` for nodes
-    in scope (`row_of[node]` >= 0), constant rows of `fallback` (historical) or
-    zeros for everything else."""
+    in scope (`row[node]` >= 0, as in `MpGraph.row`), constant rows of `fallback`
+    (the last history array) or zeros for everything else."""
 
-    def __init__(self, h: Tensor, row_of: np.ndarray, fallback: np.ndarray | None = None):
+    def __init__(self, h: Tensor, row: np.ndarray, fallback: np.ndarray | None = None):
         self.h = h
-        self.row_of = row_of
+        self.row = row
         self.fallback = fallback
         self.dim = h.data.shape[1]
-        self.covers_all = bool(row_of.size) and row_of.min() >= 0
+        self.covers_all = bool(row.size) and row.min() >= 0
 
     def rows(self, nodes: np.ndarray) -> Tensor:
-        rows = self.row_of.take(nodes)
+        rows = self.row.take(nodes)
         if self.covers_all or (inside := rows >= 0).all():
             return nm.gather_rows(self.h, rows)
         pos_in, pos_out = np.flatnonzero(inside), np.flatnonzero(~inside)
@@ -417,12 +415,13 @@ class PretrainConfig:
 @dataclass
 class TrainResult:
     """`train_rows` and `val_rows` hold the split's (source, relation code, target)
-    int rows over the index of the graph `train` ran on."""
+    int rows over the index of the graph `train` ran on; `history[l]` holds layer
+    l + 1 of each of its index nodes as last computed."""
 
     params: GnnParams
     score_fn: ScoreFn
     regression: RegressionHeads | None
-    history: HistoricalStore
+    history: list[np.ndarray]
     log: list[dict]
     train_rows: np.ndarray
     val_rows: np.ndarray
@@ -461,18 +460,6 @@ def _split_positives(n: int, cfg: PretrainConfig) -> tuple[np.ndarray, np.ndarra
     n_train = int(round(cfg.train_val * n))
     n_train = min(max(n_train, 1), n)
     return perm[:n_train], perm[n_train:]
-
-
-def _final_layers(
-    graph: MultimodalGraph,
-    initial: EmbeddingTable,
-    params: GnnParams,
-    policy: FlowPolicy,
-) -> tuple[MpGraph, list[Tensor]]:
-    """The whole-graph forward: its (cached) `MpGraph` and `encode_layers` output."""
-    initial.check_aligned(graph)
-    mp = build_mp(graph, None, policy)
-    return mp, encode_layers(mp, initial, params)
 
 
 def score_triples(view: EmbeddingView, fn: ScoreFn, rows: np.ndarray, relations: list[str]) -> np.ndarray:
@@ -551,13 +538,12 @@ def train(
             if src is not None and src.data.shape == tensor.data.shape:
                 tensor.data = src.data.copy()
 
-    history = HistoricalStore(n_nodes, [params.hidden_dim, params.out_dim])
+    history = [np.zeros((n_nodes, d)) for d in (params.hidden_dim, params.out_dim)]
     scopes = [np.flatnonzero(part == p) for p in range(cfg.partitions)]
     mps = [build_mp(graph, s, cfg.policy) for s in scopes]
     train_by_part = [train_pos[part[train_pos[:, 0]] == p] for p in range(cfg.partitions)]
     reg_part = part[reg_rows[:, 0]]
     reg_by_part = [(reg_rows[reg_part == p], reg_values[reg_part == p]) for p in range(cfg.partitions)]
-    row_ofs = [mp.row_of(n_nodes) for mp in mps]
     state = None
     log: list[dict] = []
     # the last validation forward, when the whole graph is the only scope: its
@@ -567,7 +553,7 @@ def train(
         epoch_rows = []
         for p, mp in enumerate(mps):
             layers = forward if forward is not None else encode_layers(mp, initial, params, history)
-            view = EmbeddingView(layers[-1], row_ofs[p], history.layers[-1])
+            view = EmbeddingView(layers[-1], mp.row, history[-1])
             pos_p = train_by_part[p]
             if len(pos_p) or len(reg_by_part[p][1]):
                 negs = sample_negatives(
@@ -579,13 +565,14 @@ def train(
                 train_loss = float(loss.data)
             else:
                 train_loss = None  # partition holds no training triples
-            for l, h_layer in enumerate(layers[1:]):
-                history.update(l, scopes[p], h_layer.data)
+            for stored, h_layer in zip(history, layers[1:]):
+                stored[scopes[p]] = h_layer.data
             epoch_rows.append({"epoch": epoch, "partition": p, "train_loss": train_loss})
         val_loss = None
         if len(val_pos):
-            val_mp, val_layers = _final_layers(graph, initial, params, cfg.policy)
-            view = EmbeddingView(val_layers[-1], val_mp.row_of(n_nodes))
+            val_mp = build_mp(graph, None, cfg.policy)
+            val_layers = encode_layers(val_mp, initial, params)
+            view = EmbeddingView(val_layers[-1], val_mp.row)
             negs = sample_negatives(
                 val_pos, sets, cfg.negative_ratio, substream(cfg.seed, "valneg", epoch), forbidden
             )
@@ -610,8 +597,9 @@ def evaluate_link_auc(
     gi = graph.index()
     rows = gi.triples[_admitted(gi, cfg.link_filter)]
     sets = AdmissibleSets.from_rows(rows, len(gi.node_ids), len(gi.relations))
-    mp, layers = _final_layers(graph, initial, result.params, cfg.policy)
-    view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+    initial.check_aligned(graph)
+    mp = build_mp(graph, None, cfg.policy)
+    view = EmbeddingView(encode_layers(mp, initial, result.params)[-1], mp.row)
     negs = sample_negatives(result.val_rows, sets, ratio, substream(seed, "auc_neg"), sets.keys(rows))
     pos_scores = score_triples(view, result.score_fn, result.val_rows, gi.relations)
     neg_scores = score_triples(view, result.score_fn, negs, gi.relations)

@@ -121,7 +121,7 @@ def test_01_gradient_suite():
 
             def objective(p):
                 layers = encode_layers(mp, table, result.params)
-                view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+                view = EmbeddingView(layers[-1], mp.row)
                 return pretrain_loss(train_pos, negs, view, result.score_fn, gi.relations,
                                      result.regression, reg_triples)
 
@@ -223,7 +223,7 @@ def test_03_gas_consistency():
     max_loss_diff = 0.0
     for epoch in range(cfg.epochs):
         layers = encode_layers(mp, table, params)
-        view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+        view = EmbeddingView(layers[-1], mp.row)
         negs = sample_negatives(train_pos, sets, 1, substream(cfg.seed, "neg", epoch, 0), forbidden)
         loss = pretrain_loss(train_pos, negs, view, fn, gi.relations)
         max_loss_diff = max(max_loss_diff, abs(float(loss.data) - result.log[epoch]["train_loss"]))

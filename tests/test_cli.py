@@ -546,3 +546,60 @@ def test_a_bad_config_exits_2_before_any_command(case, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     code, _, err_out = run([*INFER_ARGV, "--config", *BAD_CONFIGS[case]], capsys)
     assert code == 2 and err_out.startswith("error:")
+
+
+def _parsed(argv):
+    return vars(cli.build_parser().parse_args(cli._inject_config(argv)))
+
+
+def test_config_equals_path_expands_like_a_separate_path(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": "kg.nt", "seed": 4, "epochs": 1}))
+    joined = _parsed(["pretrain", f"--config={cfg}", "--out", "c.json"])
+    assert joined == _parsed(["pretrain", "--config", str(cfg), "--out", "c.json"])
+    assert (joined["seed"], joined["epochs"], joined["graph"]) == (4, 1, "kg.nt")
+
+
+OTHER_CONFIG_SPELLINGS = {
+    "abbreviated": ["--conf", "run.json"],
+    "abbreviated_equals": ["--co=run.json"],
+    "twice": ["--config", "run.json", "--config=run.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_CONFIG_SPELLINGS))
+def test_any_other_config_spelling_exits_2(case, tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"seed": 4}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err_out = run([*INFER_ARGV, *OTHER_CONFIG_SPELLINGS[case]], capsys)
+    assert code == 2 and out == "" and err_out.startswith("error:")
+
+
+@pytest.mark.parametrize("allow", [["protein=sequence"], ["protein=sequence", "drug=smiles"]])
+def test_a_config_list_repeats_its_flag(allow, tmp_path, capsys):
+    _, kg = _write_world_nt(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"allow": allow}))
+    base = ["pretrain", "--graph", str(kg), "--seed", "0", *PRETRAIN_DIMS, "--epochs", "1"]
+    from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+    assert run([*base, "--config", str(cfg), "--out", str(from_config)], capsys)[0] == 0
+    flags = [arg for item in allow for arg in ("--allow", item)]
+    assert run([*base, *flags, "--out", str(from_flags)], capsys)[0] == 0
+    policy = load_checkpoint(str(from_config)).policy
+    assert policy == load_checkpoint(str(from_flags)).policy
+    assert policy == FlowPolicy.controlled({item.split("=")[0]: {item.split("=")[1]} for item in allow})
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, None, [["CCO"]]], ids=["object", "null", "nested_list"])
+def test_a_config_value_of_another_type_exits_2_naming_its_key(value, tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"value": value}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err_out = run([*INFER_ARGV, "--config", "run.json"], capsys)
+    assert code == 2 and out == "" and err_out.startswith("error:") and "'value'" in err_out
+
+
+def test_a_config_naming_another_config_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"conf": "other.json"}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err_out = run([*INFER_ARGV, "--config=run.json"], capsys)
+    assert code == 2 and out == "" and err_out.startswith("error:") and "'conf'" in err_out

@@ -33,7 +33,8 @@ from kgdta.downstream import (
     train_downstream,
 )
 from kgdta.errors import DimMismatch, EmptyTrain, InfeasibleSplit, NonFinite, ParseError, ZeroVariance
-from kgdta.gnn import infer
+from kgdta.gnn import encode, infer
+from kgdta.graph import MultimodalGraph, Relation, RelationKind, attribute_node, entity
 from kgdta.handlers import SEQUENCE_MODALITY, SMILES_MODALITY, Handler, default_registry
 from kgdta.pretrain import Checkpoint, PretrainConfig, train
 from kgdta.synthetic import make_planted_world
@@ -599,6 +600,31 @@ def test_checkpoint_provider_takes_the_graph_with_its_initial_table(two_checkpoi
         CheckpointProvider(ckpts[0][1], registry, graph=world.graph)
     with pytest.raises(ValueError, match="initial="):
         CheckpointProvider(ckpts[0][1], registry, initial=compute_initial_embeddings(world.graph, registry))
+
+
+def test_graph_seeded_vectors_are_the_encoder_vectors_of_each_literals_first_source(two_checkpoints):
+    _, ckpts, registry = two_checkpoints
+    ckpt = ckpts[0][1]
+    smiles, sequence = Relation("smiles", RelationKind.DATA), Relation("sequence", RelationKind.DATA)
+    bind = Relation("binding_to", RelationKind.OBJECT)
+    d1, d2 = entity("drugbank", "D1", "drug"), entity("drugbank", "D2", "drug")
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    g = MultimodalGraph()
+    g.add_triple(d2, smiles, attribute_node(SMILES_MODALITY, "CCO"))  # D2 comes first, D1 sorts first
+    g.add_triple(d1, smiles, attribute_node(SMILES_MODALITY, "CCO"))
+    g.add_triple(p1, sequence, attribute_node(SEQUENCE_MODALITY, "MKTAYIAK"))
+    g.add_triple(p2, sequence, attribute_node(SEQUENCE_MODALITY, "MVLSPADK"))
+    g.add_triple(d1, bind, p1)
+    g.add_triple(d2, bind, p2)
+    initial = compute_initial_embeddings(g, registry)
+    provider = CheckpointProvider(ckpt, registry, graph=g, initial=initial)
+    vectors = encode(g, initial, ckpt.params, ckpt.policy)
+    assert not np.array_equal(vectors[d1.id], vectors[d2.id])  # the shared SMILES has two candidates
+    assert np.array_equal(provider.drug("CCO"), vectors[d2.id])
+    assert np.array_equal(provider.protein("MKTAYIAK"), vectors[p1.id])
+    assert np.array_equal(provider.protein("MVLSPADK"), vectors[p2.id])
+    # a value outside the graph is inferred
+    assert np.array_equal(provider.drug("CCN"), infer(ckpt.params, ckpt.policy, "CCN", SMILES_MODALITY, registry)[1])
 
 
 # --- forked worker pool -------------------------------------------------------------------

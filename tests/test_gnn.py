@@ -11,7 +11,6 @@ from kgdta.gnn import (
     INFER_DEFAULTS,
     FlowPolicy,
     GnnParams,
-    HistoricalStore,
     RgcnLayer,
     build_mp,
     encode,
@@ -268,7 +267,7 @@ def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
             h = np.zeros((n, dims[l]))
             h[mp.scope_rows] = outputs[-1]
             if history is not None:
-                h[mp.out_rows] = history.layers[l - 1][mp.closure[mp.out_rows]]
+                h[mp.out_rows] = history[l - 1][mp.closure[mp.out_rows]]
         z = h @ layer.w_self.data + layer.bias.data
         for rel, A in dense.items():
             z = z + A @ h @ layer.weight_for(rel).data
@@ -294,9 +293,9 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
         params = init_gnn_params(dims, trainable_relations(g), substream(8, "init"), 16, 12, 12)
         part = partition(g, 3, substream(8, "partition"))
         n_nodes = len(g.nodes)
-        history = HistoricalStore(n_nodes, [12, 12])
+        history = [np.zeros((n_nodes, 12)) for _ in range(2)]
         rng = substream(8, "history")
-        history.update(0, np.arange(n_nodes), rng.normal(size=(n_nodes, 12)))
+        history[0][np.arange(n_nodes)] = rng.normal(size=(n_nodes, 12))
         for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
             for scope, hist in ((None, None), (np.flatnonzero(part == 1), None), (np.flatnonzero(part == 2), history)):
                 mp = build_mp(g, scope, policy)
@@ -514,13 +513,32 @@ def test_build_mp_results_are_cached_per_scope_set_and_policy():
     assert len(g.index().mp_cache) == 4
 
     arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)] + list(first.attr_rows.values())
-    assert len(arrays) == 7 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
+    assert len(arrays) == 8 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         first.receiver[0] = 0
 
     g.add_triple(p2, SEQ, attribute_node("protein_sequence", "WWWWW"))  # a mutation drops the cache
     assert g.index().mp_cache == {}
     assert build_mp(g, np.array([1, 3]), FlowPolicy.controlled()) is not first
+
+
+def test_row_counts_the_scope_nodes_in_index_order_and_is_minus_one_elsewhere():
+    from kgdta.pretrain import partition
+    from kgdta.synthetic import make_planted_world
+
+    g = make_planted_world(n_drugs=6, n_proteins=5, seed=4).graph
+    n = len(g.index().node_ids)
+    part = partition(g, 3, substream(8, "partition"))
+    for scope in (np.flatnonzero(part == 1), None):
+        mp = build_mp(g, scope, FlowPolicy.unrestricted())
+        inside = np.arange(n) if scope is None else scope
+        want = np.full(n, -1)
+        want[inside] = np.arange(len(inside))
+        assert np.array_equal(mp.row, want)
+        # row r of the scope outputs is closure row scope_rows[r]
+        assert np.array_equal(mp.closure[mp.scope_rows[mp.row[inside]]], inside)
+        assert (mp.row[mp.closure[mp.out_rows]] == -1).all()
+        assert len(mp.out_rows) > 0 or scope is None  # the partition reads neighbours outside it
 
 
 def test_unseen_relation_uses_default_weight():
@@ -564,8 +582,8 @@ def test_historical_store_feeds_out_of_scope_neighbors():
     params = identity_params()
     table = table_for(g, {})
 
-    hist = HistoricalStore(len(g.nodes), [3, 3])
-    hist.update(0, np.array([g.index().position[p2.id]]), np.array([[5.0, 0.0, 0.0]]))
+    hist = [np.zeros((len(g.nodes), 3)) for _ in range(2)]
+    hist[0][np.array([g.index().position[p2.id]])] = np.array([[5.0, 0.0, 0.0]])
     out_with = encode(g, table, params, history=hist, scope=[p1.id])[p1.id]
     out_zero = encode(g, table, params, scope=[p1.id])[p1.id]
     # layer 2 of p1 aggregates p2's layer-1 embedding: history vs zero fallback

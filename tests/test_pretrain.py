@@ -9,7 +9,6 @@ from kg_strategies import graphs
 from kgdta import numerics as nm
 import numerics_ref as ref
 from kgdta.errors import EmptyTrainingSet, ExhaustedCandidates, InvalidK, UnknownRelation
-from kgdta.gnn import HistoricalStore
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, Triple, attribute_node, entity
 from kgdta.handlers import compute_initial_embeddings, default_registry
 from kgdta.pretrain import (
@@ -273,19 +272,19 @@ def view_over(vectors: dict[NodeId, np.ndarray], node_ids: list[NodeId]) -> Embe
 
 
 def test_view_reads_scope_rows_then_history_then_zeros():
-    history = HistoricalStore(5, [2, 3])
-    history.update(1, np.array([1, 2]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    history = [np.zeros((5, 2)), np.zeros((5, 3))]
+    history[1][np.array([1, 2])] = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     h = nm.param(np.array([[10.0, 11.0, 12.0], [20.0, 21.0, 22.0]]))
     row_of = np.array([-1, -1, 0, -1, 1])  # nodes 2 and 4 are in scope; 1 and 2 are stored
-    view = EmbeddingView(h, row_of, history.layers[-1])
+    view = EmbeddingView(h, row_of, history[-1])
     out = view.rows(np.array([2, 1, 3, 4, 2, 0]))
     want = [[10, 11, 12], [1, 2, 3], [0, 0, 0], [20, 21, 22], [10, 11, 12], [0, 0, 0]]
     assert np.array_equal(out.data, np.array(want, dtype=np.float64))
     probe = np.arange(18.0).reshape(6, 3)
     nm.backward(ref.sum_all(nm.mul(out, nm.constant(probe))))
     assert np.array_equal(h.grad, np.stack([probe[0] + probe[4], probe[3]]))
-    assert np.array_equal(history.layers[1][1:3], [[1, 2, 3], [4, 5, 6]])
-    assert not history.layers[0].any()
+    assert np.array_equal(history[1][1:3], [[1, 2, 3], [4, 5, 6]])
+    assert not history[0].any()
     # without a fallback every out-of-scope node reads zeros
     assert np.array_equal(EmbeddingView(h, row_of).rows(np.array([1, 4])).data, [[0, 0, 0], [20, 21, 22]])
 
@@ -492,7 +491,7 @@ def test_gas_k1_matches_full_batch_reference():
     mp = build_mp(graph, None, cfg.policy)
     for epoch in range(cfg.epochs):
         layers = encode_layers(mp, table, params)
-        view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+        view = EmbeddingView(layers[-1], mp.row)
         negs = sample_negatives(train_pos, sets, 1, substream(cfg.seed, "neg", epoch, 0), forbidden)
         loss = pretrain_loss(train_pos, negs, view, fn, gi.relations)
         losses.append(float(loss.data))
@@ -539,7 +538,7 @@ def test_one_partition_reuses_each_validation_forward_for_the_next_epoch(monkeyp
     assert len(calls) == 2 * cfg.epochs
     assert reused.log == fresh.log
     assert checkpoint_to_json(Checkpoint.from_result(reused)) == checkpoint_to_json(Checkpoint.from_result(fresh))
-    assert np.array_equal(reused.history.layers[-1], fresh.history.layers[-1])
+    assert np.array_equal(reused.history[-1], fresh.history[-1])
 
 
 def test_partitioned_training_runs_and_is_deterministic():
@@ -786,7 +785,7 @@ def test_loss_gradients_pass_finite_differences_all_scorers():
 
         def objective(p):
             layers = encode_layers(mp, table, result.params)
-            view = EmbeddingView(layers[-1], mp.row_of(len(gi.node_ids)))
+            view = EmbeddingView(layers[-1], mp.row)
             return pretrain_loss(train_pos, negs, view, result.score_fn, gi.relations,
                                  result.regression, reg_triples)
 
