@@ -12,9 +12,10 @@ A flow policy can restrict which relations may deliver messages into governed
 entity modalities (e.g. proteins listen only to their sequence attribute), which
 keeps pretraining consistent with inference-time inputs.
 
-Messages travel along the sparse edge list of the graph's integer index: one
-weighted scatter-add (`numerics.segment_sum`) per relation and layer, never an
-n x n matrix.
+Messages travel along the sparse edge list of the graph's integer index, never an
+n x n matrix: per relation and layer, one weighted scatter-add
+(`numerics.segment_sum`) gives the mean message of each row the relation reaches,
+and only those rows get its product with W_r (`numerics.add_rows`).
 Encoding covers the scope plus its one-hop, flow-permitted in-neighbors only,
 because out-of-scope neighbors at layers >= 1 read from the history (partitioned
 training: one array per layer >= 1, a row per index node) when given and zeros
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import KindViolation, MissingProjection
+from .errors import KindViolation, MissingProjection, ShapeMismatch
 from .graph import (
     CATEGORICAL,
     GraphIndex,
@@ -175,6 +176,9 @@ class MpGraph:
     receiver, sender): `relations[relation[e]]` carries row `sender[e]` into row
     `receiver[e]`, scaled by `weight[e]`, the receiver's 1/degree under that
     relation (mean aggregation). Memory is O(closure + edges), never O(closure^2).
+    `groups` has, per relation with such edges and in relation order, (name,
+    `targets`: its edges' distinct receivers, sorted; `segment`: each edge's
+    position in `targets`; its edges' `sender` and `weight` slices).
     `projected` also counts attributes whose only edge into the scope is blocked:
     they send nothing, but their modality must still have a projection. `row`
     maps each index node to its row in `encode_layers`' scope outputs, or -1
@@ -190,6 +194,7 @@ class MpGraph:
     receiver: np.ndarray
     sender: np.ndarray
     weight: np.ndarray
+    groups: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
     projected: list[str]  # non-categorical attribute modalities in or next to the scope
     row: np.ndarray
@@ -197,15 +202,18 @@ class MpGraph:
 
 def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolicy) -> MpGraph:
     """Closure, edges and projected rows for encoding `scope`, an int array of
-    nodes of `graph.index()` (None: every node). Cached on the index by scope set
-    and policy: equal inputs share one result, so its arrays are read-only."""
+    nodes of `graph.index()` (None: every node); an index outside the graph raises
+    IndexError. Cached on the index by scope set and policy: equal inputs share
+    one result, so its arrays are read-only."""
     gi = graph.index()
-    every = np.arange(len(gi.node_ids))
-    rows = every if scope is None else np.unique(np.asarray(scope, dtype=np.intp))
-    key = (None if np.array_equal(rows, every) else rows.tobytes(), policy.key())  # None: every node
+    n = len(gi.node_ids)
+    rows = np.arange(n) if scope is None else np.unique(np.asarray(scope, dtype=np.intp))
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+        raise IndexError(f"scope index out of range for {n} nodes")
+    key = (None if len(rows) == n else rows.tobytes(), policy.key())  # None: every node
     if key in gi.mp_cache:
         return gi.mp_cache[key]
-    in_scope = np.zeros(len(every), dtype=bool)
+    in_scope = np.zeros(n, dtype=bool)
     in_scope[rows] = True
     into_scope = in_scope[gi.receiver]
     live = np.flatnonzero(into_scope & ~policy.blocked(gi))
@@ -224,26 +232,40 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
         for m in sorted(set(modality.tolist()) - {-1})  # codes follow sorted modality names
         if gi.modalities[m] != CATEGORICAL
     }
-    row = np.full(len(every), -1, dtype=np.intp)
+    row = np.full(n, -1, dtype=np.intp)
     row[rows] = np.arange(len(rows))  # scope outputs follow sorted node order
     near = in_scope.copy()
     near[gi.sender[into_scope]] = True
     codes = sorted(set(gi.modality[near & ~gi.is_entity].tolist()))
+    relation, weight = gi.relation[live], gi.weight[live]
+    receiver = np.searchsorted(closure, gi.receiver[live])
+    sender = np.searchsorted(closure, gi.sender[live])
+    # each edge opening a new (relation, receiver) pair starts a target row
+    first = np.ones(len(live), dtype=bool)
+    first[1:] = (relation[1:] != relation[:-1]) | (receiver[1:] != receiver[:-1])
+    pair = np.cumsum(first) - 1
+    runs = np.searchsorted(relation, np.arange(len(gi.relations) + 1)).tolist()
+    groups = [
+        (rel, receiver[lo:hi][first[lo:hi]], pair[lo:hi] - pair[lo], sender[lo:hi], weight[lo:hi])
+        for rel, lo, hi in zip(gi.relations, runs, runs[1:])
+        if lo < hi
+    ]
     mp = gi.mp_cache[key] = MpGraph(
         node_ids=node_ids,
         closure=closure,
         scope_rows=scope_rows,
         out_rows=out_rows,
         relations=gi.relations,
-        relation=gi.relation[live],
-        receiver=np.searchsorted(closure, gi.receiver[live]),
-        sender=np.searchsorted(closure, gi.sender[live]),
-        weight=gi.weight[live],
+        relation=relation,
+        receiver=receiver,
+        sender=sender,
+        weight=weight,
+        groups=groups,
         attr_rows=attr_rows,
         projected=[gi.modalities[m] for m in codes if gi.modalities[m] != CATEGORICAL],
         row=row,
     )
-    for a in (*vars(mp).values(), *attr_rows.values()):
+    for a in (*vars(mp).values(), *attr_rows.values(), *(a for group in groups for a in group[1:])):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return mp
@@ -256,14 +278,23 @@ def encode_layers(
     history: list[np.ndarray] | None = None,
 ) -> list[Tensor]:
     """Forward pass. Returns per-layer tensors whose rows follow mp.scope_rows order
-    for layers >= 1; layer 0 covers the whole closure. `history[l - 1]`, when
-    given, holds layer l of every index node, read for the out-of-scope rows.
+    for layers >= 1; layer 0 covers the whole closure. `history`, when given, is
+    one (index nodes x width) array per layer >= 1; `history[l - 1]` holds layer l
+    of every index node, read for the out-of-scope rows. Other shapes raise
+    ShapeMismatch.
 
-    Relation r adds (A_r h) W_r, where A_r h, the mean of each receiver's messages
-    under r, is one `segment_sum` over r's edges."""
+    Relation r adds (A_r h) W_r on its target rows only: A_r h there, the mean of
+    each target's messages under r, is one `segment_sum` over r's edges into a
+    block with a row per target, and `add_rows` adds the block times W_r into
+    those rows."""
     for modality in mp.projected:
         if modality not in params.projections:
             raise MissingProjection(modality)
+    dims = [params.proj_dim, params.hidden_dim, params.out_dim]
+    if history is not None:
+        want = [(len(mp.row), d) for d in dims[1:]]
+        if [np.shape(h) for h in history] != want:
+            raise ShapeMismatch(f"history needs arrays of shapes {want}, got {[np.shape(h) for h in history]}")
     n = len(mp.node_ids)
     pieces = []
     for modality, rows in mp.attr_rows.items():
@@ -276,13 +307,6 @@ def encode_layers(
     h_full = nm.assemble_rows(n, params.proj_dim, pieces)
 
     outputs: list[Tensor] = [h_full]
-    dims = [params.proj_dim, params.hidden_dim, params.out_dim]
-    runs = np.searchsorted(mp.relation, np.arange(len(mp.relations) + 1)).tolist()
-    edges = [
-        (rel, mp.sender[lo:hi], mp.receiver[lo:hi], mp.weight[lo:hi])
-        for rel, lo, hi in zip(mp.relations, runs, runs[1:])
-        if lo < hi
-    ]
     h_scope: Tensor | None = None
     for l, layer in enumerate(params.layers):
         if l > 0:
@@ -291,9 +315,9 @@ def encode_layers(
                 fill.append((mp.out_rows, history[l - 1][mp.closure[mp.out_rows]]))
             h_full = nm.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
-        for rel, sender, receiver, weight in edges:
-            mean = nm.segment_sum(h_full, sender, receiver, weight, n)
-            z = nm.add(z, nm.matmul(mean, layer.weight_for(rel)))
+        for rel, targets, segment, sender, weight in mp.groups:
+            mean = nm.segment_sum(h_full, sender, segment, weight, len(targets))
+            z = nm.add_rows(z, targets, nm.matmul(mean, layer.weight_for(rel)))
         h_next_full = nm.relu(nm.add(z, layer.bias))
         h_scope = nm.gather_rows(h_next_full, mp.scope_rows)
         outputs.append(h_scope)

@@ -234,6 +234,28 @@ def segment_sum(
     return _make(data, (a,), grad_fn)
 
 
+def _check_increasing(idx: np.ndarray, n_rows: int) -> None:
+    """Raise ValueError unless `idx` is strictly increasing, then IndexError unless it
+    lies in [0, n_rows), which its ends then show."""
+    if len(idx) > 1 and np.count_nonzero(idx[1:] <= idx[:-1]):  # cheaper than .any() on small arrays
+        raise ValueError("row indices must be strictly increasing")
+    if len(idx) and (idx[0] < 0 or idx[-1] >= n_rows):
+        raise IndexError(f"row index out of range for {n_rows} rows")
+
+
+def add_rows(a, idx: np.ndarray, b) -> Tensor:
+    """`a` with row i of `b` added into row idx[i]; the other rows pass through. `idx`
+    must be strictly increasing, since a repeated row would keep only one of its terms."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    idx = np.asarray(idx, dtype=np.intp)
+    if a.data.ndim != 2 or b.data.shape != (len(idx), a.data.shape[1]):
+        raise ShapeMismatch(f"add_rows: {b.data.shape} rows at {idx.shape} indices into {a.data.shape}")
+    _check_increasing(idx, a.data.shape[0])
+    data = a.data.copy()
+    data[idx] = a.data.take(idx, axis=0) + b.data  # faster than a fancy `+=` on small blocks
+    return _make(data, (a, b), lambda g: (g, g.take(idx, axis=0)))
+
+
 def assemble_rows(
     n_rows: int,
     width: int,
@@ -242,19 +264,29 @@ def assemble_rows(
     """Build an (n_rows, width) matrix from row-index/block pairs; uncovered rows are zero.
 
     Blocks may be plain arrays (constants, e.g. historical embeddings) or tensors, in
-    which case gradients route back to the block rows.
+    which case gradients route back to the block rows. Each piece's indices must be
+    strictly increasing (ValueError) and lie in [0, n_rows) (IndexError), and no
+    row may be covered twice (ValueError): a later block would overwrite it while
+    both got its gradient.
     """
     data = np.zeros((n_rows, width), dtype=np.float64)
     parents: list[Tensor] = []
     spans: list[tuple[np.ndarray, int]] = []  # (idx, parent position or -1)
+    seen, covered = np.zeros(n_rows, dtype=bool), 0  # rows written, and writes made
     for idx, block in pieces:
         idx = np.asarray(idx, dtype=np.intp)
+        _check_increasing(idx, n_rows)
+        if len(pieces) > 1:
+            seen[idx] = True
+            covered += len(idx)
         if isinstance(block, Tensor):
             data[idx] = block.data
             spans.append((idx, len(parents)))
             parents.append(block)
         else:
             data[idx] = np.asarray(block, dtype=np.float64)
+    if np.count_nonzero(seen) != covered:
+        raise ValueError("assemble_rows covers a row twice")
 
     def grad_fn(g):
         grads: list[np.ndarray | None] = [None] * len(parents)

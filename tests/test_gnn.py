@@ -6,7 +6,7 @@ import pytest
 import kgdta.graph as graph_mod
 from kgdta import numerics as nm
 import numerics_ref as ref
-from kgdta.errors import DimMismatch, KindViolation, MissingHandler, MissingProjection, NonFinite
+from kgdta.errors import DimMismatch, KindViolation, MissingHandler, MissingProjection, NonFinite, ShapeMismatch
 from kgdta.gnn import (
     INFER_DEFAULTS,
     FlowPolicy,
@@ -275,7 +275,9 @@ def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
     return outputs
 
 
-def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
+def acceptance_encodings():
+    """(mp, table, params, history) for three planted worlds, two policies, and the
+    whole graph, a partition, and a partition reading a history."""
     from kgdta.pretrain import partition, trainable_relations
     from kgdta.synthetic import make_planted_world
 
@@ -286,7 +288,6 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
         make_planted_world(n_drugs=60, n_proteins=40, latent_dim=8, edge_density=0.3,
                            kg_pair_fraction=0.5, seed=0).graph,
     ]
-    worst = 0.0
     for g in worlds:
         table = compute_initial_embeddings(g, registry)
         dims = {m: table.matrices[m].shape[1] for m in ("protein_sequence", "smiles")}
@@ -298,17 +299,131 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
         history[0][np.arange(n_nodes)] = rng.normal(size=(n_nodes, 12))
         for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
             for scope, hist in ((None, None), (np.flatnonzero(part == 1), None), (np.flatnonzero(part == 2), history)):
-                mp = build_mp(g, scope, policy)
-                # every edge feeds a scope row, and each receiver's weights per relation average
-                assert set(mp.receiver.tolist()) <= set(mp.scope_rows.tolist())
-                sums = {}
-                for k, v, w in zip(mp.relation.tolist(), mp.receiver.tolist(), mp.weight.tolist()):
-                    sums[k, v] = sums.get((k, v), 0.0) + w
-                assert all(abs(total - 1.0) < 1e-12 for total in sums.values())
-                sparse = encode_layers(mp, table, params, hist)
-                for got, want in zip(sparse[1:], dense_reference(mp, table, params, hist)):
-                    worst = max(worst, float(np.max(np.abs(got.data - want))))
+                yield build_mp(g, scope, policy), table, params, hist
+
+
+def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
+    worst = 0.0
+    for mp, table, params, hist in acceptance_encodings():
+        # every edge feeds a scope row, and each receiver's weights per relation average
+        assert set(mp.receiver.tolist()) <= set(mp.scope_rows.tolist())
+        sums = {}
+        for k, v, w in zip(mp.relation.tolist(), mp.receiver.tolist(), mp.weight.tolist()):
+            sums[k, v] = sums.get((k, v), 0.0) + w
+        assert all(abs(total - 1.0) < 1e-12 for total in sums.values())
+        sparse = encode_layers(mp, table, params, hist)
+        for got, want in zip(sparse[1:], dense_reference(mp, table, params, hist)):
+            worst = max(worst, float(np.max(np.abs(got.data - want))))
     assert worst <= 1e-12, worst
+
+
+def test_relation_groups_match_the_full_width_reference_bit_for_bit():
+    """Each relation's product over its target rows only gives the bytes of the
+    full-width loop in tests/gnn_ref.py, outputs and parameter gradients alike. A
+    relation with one target makes its product a one-row matmul, which BLAS may sum
+    in another order, so there the match is to 1e-15."""
+    from gnn_ref import reference_encode_layers
+
+    # the graph `infer` encodes: one entity hearing one attribute
+    seq = attribute_node("protein_sequence", "MK")
+    query = MultimodalGraph().add_triple(entity("uniprot", "P1", "protein"), SEQ, seq)
+    query_params = init_gnn_params({"protein_sequence": 3}, ["sequence"], substream(9, "init"), 16, 12, 12)
+    query_table = table_for(query, {str(seq.id): np.array([0.3, -1.2, 0.7])})
+    query_mp = build_mp(query, np.array([1]), FlowPolicy.controlled())
+    assert [len(targets) for _, targets, *_ in query_mp.groups] == [1]
+    exact = 0
+    for mp, table, params, hist in [*acceptance_encodings(), (query_mp, query_table, query_params, None)]:
+        named = params.named_parameters()
+        probe = substream(9, "probe").normal(size=(len(mp.scope_rows), params.out_dim))
+        runs = []
+        for encoder in (encode_layers, reference_encode_layers):
+            layers = encoder(mp, table, params, hist)
+            nm.backward(ref.sum_all(nm.mul(layers[-1], nm.constant(probe))))
+            grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in named.values()]
+            runs.append([layer.data for layer in layers] + grads)
+            for p in named.values():
+                p.grad = None
+        one_target = any(len(targets) == 1 for _, targets, *_ in mp.groups)
+        for got, want in zip(*runs):
+            assert got.shape == want.shape
+            if one_target:
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+            else:
+                assert got.tobytes() == want.tobytes()
+        exact += not one_target
+    assert exact > 0
+
+
+def test_groups_are_each_relations_edges_and_distinct_receivers():
+    from kgdta.synthetic import make_planted_world
+
+    g = make_planted_world(n_drugs=6, n_proteins=5, seed=4).graph
+    for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
+        mp = build_mp(g, None, policy)
+        lo = 0
+        for rel, targets, segment, sender, weight in mp.groups:
+            hi = lo + len(sender)
+            k = mp.relations.index(rel)
+            assert (mp.relation[lo:hi] == k).all() and hi - lo > 0
+            assert np.array_equal(targets, np.unique(mp.receiver[lo:hi]))
+            assert np.array_equal(targets[segment], mp.receiver[lo:hi])
+            assert np.array_equal(sender, mp.sender[lo:hi]) and np.array_equal(weight, mp.weight[lo:hi])
+            lo = hi
+        assert lo == len(mp.relation)
+
+
+def test_a_relation_without_a_live_edge_in_the_scope_gets_no_group():
+    g = MultimodalGraph()
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    g.add_triple(p1, SEQ, attribute_node("protein_sequence", "MKTAY"))
+    g.add_triple(p1, TXT, attribute_node("text", "a kinase"))
+    g.add_triple(p2, BIND, entity("uniprot", "P3", "protein"))
+    position = g.index().position
+    scope = np.array([position[p1.id]])
+    # `binding_to` has edges only outside the scope, `comment` only blocked ones
+    assert [group[0] for group in build_mp(g, scope, FlowPolicy.unrestricted()).groups] == ["comment", "sequence"]
+    mp = build_mp(g, scope, FlowPolicy.controlled())
+    assert [group[0] for group in mp.groups] == ["sequence"]
+    assert [group[0] for group in build_mp(g, np.array([position[p2.id]]), FlowPolicy.unrestricted()).groups] == [
+        "binding_to"
+    ]
+    out = encode(g, table_for(g, {}), identity_params(), FlowPolicy.controlled(), scope=[p1.id])
+    assert out[p1.id].shape == (3,)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_build_mp_rejects_a_scope_index_outside_the_graph(bad):
+    g = MultimodalGraph()
+    g.add_triple(entity("uniprot", "P1", "protein"), BIND, entity("uniprot", "P2", "protein"))
+    g.add_triple(entity("uniprot", "P2", "protein"), SEQ, attribute_node("protein_sequence", "MK"))
+    assert len(g.index().node_ids) == 3
+    for scope in (np.array([bad]), np.array([0, bad]), [bad, 1, 1]):
+        with pytest.raises(IndexError):
+            build_mp(g, scope, FlowPolicy.unrestricted())
+    assert g.index().mp_cache == {}
+
+
+def test_encode_layers_rejects_a_history_of_the_wrong_shape():
+    g = MultimodalGraph()
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    g.add_triple(p1, BIND, p2)
+    table, params = table_for(g, {}), identity_params()
+    n = len(g.index().node_ids)
+    inside = build_mp(g, None, FlowPolicy.unrestricted())  # reads no history row
+    partial = build_mp(g, np.array([g.index().position[p1.id]]), FlowPolicy.unrestricted())
+    assert len(inside.out_rows) == 0 and len(partial.out_rows) == 1
+    for mp in (inside, partial):
+        encode_layers(mp, table, params, [np.zeros((n, 3)), np.zeros((n, 3))])
+        for bad in (
+            [np.zeros((n, 4)), np.zeros((n, 3))],
+            [np.zeros((n, 3)), np.zeros((n, 2))],
+            [np.zeros((n - 1, 3)), np.zeros((n - 1, 3))],
+            [np.zeros((n + 1, 3)), np.zeros((n, 3))],
+            [np.zeros((n, 3))],
+            [np.zeros(n), np.zeros(n)],
+        ):
+            with pytest.raises(ShapeMismatch):
+                encode_layers(mp, table, params, bad)
 
 
 def test_full_graph_edges_are_the_triples_both_ways():
@@ -513,7 +628,9 @@ def test_build_mp_results_are_cached_per_scope_set_and_policy():
     assert len(g.index().mp_cache) == 4
 
     arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)] + list(first.attr_rows.values())
+    group_arrays = [a for group in first.groups for a in group[1:]]
     assert len(arrays) == 8 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
+    assert len(group_arrays) == 4 * len(first.groups) > 0 and all(not a.flags.writeable for a in group_arrays)
     with pytest.raises(ValueError, match="read-only"):
         first.receiver[0] = 0
 

@@ -300,6 +300,51 @@ def test_scatter_rejects_out_of_range_and_negative_indices(bad):
         nm.gather_rows(a, np.array([2, bad]))
 
 
+def test_add_rows_adds_into_the_indexed_rows_and_passes_finite_differences():
+    rng = np.random.default_rng(6)
+    idx = np.array([0, 2, 3])
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
+    out = nm.add_rows(nm.constant(a), idx, nm.constant(b))
+    want = a.copy()
+    want[idx] = a[idx] + b
+    assert out.data.tobytes() == want.tobytes()
+    params = {"a": nm.param(a), "b": nm.param(b)}
+    probe = rng.normal(size=(5, 3))
+
+    def f(p):
+        return ref.sum_all(nm.mul(nm.add_rows(p["a"], idx, p["b"]), nm.constant(probe)))
+
+    assert nm.grad_check(f, params) < 1e-8
+    assert np.array_equal(params["a"].grad, probe) and np.array_equal(params["b"].grad, probe[idx])
+
+
+@pytest.mark.parametrize("bad", [[0, 5], [-1, 2], [2, 2], [3, 1]])
+def test_add_rows_rejects_out_of_range_repeated_and_unsorted_indices(bad):
+    a, b = nm.param(np.ones((5, 2))), nm.param(np.ones((2, 2)))
+    error = IndexError if min(bad) < 0 or max(bad) >= 5 else ValueError
+    with pytest.raises(error):
+        nm.add_rows(a, np.array(bad), b)
+    with pytest.raises(ShapeMismatch):
+        nm.add_rows(a, np.array([0, 1, 2]), b)
+
+
+def test_assemble_rows_rejects_out_of_range_unsorted_and_twice_covered_rows():
+    t = nm.param(np.ones((1, 2)))
+    with pytest.raises(IndexError):  # numpy would fill row 2 from the end
+        nm.assemble_rows(3, 2, [(np.array([-1]), t)])
+    with pytest.raises(IndexError):
+        nm.assemble_rows(3, 2, [(np.array([3]), np.zeros((1, 2)))])
+    # a repeated row keeps one block row but would hand its gradient to both
+    with pytest.raises(ValueError):
+        nm.assemble_rows(3, 2, [(np.array([1, 1]), nm.param(np.ones((2, 2))))])
+    with pytest.raises(ValueError):
+        nm.assemble_rows(3, 2, [(np.array([0, 1]), np.zeros((2, 2))), (np.array([1]), t)])
+    with pytest.raises(ValueError):  # each piece's rows in increasing order, as add_rows takes them
+        nm.assemble_rows(3, 2, [(np.array([2, 0]), np.zeros((2, 2)))])
+    out = nm.assemble_rows(3, 2, [(np.array([2]), t), (np.array([0]), np.full((1, 2), 2.0))])
+    assert np.array_equal(out.data, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
 # -- matmul with a constant operand -----------------------------------------------------
 
 
