@@ -13,9 +13,9 @@ entity modalities (e.g. proteins listen only to their sequence attribute), which
 keeps pretraining consistent with inference-time inputs.
 
 Messages travel along the sparse edge list of the graph's integer index, never an
-n x n matrix: per relation and layer, one weighted scatter-add
-(`numerics.segment_sum`) gives the mean message of each row the relation reaches,
-and only those rows get its product with W_r (`numerics.add_rows`).
+n x n matrix: each layer is one tape op (`numerics.rgcn_layer`), in which one
+weighted scatter-add per relation gives the mean message of each row the relation
+reaches, and only those rows get its product with W_r.
 Encoding covers the scope plus its one-hop, flow-permitted in-neighbors only,
 because out-of-scope neighbors at layers >= 1 read from the history (partitioned
 training: one array per layer >= 1, a row per index node) when given and zeros
@@ -203,11 +203,12 @@ class MpGraph:
 def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolicy) -> MpGraph:
     """Closure, edges and projected rows for encoding `scope`, an int array of
     nodes of `graph.index()` (None: every node); an index outside the graph raises
-    IndexError. Cached on the index by scope set and policy: equal inputs share
-    one result, so its arrays are read-only."""
+    IndexError, as does a non-integer one (a bool mask would read as rows 0 and 1).
+    Cached on the index by scope set and policy: equal inputs share one result,
+    so its arrays are read-only."""
     gi = graph.index()
     n = len(gi.node_ids)
-    rows = np.arange(n) if scope is None else np.unique(np.asarray(scope, dtype=np.intp))
+    rows = np.arange(n) if scope is None else np.unique(nm.as_index(scope))
     if len(rows) and (rows[0] < 0 or rows[-1] >= n):
         raise IndexError(f"scope index out of range for {n} nodes")
     key = (None if len(rows) == n else rows.tobytes(), policy.key())  # None: every node
@@ -283,10 +284,9 @@ def encode_layers(
     of every index node, read for the out-of-scope rows. Other shapes raise
     ShapeMismatch.
 
-    Relation r adds (A_r h) W_r on its target rows only: A_r h there, the mean of
-    each target's messages under r, is one `segment_sum` over r's edges into a
-    block with a row per target, and `add_rows` adds the block times W_r into
-    those rows."""
+    Each layer is one `numerics.rgcn_layer` over `mp.groups`: relation r adds
+    (A_r h) W_r on its target rows only, where A_r h, the mean of each target's
+    messages under r, is a block with a row per target."""
     for modality in mp.projected:
         if modality not in params.projections:
             raise MissingProjection(modality)
@@ -307,20 +307,17 @@ def encode_layers(
     h_full = nm.assemble_rows(n, params.proj_dim, pieces)
 
     outputs: list[Tensor] = [h_full]
-    h_scope: Tensor | None = None
+    groups = [group[1:] for group in mp.groups]
     for l, layer in enumerate(params.layers):
         if l > 0:
-            fill = [(mp.scope_rows, h_scope)]
-            if len(mp.out_rows) and history is not None:
-                fill.append((mp.out_rows, history[l - 1][mp.closure[mp.out_rows]]))
-            h_full = nm.assemble_rows(n, dims[l], fill)
-        z = nm.matmul(h_full, layer.w_self)
-        for rel, targets, segment, sender, weight in mp.groups:
-            mean = nm.segment_sum(h_full, sender, segment, weight, len(targets))
-            z = nm.add_rows(z, targets, nm.matmul(mean, layer.weight_for(rel)))
-        h_next_full = nm.relu(nm.add(z, layer.bias))
-        h_scope = nm.gather_rows(h_next_full, mp.scope_rows)
-        outputs.append(h_scope)
+            h_full = outputs[-1]  # when the scope is the whole closure
+            if len(mp.out_rows):
+                fill = [(mp.scope_rows, h_full)]
+                if history is not None:
+                    fill.append((mp.out_rows, history[l - 1][mp.closure[mp.out_rows]]))
+                h_full = nm.assemble_rows(n, dims[l], fill)
+        weights = [layer.weight_for(group[0]) for group in mp.groups]
+        outputs.append(nm.rgcn_layer(h_full, layer.w_self, layer.bias, weights, groups, mp.scope_rows))
     return outputs
 
 

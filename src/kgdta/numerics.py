@@ -167,12 +167,15 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return _make(data, tensors, grad_fn)
 
 
-def _take_rows(data: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """data[index] along the first axis, raising IndexError for an index outside
-    [0, len(data)); numpy indexing would read a negative index from the end."""
-    if index.size and index.min() < 0:
-        raise IndexError(f"negative row index for {data.shape[0]} rows")
-    return data.take(index, axis=0)
+def as_index(idx) -> np.ndarray:
+    """`idx` as an int array of row indices. A non-empty index of another dtype raises
+    IndexError: numpy would cast a bool mask or floats to row numbers. An empty one
+    of any dtype passes, since `np.asarray([])` is float64. The range is left to the
+    caller, which can check a sorted index by its ends."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise IndexError(f"row indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.intp, copy=False)
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -194,66 +197,10 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeMismatch(f"gather_rows needs a 2-d tensor, got {a.data.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
-    n_rows = a.data.shape[0]
-
-    def grad_fn(g):
-        return (_scatter_add(idx, g, n_rows),)
-
-    return _make(_take_rows(a.data, idx), (a,), grad_fn)
-
-
-def segment_sum(
-    a,
-    rows: np.ndarray,
-    segments: np.ndarray,
-    weights: np.ndarray,
-    n_segments: int,
-) -> Tensor:
-    """Weighted scatter-add of rows: out[s] = sum of weights[e] * a[rows[e]] over the
-    entries e with segments[e] == s, added in entry order; segments nobody hits are
-    zero. This is the sparse (n_segments x len(a)) matrix with `weights` at
-    (segments, rows) times `a`, so the backward pass is the transposed scatter,
-    grad_a[rows[e]] += weights[e] * g[segments[e]].
-
-    `rows` and `segments` are int arrays and `weights` a float64 array, all 1-d and
-    of one length.
-    """
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"segment_sum needs a 2-d tensor, got {a.data.shape}")
-    if not rows.shape == segments.shape == weights.shape:
-        raise ShapeMismatch(f"segment_sum: {rows.shape} rows, {segments.shape} segments, {weights.shape} weights")
-    weights = weights[:, None]
-    data = _scatter_add(segments, weights * _take_rows(a.data, rows), n_segments)
-    n_rows = a.data.shape[0]
-
-    def grad_fn(g):
-        return (_scatter_add(rows, weights * g[segments], n_rows),)
-
-    return _make(data, (a,), grad_fn)
-
-
-def _check_increasing(idx: np.ndarray, n_rows: int) -> None:
-    """Raise ValueError unless `idx` is strictly increasing, then IndexError unless it
-    lies in [0, n_rows), which its ends then show."""
-    if len(idx) > 1 and np.count_nonzero(idx[1:] <= idx[:-1]):  # cheaper than .any() on small arrays
-        raise ValueError("row indices must be strictly increasing")
-    if len(idx) and (idx[0] < 0 or idx[-1] >= n_rows):
-        raise IndexError(f"row index out of range for {n_rows} rows")
-
-
-def add_rows(a, idx: np.ndarray, b) -> Tensor:
-    """`a` with row i of `b` added into row idx[i]; the other rows pass through. `idx`
-    must be strictly increasing, since a repeated row would keep only one of its terms."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim != 2 or b.data.shape != (len(idx), a.data.shape[1]):
-        raise ShapeMismatch(f"add_rows: {b.data.shape} rows at {idx.shape} indices into {a.data.shape}")
-    _check_increasing(idx, a.data.shape[0])
-    data = a.data.copy()
-    data[idx] = a.data.take(idx, axis=0) + b.data  # faster than a fancy `+=` on small blocks
-    return _make(data, (a, b), lambda g: (g, g.take(idx, axis=0)))
+    idx, n_rows = as_index(idx), a.data.shape[0]
+    if idx.size and idx.min() < 0:  # numpy would read a negative index from the end
+        raise IndexError(f"negative row index for {n_rows} rows")
+    return _make(a.data.take(idx, axis=0), (a,), lambda g: (_scatter_add(idx, g, n_rows),))
 
 
 def assemble_rows(
@@ -264,27 +211,33 @@ def assemble_rows(
     """Build an (n_rows, width) matrix from row-index/block pairs; uncovered rows are zero.
 
     Blocks may be plain arrays (constants, e.g. historical embeddings) or tensors, in
-    which case gradients route back to the block rows. Each piece's indices must be
-    strictly increasing (ValueError) and lie in [0, n_rows) (IndexError), and no
-    row may be covered twice (ValueError): a later block would overwrite it while
-    both got its gradient.
+    which case gradients route back to the block rows. Each block must be
+    (len(idx), width) (ShapeMismatch). Each piece's indices must be integers and lie
+    in [0, n_rows) (IndexError) and be strictly increasing (ValueError), and no row
+    may be covered twice (ValueError): a later block would overwrite it while both
+    got its gradient.
     """
     data = np.zeros((n_rows, width), dtype=np.float64)
     parents: list[Tensor] = []
     spans: list[tuple[np.ndarray, int]] = []  # (idx, parent position or -1)
     seen, covered = np.zeros(n_rows, dtype=bool), 0  # rows written, and writes made
     for idx, block in pieces:
-        idx = np.asarray(idx, dtype=np.intp)
-        _check_increasing(idx, n_rows)
+        idx = as_index(idx)
+        if len(idx) > 1 and np.count_nonzero(idx[1:] <= idx[:-1]):  # cheaper than .any() on small arrays
+            raise ValueError("row indices must be strictly increasing")
+        if len(idx) and (idx[0] < 0 or idx[-1] >= n_rows):  # increasing: its ends show the range
+            raise IndexError(f"row index out of range for {n_rows} rows")
         if len(pieces) > 1:
             seen[idx] = True
             covered += len(idx)
-        if isinstance(block, Tensor):
-            data[idx] = block.data
+        tensor = isinstance(block, Tensor)
+        values = block.data if tensor else np.asarray(block, dtype=np.float64)
+        if values.shape != (len(idx), width):  # numpy would broadcast a (1, width) block
+            raise ShapeMismatch(f"assemble_rows: a {values.shape} block at {len(idx)} rows of width {width}")
+        data[idx] = values
+        if tensor:
             spans.append((idx, len(parents)))
             parents.append(block)
-        else:
-            data[idx] = np.asarray(block, dtype=np.float64)
     if np.count_nonzero(seen) != covered:
         raise ValueError("assemble_rows covers a row twice")
 
@@ -295,6 +248,54 @@ def assemble_rows(
         return tuple(grads)
 
     return _make(data, parents, grad_fn)
+
+
+def rgcn_layer(
+    h: Tensor,
+    w_self: Tensor,
+    bias: Tensor,
+    weights: Sequence[Tensor],
+    groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    out_rows: np.ndarray,
+) -> Tensor:
+    """relu(h W_self + sum_r mean_r(h) W_r + b) at `out_rows`, as one tape op whose
+    float operations, and their order, are those of the same layer built from the
+    separate ops (scatter, matmul, row add, relu, gather), so both give equal bytes.
+
+    In group r, (targets, segment, sender, weight), edge e adds `weight[e]` times row
+    `sender[e]` of h into row `segment[e]` of a block with a row per target; the block
+    times `weights[r]` is added into the target rows. A tensor may appear in `weights`
+    more than once, and the tape sums its gradients. Operand shapes are checked
+    (ShapeMismatch); the group arrays and `out_rows` are trusted (`targets` strictly
+    increasing, `segment` non-decreasing over [0, len(targets)), every index in
+    range), because `gnn.build_mp` makes them once and freezes them."""
+    H, W = h.data, w_self.data
+    if H.ndim != 2 or W.ndim != 2 or W.shape[0] != H.shape[1] or bias.data.shape != W.shape[1:]:
+        raise ShapeMismatch(f"rgcn_layer: h {H.shape}, w_self {W.shape}, bias {bias.data.shape}")
+    if len(weights) != len(groups) or any(w.data.shape != W.shape for w in weights):
+        raise ShapeMismatch(f"rgcn_layer: {len(groups)} groups, weights {[w.data.shape for w in weights]}")
+    n = H.shape[0]
+    z = H @ W
+    means = []
+    for (targets, segment, sender, weight), w in zip(groups, weights):
+        mean = _scatter_add(segment, weight[:, None] * H.take(sender, axis=0), len(targets))
+        z[targets] = z.take(targets, axis=0) + mean @ w.data
+        means.append(mean)
+    pre = z + bias.data
+    mask = pre > 0.0
+
+    def grad_fn(g):
+        gz = _scatter_add(out_rows, g, n) * mask
+        gh = gz @ W.T if h.requires_grad else None
+        grads = []
+        for (targets, segment, sender, weight), w, mean in zip(groups, weights, means):
+            gt = gz.take(targets, axis=0)
+            grads.append(mean.T @ gt)
+            if gh is not None:
+                gh = gh + _scatter_add(sender, weight[:, None] * (gt @ w.data.T)[segment], n)
+        return (gh, H.T @ gz, gz.sum(axis=0), *grads)
+
+    return _make(np.where(mask, pre, 0.0).take(out_rows, axis=0), (h, w_self, bias, *weights), grad_fn)
 
 
 def reshape(a, shape) -> Tensor:

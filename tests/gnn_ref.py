@@ -6,6 +6,7 @@ Kept as the reference that `kgdta.gnn.encode_layers` is checked against."""
 import numpy as np
 
 from kgdta import numerics as nm
+import numerics_ref as ref
 from kgdta.gnn import GnnParams, MpGraph
 from kgdta.handlers import EmbeddingTable
 from kgdta.numerics import Tensor
@@ -42,7 +43,7 @@ def reference_encode_layers(
             h_full = nm.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
         for rel, sender, receiver, weight in edges:
-            mean = nm.segment_sum(h_full, sender, receiver, weight, n)
+            mean = ref.segment_sum(h_full, sender, receiver, weight, n)
             z = nm.add(z, nm.matmul(mean, layer.weight_for(rel)))
         h_next_full = nm.relu(nm.add(z, layer.bias))
         h_scope = nm.gather_rows(h_next_full, mp.scope_rows)

@@ -355,21 +355,36 @@ def test_relation_groups_match_the_full_width_reference_bit_for_bit():
 
 
 def test_groups_are_each_relations_edges_and_distinct_receivers():
+    """Also the invariants `numerics.rgcn_layer` trusts without checking them."""
+    from kgdta.pretrain import partition
     from kgdta.synthetic import make_planted_world
 
     g = make_planted_world(n_drugs=6, n_proteins=5, seed=4).graph
+    part = partition(g, 3, substream(4, "partition"))
+    # partitions keep an entity with its attributes, so under the controlled policy
+    # only the alternating scopes have closure rows outside the scope
+    n = len(g.index().node_ids)
+    scopes = [None, *(np.flatnonzero(part == p) for p in range(3)), np.arange(0, n, 2), np.arange(1, n, 2)]
     for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
-        mp = build_mp(g, None, policy)
-        lo = 0
-        for rel, targets, segment, sender, weight in mp.groups:
-            hi = lo + len(sender)
-            k = mp.relations.index(rel)
-            assert (mp.relation[lo:hi] == k).all() and hi - lo > 0
-            assert np.array_equal(targets, np.unique(mp.receiver[lo:hi]))
-            assert np.array_equal(targets[segment], mp.receiver[lo:hi])
-            assert np.array_equal(sender, mp.sender[lo:hi]) and np.array_equal(weight, mp.weight[lo:hi])
-            lo = hi
-        assert lo == len(mp.relation)
+        partial = 0
+        for scope in scopes:
+            mp = build_mp(g, scope, policy)
+            partial += len(mp.out_rows) > 0
+            rows, lo = len(mp.closure), 0  # group indices are closure rows
+            for rel, targets, segment, sender, weight in mp.groups:
+                hi = lo + len(sender)
+                k = mp.relations.index(rel)
+                assert (mp.relation[lo:hi] == k).all() and hi - lo > 0
+                assert np.array_equal(targets, np.unique(mp.receiver[lo:hi]))
+                assert np.array_equal(targets[segment], mp.receiver[lo:hi])
+                assert np.array_equal(sender, mp.sender[lo:hi]) and np.array_equal(weight, mp.weight[lo:hi])
+                assert (np.diff(targets) > 0).all() and 0 <= targets[0] and targets[-1] < rows
+                assert (np.diff(segment) >= 0).all() and np.array_equal(np.unique(segment), np.arange(len(targets)))
+                assert sender.min() >= 0 and sender.max() < rows
+                assert not any(a.flags.writeable for a in (targets, segment, sender, weight))
+                lo = hi
+            assert lo == len(mp.relation)
+        assert partial >= 2
 
 
 def test_a_relation_without_a_live_edge_in_the_scope_gets_no_group():
@@ -401,6 +416,19 @@ def test_build_mp_rejects_a_scope_index_outside_the_graph(bad):
         with pytest.raises(IndexError):
             build_mp(g, scope, FlowPolicy.unrestricted())
     assert g.index().mp_cache == {}
+
+
+def test_build_mp_rejects_a_scope_that_is_not_integer():
+    from kgdta.synthetic import make_planted_world
+
+    g = make_planted_world(n_drugs=6, n_proteins=5, seed=4).graph
+    mask = np.zeros(len(g.index().node_ids), dtype=bool)
+    mask[[7, 9]] = True
+    for scope in (mask, np.array([7.9, 9.2]), np.array([7.0, 9.0])):
+        with pytest.raises(IndexError):  # numpy would read the mask as rows 0 and 1
+            build_mp(g, scope, FlowPolicy.unrestricted())
+    assert g.index().mp_cache == {}
+    assert len(build_mp(g, np.asarray([]), FlowPolicy.unrestricted()).scope_rows) == 0
 
 
 def test_encode_layers_rejects_a_history_of_the_wrong_shape():

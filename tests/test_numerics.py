@@ -207,7 +207,7 @@ def test_segment_sum_is_a_sparse_product_and_passes_finite_differences():
     dense = np.zeros((5, 4))
     for r, s, w in zip(rows, segments, weights):
         dense[s, r] += w
-    out = nm.segment_sum(nm.constant(a), rows, segments, weights, 5)
+    out = ref.segment_sum(nm.constant(a), rows, segments, weights, 5)
     assert out.data.shape == (5, 3)
     assert np.max(np.abs(out.data - dense @ a)) <= 1e-14
     assert not out.data[[2, 4]].any()
@@ -216,7 +216,7 @@ def test_segment_sum_is_a_sparse_product_and_passes_finite_differences():
     probe = rng.normal(size=(5, 3))
 
     def f(p):
-        return ref.sum_all(nm.mul(nm.segment_sum(p["a"], rows, segments, weights, 5), nm.constant(probe)))
+        return ref.sum_all(nm.mul(ref.segment_sum(p["a"], rows, segments, weights, 5), nm.constant(probe)))
 
     assert nm.grad_check(f, params) < 1e-8
     # the backward pass is the transposed scatter
@@ -226,9 +226,9 @@ def test_segment_sum_is_a_sparse_product_and_passes_finite_differences():
 def test_segment_sum_rejects_mismatched_edge_arrays():
     a = nm.constant(np.ones((3, 2)))
     with pytest.raises(ShapeMismatch):
-        nm.segment_sum(a, np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]), 2)
+        ref.segment_sum(a, np.array([0, 1]), np.array([0]), np.array([1.0, 1.0]), 2)
     with pytest.raises(ShapeMismatch):
-        nm.segment_sum(nm.constant(np.ones(3)), np.array([0]), np.array([0]), np.array([1.0]), 2)
+        ref.segment_sum(nm.constant(np.ones(3)), np.array([0]), np.array([0]), np.array([1.0]), 2)
 
 
 # -- the bincount scatter-add against np.add.at -----------------------------------------
@@ -261,19 +261,18 @@ def _values(seed, shape):
 
 @settings(max_examples=200, deadline=None)
 @given(scatter_cases())
-def test_segment_sum_is_bit_identical_to_add_at(case):
+def test_scatter_add_is_bit_identical_to_add_at(case):
+    """Both scatters of a relation's mean: the forward one into segments, and the
+    backward one, transposed, into rows."""
     n_rows, n_segments, width, rows, segments, seed = case
     a = _values(seed, (n_rows, width))
-    weights = _values(seed + 1, rows.shape)
+    weights = _values(seed + 1, rows.shape)[:, None]
     probe = _values(seed + 2, (n_segments, width))
-    p = nm.param(a)
-    out = nm.segment_sum(p, rows, segments, weights, n_segments)
-    expected = _add_at_reference(segments, weights[:, None] * a[rows], n_segments)
-    assert out.data.shape == (n_segments, width)
-    assert out.data.tobytes() == expected.tobytes()
-    nm.backward(ref.sum_all(nm.mul(out, nm.constant(probe))))
-    expected_grad = _add_at_reference(rows, weights[:, None] * probe[segments], n_rows)
-    assert p.grad.tobytes() == expected_grad.tobytes()
+    out = nm._scatter_add(segments, weights * a[rows], n_segments)
+    assert out.shape == (n_segments, width)
+    assert out.tobytes() == _add_at_reference(segments, weights * a[rows], n_segments).tobytes()
+    back = nm._scatter_add(rows, weights * probe[segments], n_rows)
+    assert back.tobytes() == _add_at_reference(rows, weights * probe[segments], n_rows).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,42 +289,10 @@ def test_gather_rows_backward_is_bit_identical_to_add_at(case):
 def test_scatter_rejects_out_of_range_and_negative_indices(bad):
     a = nm.param(np.ones((3, 2)))
     with pytest.raises(IndexError):
-        nm.segment_sum(a, np.array([0, 1]), np.array([0, bad]), np.array([1.0, 1.0]), 3)
-    with pytest.raises(IndexError):
         nm._scatter_add(np.array([0, bad]), np.ones((2, 2)), 3)
-    # the forward gathers reject the index too, where numpy indexing would read -1 from the end
-    with pytest.raises(IndexError):
-        nm.segment_sum(a, np.array([0, bad]), np.array([0, 1]), np.array([1.0, 1.0]), 3)
+    # the forward gather rejects the index too, where numpy indexing would read -1 from the end
     with pytest.raises(IndexError):
         nm.gather_rows(a, np.array([2, bad]))
-
-
-def test_add_rows_adds_into_the_indexed_rows_and_passes_finite_differences():
-    rng = np.random.default_rng(6)
-    idx = np.array([0, 2, 3])
-    a, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
-    out = nm.add_rows(nm.constant(a), idx, nm.constant(b))
-    want = a.copy()
-    want[idx] = a[idx] + b
-    assert out.data.tobytes() == want.tobytes()
-    params = {"a": nm.param(a), "b": nm.param(b)}
-    probe = rng.normal(size=(5, 3))
-
-    def f(p):
-        return ref.sum_all(nm.mul(nm.add_rows(p["a"], idx, p["b"]), nm.constant(probe)))
-
-    assert nm.grad_check(f, params) < 1e-8
-    assert np.array_equal(params["a"].grad, probe) and np.array_equal(params["b"].grad, probe[idx])
-
-
-@pytest.mark.parametrize("bad", [[0, 5], [-1, 2], [2, 2], [3, 1]])
-def test_add_rows_rejects_out_of_range_repeated_and_unsorted_indices(bad):
-    a, b = nm.param(np.ones((5, 2))), nm.param(np.ones((2, 2)))
-    error = IndexError if min(bad) < 0 or max(bad) >= 5 else ValueError
-    with pytest.raises(error):
-        nm.add_rows(a, np.array(bad), b)
-    with pytest.raises(ShapeMismatch):
-        nm.add_rows(a, np.array([0, 1, 2]), b)
 
 
 def test_assemble_rows_rejects_out_of_range_unsorted_and_twice_covered_rows():
@@ -339,10 +306,97 @@ def test_assemble_rows_rejects_out_of_range_unsorted_and_twice_covered_rows():
         nm.assemble_rows(3, 2, [(np.array([1, 1]), nm.param(np.ones((2, 2))))])
     with pytest.raises(ValueError):
         nm.assemble_rows(3, 2, [(np.array([0, 1]), np.zeros((2, 2))), (np.array([1]), t)])
-    with pytest.raises(ValueError):  # each piece's rows in increasing order, as add_rows takes them
+    with pytest.raises(ValueError):  # each piece's rows in increasing order
         nm.assemble_rows(3, 2, [(np.array([2, 0]), np.zeros((2, 2)))])
     out = nm.assemble_rows(3, 2, [(np.array([2]), t), (np.array([0]), np.full((1, 2), 2.0))])
     assert np.array_equal(out.data, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_assemble_rows_rejects_a_block_of_the_wrong_shape():
+    # a (1, 3) block at two rows would broadcast into both and hand back a (2, 3) gradient
+    for block in (nm.param(np.ones((1, 3))), np.ones((1, 3)), np.ones((3, 3)), np.ones((2, 2)), np.ones(3)):
+        with pytest.raises(ShapeMismatch):
+            nm.assemble_rows(3, 3, [(np.array([0, 2]), block)])
+    with pytest.raises(ShapeMismatch):
+        nm.assemble_rows(3, 3, [(np.array([1]), np.ones(3))])
+
+
+def test_non_integer_row_indices_raise_and_empty_ones_pass():
+    a = nm.param(np.arange(6.0).reshape(3, 2))
+    for idx in (np.array([True, False, True]), np.array([0.0, 2.0]), np.array([0.9])):
+        with pytest.raises(IndexError):  # numpy would cast them to rows 1, 0, 1 / 0, 2 / 0
+            nm.gather_rows(a, idx)
+        with pytest.raises(IndexError):
+            nm.assemble_rows(3, 2, [(idx, np.ones((len(idx), 2)))])
+    assert nm.gather_rows(a, np.asarray([])).shape == (0, 2)  # np.asarray([]) is float64
+    assert not nm.assemble_rows(3, 2, [(np.asarray([]), np.ones((0, 2)))]).data.any()
+    assert np.array_equal(nm.gather_rows(a, np.array([2, 0], dtype=np.uint8)).data, [[4.0, 5.0], [0.0, 1.0]])
+
+
+# -- one R-GCN layer as one tape op ---------------------------------------------------------
+
+
+def _rgcn_case():
+    """Six rows; three groups, the second with one target, the last two sharing one
+    weight (as unseen relations share `w_default`); four of the six rows returned."""
+    rng = np.random.default_rng(11)
+    groups = [
+        (np.array([1, 4]), np.array([0, 0, 1]), np.array([0, 2, 5]), np.array([0.5, 0.5, 1.0])),
+        (np.array([3]), np.array([0, 0]), np.array([1, 4]), np.array([0.5, 0.5])),
+        (np.array([0, 2, 5]), np.array([0, 1, 1, 2]), np.array([3, 1, 4, 0]), np.array([1.0, 0.5, 0.5, 1.0])),
+    ]
+    params = {
+        "h": nm.param(rng.normal(size=(6, 3))),
+        "w_self": nm.param(rng.normal(size=(3, 4)) * 0.5),
+        "bias": nm.param(rng.normal(size=4) * 0.1),
+        "w_a": nm.param(rng.normal(size=(3, 4)) * 0.5),
+        "w_default": nm.param(rng.normal(size=(3, 4)) * 0.5),
+    }
+    return params, groups, np.array([0, 1, 3, 4]), rng.normal(size=(4, 4))
+
+
+def test_rgcn_layer_is_the_layer_formula_and_passes_finite_differences():
+    params, groups, out_rows, probe = _rgcn_case()
+
+    def layer(p):
+        p = {**params, **p}  # grad_check may vary a subset of the operands
+        weights = [p["w_a"], p["w_default"], p["w_default"]]
+        return nm.rgcn_layer(p["h"], p["w_self"], p["bias"], weights, groups, out_rows)
+
+    h = params["h"].data
+    z = h @ params["w_self"].data + params["bias"].data
+    for (targets, segment, sender, weight), name in zip(groups, ("w_a", "w_default", "w_default")):
+        A = np.zeros((6, 6))
+        A[targets[segment], sender] = weight
+        z = z + A @ h @ params[name].data
+    out = layer(params)
+    assert out.shape == (4, 4) and np.max(np.abs(out.data - np.maximum(z, 0.0)[out_rows])) <= 1e-12
+    assert (z[out_rows] < 0).any() and (z[out_rows] > 0).any()  # both sides of the relu are exercised
+
+    def f(p):
+        return ref.sum_all(nm.mul(layer(p), nm.constant(probe)))
+
+    assert nm.grad_check(f, params) < 1e-6
+    # a constant h (a closure with no projected attribute) gets no gradient
+    params["h"] = nm.constant(h)
+    assert nm.grad_check(f, {k: v for k, v in params.items() if k != "h"}) < 1e-6
+    assert params["h"].grad is None
+
+
+def test_rgcn_layer_rejects_mismatched_operand_shapes():
+    params, groups, out_rows, _ = _rgcn_case()
+    h, w, b, wa = params["h"], params["w_self"], params["bias"], params["w_a"]
+    weights = [wa, wa, wa]
+    for args in (
+        (nm.param(np.ones(6)), w, b, weights, groups),
+        (nm.param(np.ones((6, 2))), w, b, weights, groups),
+        (h, nm.param(np.ones(4)), b, weights, groups),
+        (h, w, nm.param(np.ones(3)), weights, groups),
+        (h, w, b, weights[:2], groups),
+        (h, w, b, [wa, wa, nm.param(np.ones((4, 3)))], groups),
+    ):
+        with pytest.raises(ShapeMismatch):
+            nm.rgcn_layer(*args, out_rows)
 
 
 # -- matmul with a constant operand -----------------------------------------------------
