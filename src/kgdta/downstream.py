@@ -101,10 +101,10 @@ class SplitSpec:
     def __post_init__(self):
         if self.kind not in ("random", "drug", "target", "temporal"):
             raise ValueError(f"unknown split kind {self.kind!r}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9 or any(f < 0 for f in self.fractions):
-            raise ValueError(f"fractions must be non-negative and sum to 1, got {self.fractions}")
-        if self.kind == "temporal" and self.threshold is None:
-            raise ValueError("temporal split needs a threshold")
+        if not all(math.isfinite(f) and f >= 0 for f in self.fractions) or abs(sum(self.fractions) - 1.0) > 1e-9:
+            raise ValueError(f"fractions must be finite, non-negative and sum to 1, got {self.fractions}")
+        if self.kind == "temporal" and (self.threshold is None or not math.isfinite(self.threshold)):
+            raise ValueError(f"temporal split needs a finite threshold, got {self.threshold}")
 
 
 def _check_parts(parts, spec) -> tuple[list[AffinityRow], list[AffinityRow], list[AffinityRow]]:

@@ -12,10 +12,10 @@ A flow policy can restrict which relations may deliver messages into governed
 entity modalities (e.g. proteins listen only to their sequence attribute), which
 keeps pretraining consistent with inference-time inputs.
 
-Messages travel along the sparse edge list of the graph's integer index, never an
-n x n matrix: each layer is one tape op (`numerics.rgcn_layer`), in which one
-weighted scatter-add per relation gives the mean message of each row the relation
-reaches, and only those rows get its product with W_r.
+Messages travel in `MpGraph.groups`, each relation's edges cut from the sparse edge
+list of the graph's integer index, never an n x n matrix: each layer is one tape op
+(`numerics.rgcn_layer`), in which one weighted scatter-add per group gives the mean
+message of each row the relation reaches, and only those rows get its product with W_r.
 Encoding covers the scope plus its one-hop, flow-permitted in-neighbors only,
 because out-of-scope neighbors at layers >= 1 read from the history (partitioned
 training: one array per layer >= 1, a row per index node) when given and zeros
@@ -171,14 +171,14 @@ class MpGraph:
 
     Rows are the closure: the scope plus every sender of a flow-permitted edge into
     the scope, in canonical (sorted NodeId) order; row i is node `closure[i]` of
-    the graph's index, with id `node_ids[i]`. Edges are flat arrays over closure
-    rows, one entry per permitted message into a scope row, sorted by (relation,
-    receiver, sender): `relations[relation[e]]` carries row `sender[e]` into row
-    `receiver[e]`, scaled by `weight[e]`, the receiver's 1/degree under that
-    relation (mean aggregation). Memory is O(closure + edges), never O(closure^2).
-    `groups` has, per relation with such edges and in relation order, (name,
-    `targets`: its edges' distinct receivers, sorted; `segment`: each edge's
-    position in `targets`; its edges' `sender` and `weight` slices).
+    the graph's index, with id `node_ids[i]`. `groups` holds the messages, one
+    entry per relation with a permitted edge into a scope row, in relation order:
+    (name, `targets`: the distinct receiving rows, sorted; `segment`: each edge's
+    position in `targets`; `sender`: each edge's sending row; `weight`: each edge's
+    scale, the receiver's 1/degree under the relation (mean aggregation)), edges
+    sorted by (receiver, sender). Memory is O(closure + edges), never
+    O(closure^2). Group arrays are views of read-only arrays, so none can be made
+    writeable again.
     `projected` also counts attributes whose only edge into the scope is blocked:
     they send nothing, but their modality must still have a projection. `row`
     maps each index node to its row in `encode_layers`' scope outputs, or -1
@@ -189,11 +189,6 @@ class MpGraph:
     closure: np.ndarray
     scope_rows: np.ndarray
     out_rows: np.ndarray
-    relations: list[str]
-    relation: np.ndarray
-    receiver: np.ndarray
-    sender: np.ndarray
-    weight: np.ndarray
     groups: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
     projected: list[str]  # non-categorical attribute modalities in or next to the scope
@@ -201,7 +196,7 @@ class MpGraph:
 
 
 def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolicy) -> MpGraph:
-    """Closure, edges and projected rows for encoding `scope`, an int array of
+    """Closure, relation groups and projected rows for encoding `scope`, an int array of
     nodes of `graph.index()` (None: every node); an index outside the graph raises
     IndexError, as does a non-integer one (a bool mask would read as rows 0 and 1).
     Cached on the index by scope set and policy: equal inputs share one result,
@@ -245,9 +240,13 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
     first = np.ones(len(live), dtype=bool)
     first[1:] = (relation[1:] != relation[:-1]) | (receiver[1:] != receiver[:-1])
     pair = np.cumsum(first) - 1
+    targets, segment = receiver[first], pair - pair[np.searchsorted(relation, relation)]
+    # frozen before slicing: a view of a read-only base cannot be made writeable again
+    for a in (targets, segment, sender, weight):
+        a.flags.writeable = False
     runs = np.searchsorted(relation, np.arange(len(gi.relations) + 1)).tolist()
     groups = [
-        (rel, receiver[lo:hi][first[lo:hi]], pair[lo:hi] - pair[lo], sender[lo:hi], weight[lo:hi])
+        (rel, targets[pair[lo] : pair[hi - 1] + 1], segment[lo:hi], sender[lo:hi], weight[lo:hi])
         for rel, lo, hi in zip(gi.relations, runs, runs[1:])
         if lo < hi
     ]
@@ -256,17 +255,12 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
         closure=closure,
         scope_rows=scope_rows,
         out_rows=out_rows,
-        relations=gi.relations,
-        relation=relation,
-        receiver=receiver,
-        sender=sender,
-        weight=weight,
         groups=groups,
         attr_rows=attr_rows,
         projected=[gi.modalities[m] for m in codes if gi.modalities[m] != CATEGORICAL],
         row=row,
     )
-    for a in (*vars(mp).values(), *attr_rows.values(), *(a for group in groups for a in group[1:])):
+    for a in (*vars(mp).values(), *attr_rows.values()):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return mp
@@ -353,9 +347,11 @@ def infer(
     entity_modality: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Embed a brand-new literal: returns (initial vector, encoder vector), equal to
-    `encode` on a two-node graph of a fresh entity and the value's attribute. Values
-    differ only in the attribute's initial row, so one graph is kept per key with
-    its `build_mp` result cached. The encoder is inductive: any value works."""
+    `encode` on a two-node graph of a fresh entity and the value's attribute with
+    every node in scope. Under a controlled policy that is the vector pretraining
+    gives an entity whose only allowed attribute holds the value. Values differ only
+    in the attribute's initial row, so one graph is kept per key with its `build_mp`
+    result cached. The encoder is inductive: any value works."""
     if modality == CATEGORICAL:
         raise KindViolation("categorical attributes start at zero: a value has nothing to infer from")
     value = literal(value)
@@ -370,7 +366,7 @@ def infer(
         query, attr = entity("query", "q", entity_modality), attribute_node(modality, "")
         _QUERY_GRAPHS[key] = MultimodalGraph().add_triple(query, Relation(relation, RelationKind.DATA), attr)
     graph = _QUERY_GRAPHS[key]
-    mp = build_mp(graph, np.array([1]), policy)  # node 1 is the entity: namespace "attr" sorts first
+    mp = build_mp(graph, None, policy)
     table = EmbeddingTable(graph.index().node_ids, np.array([0, -1]), {modality: initial})
-    return initial[0], encode_layers(mp, table, params)[-1].data[0]
+    return initial[0], encode_layers(mp, table, params)[-1].data[mp.row[1]]  # node 1 is the entity: "attr" sorts first
 

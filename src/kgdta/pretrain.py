@@ -410,6 +410,8 @@ class PretrainConfig:
             raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.partitions < 1:
+            raise ValueError(f"partitions must be >= 1, got {self.partitions}")
 
 
 @dataclass

@@ -3,6 +3,8 @@ were restricted to the rows the relation reaches: every relation scatters into a
 block as tall as the closure, and the layer multiplies that whole block by `W_r`.
 Kept as the reference that `kgdta.gnn.encode_layers` is checked against."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from kgdta import numerics as nm
@@ -10,6 +12,23 @@ import numerics_ref as ref
 from kgdta.gnn import GnnParams, MpGraph
 from kgdta.handlers import EmbeddingTable
 from kgdta.numerics import Tensor
+
+
+def flat_messages(mp: MpGraph) -> SimpleNamespace:
+    """`mp.groups` flattened back into one entry per message, sorted by (relation,
+    receiver, sender): `relations[relation[e]]` carries row `sender[e]` into row
+    `receiver[e]`, scaled by `weight[e]`. `relations` names the groups, so a code
+    counts only relations with a message; `receiver` is each group's
+    `targets[segment]`."""
+    relations = [group[0] for group in mp.groups]
+    sizes = [len(group[3]) for group in mp.groups]
+    return SimpleNamespace(
+        relations=relations,
+        relation=np.repeat(np.arange(len(relations)), sizes),
+        receiver=np.concatenate([[], *(targets[segment] for _, targets, segment, *_ in mp.groups)]).astype(np.intp),
+        sender=np.concatenate([[], *(group[3] for group in mp.groups)]).astype(np.intp),
+        weight=np.concatenate([[], *(group[4] for group in mp.groups)]),
+    )
 
 
 def reference_encode_layers(
@@ -28,10 +47,11 @@ def reference_encode_layers(
 
     outputs: list[Tensor] = [h_full]
     dims = [params.proj_dim, params.hidden_dim, params.out_dim]
-    runs = np.searchsorted(mp.relation, np.arange(len(mp.relations) + 1)).tolist()
+    flat = flat_messages(mp)
+    runs = np.searchsorted(flat.relation, np.arange(len(flat.relations) + 1)).tolist()
     edges = [
-        (rel, mp.sender[lo:hi], mp.receiver[lo:hi], mp.weight[lo:hi])
-        for rel, lo, hi in zip(mp.relations, runs, runs[1:])
+        (rel, flat.sender[lo:hi], flat.receiver[lo:hi], flat.weight[lo:hi])
+        for rel, lo, hi in zip(flat.relations, runs, runs[1:])
         if lo < hi
     ]
     h_scope: Tensor | None = None

@@ -157,13 +157,16 @@ def test_pretrain_regression_without_numeric_attribute_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+# case -> (flags, the start of the message after "error: ")
 INVALID_PRETRAIN_FLAGS = {
-    "proj_dim_0": ["--proj-dim", "0"],
-    "neg_ratio_0": ["--neg-ratio", "0"],
-    "neg_ratio_negative": ["--neg-ratio", "-2"],
-    "train_val_0": ["--train-val", "0"],
-    "train_val_above_1": ["--train-val", "1.5"],
-    "lr_negative": ["--lr", "-1"],
+    "proj_dim_0": (["--proj-dim", "0"], "dims and clf_hidden must be >= 1"),
+    "neg_ratio_0": (["--neg-ratio", "0"], "negative_ratio must be >= 1"),
+    "neg_ratio_negative": (["--neg-ratio", "-2"], "negative_ratio must be >= 1"),
+    "train_val_0": (["--train-val", "0"], "train_val must lie in (0, 1]"),
+    "train_val_above_1": (["--train-val", "1.5"], "train_val must lie in (0, 1]"),
+    "lr_negative": (["--lr", "-1"], "lr must be finite and > 0"),
+    "partitions_0": (["--partitions", "0"], "partitions must be >= 1, got 0"),
+    "partitions_negative": (["--partitions", "-2"], "partitions must be >= 1, got -2"),
 }
 
 
@@ -171,13 +174,13 @@ INVALID_PRETRAIN_FLAGS = {
 def test_pretrain_invalid_config_exit_2(case, tmp_path, capsys):
     _, kg = _write_world_nt(tmp_path)
     out = tmp_path / "c.json"
+    flags, message = INVALID_PRETRAIN_FLAGS[case]
     code, _, err_out = run(
-        ["pretrain", "--graph", str(kg), "--seed", "0", "--out", str(out), *PRETRAIN_SMALL,
-         *INVALID_PRETRAIN_FLAGS[case]],
+        ["pretrain", "--graph", str(kg), "--seed", "0", "--out", str(out), *PRETRAIN_SMALL, *flags],
         capsys,
     )
     assert code == 2, err_out
-    assert err_out.startswith("error:")
+    assert err_out.startswith(f"error: {message}")
     assert not out.exists() and not (tmp_path / "c.json.log.jsonl").exists()
 
 
@@ -327,11 +330,15 @@ def test_benchmark_end_to_end(tmp_path, capsys):
     assert (tmp_path / "report.jsonl").read_bytes() == first
 
 
+# case -> (flags, the start of the message after "error: ")
 INVALID_BENCHMARK_FLAGS = {
-    "eval_every_0": ["--eval-every", "0"],
-    "ckpts_empty": ["--ckpts", ","],
-    "seeds_empty": ["--seeds", ","],
-    "batch_0": ["--batch", "0"],
+    "eval_every_0": (["--eval-every", "0"], "steps, batch, eval_every and hidden sizes must be >= 1"),
+    "ckpts_empty": (["--ckpts", ","], "--ckpts needs at least one checkpoint path"),
+    "seeds_empty": (["--seeds", ","], "run_benchmark needs at least one seed"),
+    "batch_0": (["--batch", "0"], "steps, batch, eval_every and hidden sizes must be >= 1"),
+    "threshold_nan": (["--split", "temporal:nan"], "temporal split needs a finite threshold, got nan"),
+    "threshold_inf": (["--split", "temporal:inf"], "temporal split needs a finite threshold, got inf"),
+    "fraction_nan": (["--fractions", "nan,0.5,0.5"], "fractions must be finite"),
 }
 
 
@@ -348,9 +355,10 @@ def test_benchmark_invalid_flag_exit_2(case, checkpoint_text, tmp_path, capsys):
         "--init-hidden", "8,4", "--gnn-hidden", "8,4", "--eval-every", "5",
         "--out", str(tmp_path / "report"),
     ]
-    code, out, err_out = run([*args, *INVALID_BENCHMARK_FLAGS[case]], capsys)
+    flags, message = INVALID_BENCHMARK_FLAGS[case]
+    code, out, err_out = run([*args, *flags], capsys)
     assert code == 2, err_out
-    assert err_out.startswith("error:") and out == ""
+    assert err_out.startswith(f"error: {message}") and out == ""
     assert not (tmp_path / "report.jsonl").exists() and not (tmp_path / "report.txt").exists()
 
 

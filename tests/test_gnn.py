@@ -5,6 +5,7 @@ import pytest
 
 import kgdta.graph as graph_mod
 from kgdta import numerics as nm
+from gnn_ref import flat_messages
 import numerics_ref as ref
 from kgdta.errors import DimMismatch, KindViolation, MissingHandler, MissingProjection, NonFinite, ShapeMismatch
 from kgdta.gnn import (
@@ -190,7 +191,7 @@ def test_build_mp_sees_nodes_and_triples_added_after_an_earlier_build():
     between = build_mp(g, None, FlowPolicy.unrestricted())
     g.add_node(entity("uniprot", "P3", "protein"))
     after = build_mp(g, None, FlowPolicy.unrestricted())
-    assert [len(mp.receiver) for mp in (before, between, after)] == [2, 4, 4]
+    assert [len(flat_messages(mp).receiver) for mp in (before, between, after)] == [2, 4, 4]
     assert [len(mp.node_ids) for mp in (before, between, after)] == [3, 3, 4]
 
     fresh = MultimodalGraph()
@@ -245,7 +246,7 @@ def test_an_attribute_without_an_initial_row_raises():
 
 def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
     """The R-GCN layer formula on dense per-relation matrices rebuilt from the
-    MpGraph edge arrays: h' = relu(h W_self + sum_r A_r h W_r + b)."""
+    MpGraph's messages: h' = relu(h W_self + sum_r A_r h W_r + b)."""
     n = len(mp.node_ids)
     dims = [params.proj_dim, params.hidden_dim, params.out_dim]
     h = np.zeros((n, dims[0]))
@@ -255,11 +256,12 @@ def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
         initial = [table.matrices[modality][table.row[position[mp.node_ids[i]]]] for i in rows]
         h[rows] = np.stack(initial) @ w.data + b.data
     dense = {}
-    for k, rel in enumerate(mp.relations):
-        edges = mp.relation == k
+    flat = flat_messages(mp)
+    for k, rel in enumerate(flat.relations):
+        edges = flat.relation == k
         if edges.any():
             A = np.zeros((n, n))
-            A[mp.receiver[edges], mp.sender[edges]] = mp.weight[edges]
+            A[flat.receiver[edges], flat.sender[edges]] = flat.weight[edges]
             dense[rel] = A
     outputs = []
     for l, layer in enumerate(params.layers):
@@ -306,9 +308,10 @@ def test_sparse_encoder_matches_the_dense_formula_on_acceptance_graphs():
     worst = 0.0
     for mp, table, params, hist in acceptance_encodings():
         # every edge feeds a scope row, and each receiver's weights per relation average
-        assert set(mp.receiver.tolist()) <= set(mp.scope_rows.tolist())
+        flat = flat_messages(mp)
+        assert set(flat.receiver.tolist()) <= set(mp.scope_rows.tolist())
         sums = {}
-        for k, v, w in zip(mp.relation.tolist(), mp.receiver.tolist(), mp.weight.tolist()):
+        for k, v, w in zip(flat.relation.tolist(), flat.receiver.tolist(), flat.weight.tolist()):
             sums[k, v] = sums.get((k, v), 0.0) + w
         assert all(abs(total - 1.0) < 1e-12 for total in sums.values())
         sparse = encode_layers(mp, table, params, hist)
@@ -324,15 +327,17 @@ def test_relation_groups_match_the_full_width_reference_bit_for_bit():
     in another order, so there the match is to 1e-15."""
     from gnn_ref import reference_encode_layers
 
-    # the graph `infer` encodes: one entity hearing one attribute
+    # the graph `infer` encodes, one entity hearing one attribute; with the entity
+    # alone in scope, its relation has a single target
     seq = attribute_node("protein_sequence", "MK")
     query = MultimodalGraph().add_triple(entity("uniprot", "P1", "protein"), SEQ, seq)
     query_params = init_gnn_params({"protein_sequence": 3}, ["sequence"], substream(9, "init"), 16, 12, 12)
     query_table = table_for(query, {str(seq.id): np.array([0.3, -1.2, 0.7])})
-    query_mp = build_mp(query, np.array([1]), FlowPolicy.controlled())
-    assert [len(targets) for _, targets, *_ in query_mp.groups] == [1]
+    query_mps = [build_mp(query, scope, FlowPolicy.controlled()) for scope in (None, np.array([1]))]
+    assert [[len(targets) for _, targets, *_ in mp.groups] for mp in query_mps] == [[2], [1]]
     exact = 0
-    for mp, table, params, hist in [*acceptance_encodings(), (query_mp, query_table, query_params, None)]:
+    queries = [(mp, query_table, query_params, None) for mp in query_mps]
+    for mp, table, params, hist in [*acceptance_encodings(), *queries]:
         named = params.named_parameters()
         probe = substream(9, "probe").normal(size=(len(mp.scope_rows), params.out_dim))
         runs = []
@@ -355,35 +360,49 @@ def test_relation_groups_match_the_full_width_reference_bit_for_bit():
 
 
 def test_groups_are_each_relations_edges_and_distinct_receivers():
-    """Also the invariants `numerics.rgcn_layer` trusts without checking them."""
+    """Also the invariants `numerics.rgcn_layer` trusts without checking them, and
+    that no group array can be made writeable again."""
     from kgdta.pretrain import partition
     from kgdta.synthetic import make_planted_world
 
     g = make_planted_world(n_drugs=6, n_proteins=5, seed=4).graph
+    gi = g.index()
     part = partition(g, 3, substream(4, "partition"))
     # partitions keep an entity with its attributes, so under the controlled policy
     # only the alternating scopes have closure rows outside the scope
-    n = len(g.index().node_ids)
+    n = len(gi.node_ids)
     scopes = [None, *(np.flatnonzero(part == p) for p in range(3)), np.arange(0, n, 2), np.arange(1, n, 2)]
     for policy in (FlowPolicy.unrestricted(), FlowPolicy.controlled()):
         partial = 0
         for scope in scopes:
             mp = build_mp(g, scope, policy)
             partial += len(mp.out_rows) > 0
+            # the messages, straight from the index: edges into the scope the policy keeps
+            in_scope = np.zeros(n, dtype=bool)
+            in_scope[np.arange(n) if scope is None else scope] = True
+            live = in_scope[gi.receiver] & ~policy.blocked(gi)
+            relation, weight_of = gi.relation[live], gi.weight[live]
+            receiver = np.searchsorted(mp.closure, gi.receiver[live])
+            sender_of = np.searchsorted(mp.closure, gi.sender[live])
+            assert np.array_equal(mp.closure[receiver], gi.receiver[live])
+            assert np.array_equal(mp.closure[sender_of], gi.sender[live])
             rows, lo = len(mp.closure), 0  # group indices are closure rows
             for rel, targets, segment, sender, weight in mp.groups:
                 hi = lo + len(sender)
-                k = mp.relations.index(rel)
-                assert (mp.relation[lo:hi] == k).all() and hi - lo > 0
-                assert np.array_equal(targets, np.unique(mp.receiver[lo:hi]))
-                assert np.array_equal(targets[segment], mp.receiver[lo:hi])
-                assert np.array_equal(sender, mp.sender[lo:hi]) and np.array_equal(weight, mp.weight[lo:hi])
+                k = gi.relations.index(rel)
+                assert (relation[lo:hi] == k).all() and hi - lo > 0
+                assert np.array_equal(targets, np.unique(receiver[lo:hi]))
+                assert np.array_equal(targets[segment], receiver[lo:hi])
+                assert np.array_equal(sender, sender_of[lo:hi]) and np.array_equal(weight, weight_of[lo:hi])
                 assert (np.diff(targets) > 0).all() and 0 <= targets[0] and targets[-1] < rows
                 assert (np.diff(segment) >= 0).all() and np.array_equal(np.unique(segment), np.arange(len(targets)))
                 assert sender.min() >= 0 and sender.max() < rows
                 assert not any(a.flags.writeable for a in (targets, segment, sender, weight))
+                for a in (targets, segment, sender, weight):  # `rgcn_layer` trusts them unchecked
+                    with pytest.raises(ValueError):
+                        a.flags.writeable = True
                 lo = hi
-            assert lo == len(mp.relation)
+            assert lo == len(relation)
         assert partial >= 2
 
 
@@ -461,21 +480,23 @@ def test_full_graph_edges_are_the_triples_both_ways():
     g.add_triple(entity("uniprot", "P0", "protein"), Relation("rdf:type", RelationKind.OBJECT),
                  entity("class", "Protein", "class"))
     mp = build_mp(g, None, FlowPolicy.unrestricted())
+    flat = flat_messages(mp)
     got = {
-        (mp.relations[k], mp.node_ids[v], mp.node_ids[u])
-        for k, v, u in zip(mp.relation.tolist(), mp.receiver.tolist(), mp.sender.tolist())
+        (flat.relations[k], mp.node_ids[v], mp.node_ids[u])
+        for k, v, u in zip(flat.relation.tolist(), flat.receiver.tolist(), flat.sender.tolist())
     }
     want = {(t.relation.name, t.target, t.source) for t in g.triples() if t.relation.name != "rdf:type"}
     want |= {(rel, u, v) for rel, v, u in want}
     assert got == want
-    assert len(mp.receiver) == len(got)
+    assert len(flat.receiver) == len(got)
     # controlled: only the allowed relation reaches a governed entity, and a policy
     # entry for an attribute modality governs nothing
     allowed = {"protein": {"sequence"}, "drug": {"smiles"}, "smiles": {"sequence"}}
     controlled = build_mp(g, None, FlowPolicy.controlled(allowed))
+    flat = flat_messages(controlled)
     kept = set()
-    for k, v, u in zip(controlled.relation.tolist(), controlled.receiver.tolist(), controlled.sender.tolist()):
-        kept.add((controlled.relations[k], controlled.node_ids[v], controlled.node_ids[u]))
+    for k, v, u in zip(flat.relation.tolist(), flat.receiver.tolist(), flat.sender.tolist()):
+        kept.add((flat.relations[k], controlled.node_ids[v], controlled.node_ids[u]))
     for rel, v, u in want:
         node = g.nodes[v]
         governed = node.kind is NodeKind.ENTITY and node.modality in allowed
@@ -500,7 +521,7 @@ def test_locality_two_hop_ball():
 
 
 def test_disconnected_structure_is_bitwise_irrelevant():
-    params = init_gnn_params({"smiles": 2048}, ["smiles"], substream(2, "init"))
+    params = init_gnn_params({"smiles": 2048, "protein_sequence": 128}, ["smiles", "sequence"], substream(2, "init"))
     registry = default_registry()
     init_vec, direct = infer(params, FlowPolicy.unrestricted(), "CCO", "smiles", registry)
 
@@ -511,7 +532,7 @@ def test_disconnected_structure_is_bitwise_irrelevant():
     other = entity("uniprot", "P1", "protein")
     g.add_triple(other, SEQ, attribute_node("protein_sequence", "MKTAY"))
     table = compute_initial_embeddings(g, registry)
-    embedded = encode(g, table, params, scope=[q.id])[q.id]
+    embedded = encode(g, table, params)[q.id]
     assert np.array_equal(direct, embedded)
     row = table.row[g.index().position[attribute_node("smiles", "CCO").id]]
     assert np.array_equal(init_vec, table.matrices["smiles"][row])
@@ -559,7 +580,7 @@ def test_infer_equals_encode_on_an_explicit_two_node_graph(policy, value, modali
     g = MultimodalGraph()
     g.add_triple(query, Relation(relation, RelationKind.DATA), attr)
     table = compute_initial_embeddings(g, registry)
-    expected = encode(g, table, INFER_PARAMS, policy, scope=[query.id])[query.id]
+    expected = encode(g, table, INFER_PARAMS, policy)[query.id]
     assert out.tobytes() == expected.tobytes()
     assert init_vec.tobytes() == table.matrices[modality][table.row[g.index().position[attr.id]]].tobytes()
 
@@ -657,10 +678,10 @@ def test_build_mp_results_are_cached_per_scope_set_and_policy():
 
     arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)] + list(first.attr_rows.values())
     group_arrays = [a for group in first.groups for a in group[1:]]
-    assert len(arrays) == 8 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
+    assert len(arrays) == 4 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
     assert len(group_arrays) == 4 * len(first.groups) > 0 and all(not a.flags.writeable for a in group_arrays)
     with pytest.raises(ValueError, match="read-only"):
-        first.receiver[0] = 0
+        first.groups[0][1][0] = 0
 
     g.add_triple(p2, SEQ, attribute_node("protein_sequence", "WWWWW"))  # a mutation drops the cache
     assert g.index().mp_cache == {}

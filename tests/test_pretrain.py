@@ -738,6 +738,28 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.signbit(loaded.params.layers[0].bias.data[0])
 
 
+def test_infer_gives_each_entity_its_pretrained_vector():
+    """Under controlled flow an entity hears only its allowed attribute, so `infer`
+    of that attribute's value must give the entity's full-graph vector."""
+    from kgdta.gnn import FlowPolicy, encode, infer
+
+    policy = FlowPolicy.controlled()
+    world, table = small_world(n_drugs=20, n_proteins=12)
+    cfg = PretrainConfig(score_fn="distmult", epochs=3, lr=2e-3, seed=3, policy=policy, **SMALL_DIMS)
+    params = train(world.graph, table, cfg).params
+    pretrained = encode(world.graph, table, params, policy)
+    registry = small_registry()
+    checked = 0
+    for namespace, values, modality in (("drug", world.drug_values, "smiles"),
+                                        ("prot", world.protein_values, "protein_sequence")):
+        for local_id, value in values.items():
+            _, inferred = infer(params, policy, value, modality, registry)
+            want = pretrained[NodeId(namespace, local_id)]
+            assert np.max(np.abs(inferred - want)) <= 1e-12, (namespace, local_id)
+            checked += 1
+    assert checked == 32
+
+
 def test_link_auc_against_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(20):
