@@ -23,7 +23,8 @@ SCORERS = ("distmult", "transe", "classifier")
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="pretraining and split seed")
+    parser.add_argument("--world-seed", type=int, help="planted world seed (default: --seed)")
     parser.add_argument("--drugs", type=int, default=60)
     parser.add_argument("--proteins", type=int, default=40)
     parser.add_argument("--epochs", type=int, default=120)
@@ -36,7 +37,8 @@ def main():
     args = parser.parse_args()
 
     t0 = time.time()
-    world = make_planted_world(n_drugs=args.drugs, n_proteins=args.proteins, seed=args.seed)
+    world_seed = args.seed if args.world_seed is None else args.world_seed
+    world = make_planted_world(n_drugs=args.drugs, n_proteins=args.proteins, seed=world_seed)
     registry = default_registry()
     table = compute_initial_embeddings(world.graph, registry)
     print(f"world: {len(world.graph.nodes)} nodes, {world.graph.num_triples()} triples, "

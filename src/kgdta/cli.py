@@ -323,9 +323,16 @@ def _parse_seeds(value: str) -> list[int]:
     return [int(s) for s in value.split(",") if s]
 
 
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag} needs a number, got {text!r}") from None
+
+
 def _parse_split(value: str, fractions: tuple, seed: int) -> SplitSpec:
     if value.startswith("temporal:"):
-        return SplitSpec("temporal", fractions, seed, threshold=float(value.split(":", 1)[1]))
+        return SplitSpec("temporal", fractions, seed, threshold=_number(value.split(":", 1)[1], "--split temporal:<t>"))
     if value == "temporal":
         raise ValueError("temporal split needs a threshold: temporal:<t>")
     return SplitSpec(value, fractions, seed)
@@ -340,7 +347,7 @@ def _parse_pair(value: str) -> tuple[int, int]:
 
 def _cmd_benchmark(args) -> int:
     dataset = load_affinity_tsv(args.dataset)
-    fractions = tuple(float(f) for f in args.fractions.split(","))
+    fractions = tuple(_number(f, "--fractions") for f in args.fractions.split(","))
     if len(fractions) != 3:
         raise ValueError("--fractions needs three comma-separated values")
     spec = _parse_split(args.split, fractions, args.split_seed)

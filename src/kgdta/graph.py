@@ -7,15 +7,15 @@ object properties (entity -> entity). Triples are unique per (source, relation n
 target), and entities with equal ids merge across graphs.
 
 A graph is a node table, `nodes` in insertion order, plus its triples as three int
-columns: source node, relation code and target node. `triples()` is a view built
-from the columns on each call, and `index()` turns them into a `GraphIndex` with
-numpy. All collections iterate in insertion order, so builds are reproducible run
-to run.
+columns: source node, relation code and target node, appended by every builder
+through one row path. `triples()` is a view built from the columns on each call,
+and `index()` turns them into a `GraphIndex` with numpy. All collections iterate
+in insertion order, so builds are reproducible run to run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -188,7 +188,8 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
 
 
 class MultimodalGraph:
-    """Mutable multimodal KG. Single writer; queries are pure."""
+    """Mutable multimodal KG. Single writer; queries are pure. Rows enter by one path,
+    `add_node`, `_code` and `_append` (an int row), which `add_triple` runs per triple."""
 
     def __init__(self):
         self.nodes: dict[NodeId, Node] = {}
@@ -240,7 +241,7 @@ class MultimodalGraph:
         return self._relation_code[name]
 
     def _append(self, source: int, relation: int, target: int) -> None:
-        """Add the triple row unless the graph already holds it."""
+        """Add the int row unless the graph holds it: a repeat keeps its first position."""
         key = (source, relation, target)
         if key not in self._keys:
             self._index = None
@@ -250,6 +251,7 @@ class MultimodalGraph:
             self._target.append(target)
 
     def add_triple(self, source: Node, relation: Relation, target: Node) -> "MultimodalGraph":
+        """Check the kinds, code the relation, add source and target, append the row."""
         if source.kind is not NodeKind.ENTITY:
             raise KindViolation(f"triple source {source.id} must be an entity")
         if relation.kind is RelationKind.DATA and target.kind is not NodeKind.ATTRIBUTE:
@@ -295,7 +297,8 @@ class MultimodalGraph:
 
 
 def merge_graphs(a: MultimodalGraph, b: MultimodalGraph) -> MultimodalGraph:
-    """Union of nodes and triples; entities with equal ids merge their incident triples."""
+    """Union of nodes and triples; entities with equal ids merge their incident triples.
+    The rows of `a`, then of `b`, are appended remapped, so a shared one keeps `a`'s place."""
     merged = MultimodalGraph()
     for g in (a, b):
         position = [merged.add_node(node) for node in g.nodes.values()]
@@ -312,7 +315,8 @@ def resolve_same_as(graph: MultimodalGraph) -> MultimodalGraph:
 
     The canonical id is the lexicographically smallest (namespace, local_id) in the
     component. sameAs triples are dropped; everything else is rewritten onto the
-    canonical ids. The merged-away ids are recorded in `aliases`.
+    canonical ids as remapped int rows (a repeat keeps its first position). The
+    merged-away ids are recorded in `aliases`.
     """
     ids = list(graph.nodes)
     nodes = list(graph.nodes.values())
@@ -347,12 +351,7 @@ def resolve_same_as(graph: MultimodalGraph) -> MultimodalGraph:
             )
 
     resolved = MultimodalGraph()
-    position = []
-    for i, node in enumerate(nodes):
-        root = find(i)
-        if root != i:
-            node = Node(ids[root], node.modality, node.kind, node.value)
-        position.append(resolved.add_node(node))
+    position = [resolved.add_node(replace(node, id=ids[find(i)])) for i, node in enumerate(nodes)]
     code = [-1 if name == SAME_AS else resolved._code(name, kind) for name, kind in graph.relation_kinds.items()]
     for s, r, t in zip(*graph.columns()):
         if code[r] >= 0:

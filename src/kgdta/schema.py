@@ -303,7 +303,9 @@ def _cell_text(cell, column: str, where: str, errors: list[str]) -> str | None:
 
 def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalGraph, BuildReport]:
     """Construct the graph declared by `schema`. Row-level problems are recorded in
-    the report and the build continues; unreadable sources abort with SourceRead."""
+    the report and the build continues; unreadable sources abort with SourceRead.
+    Each property is an int row, its kinds set by the spec; as in `add_triple`, its
+    relation is coded, then its nodes are added (in argument order)."""
     base_dir = Path(base_dir)
     graph = MultimodalGraph()
     report = BuildReport()
@@ -323,8 +325,7 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                 continue
             if (key := _cell_text(raw_id, et.id_column, where, report.errors)) is None:
                 continue
-            subject = entity(et.namespace, key, et.modality)
-            graph.add_node(subject)
+            subject = graph.add_node(entity(et.namespace, key, et.modality))
             count += 1
             for dp in et.data_properties:
                 cell = row.get(dp.column)
@@ -344,11 +345,8 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                         continue
                 elif (value := _cell_text(cell, dp.column, where, report.errors)) is None:
                     continue
-                graph.add_triple(
-                    subject,
-                    Relation(dp.relation, RelationKind.DATA),
-                    attribute_node(dp.modality, value),
-                )
+                target = attribute_node(dp.modality, value)
+                graph._append(subject, graph._code(dp.relation, RelationKind.DATA), graph.add_node(target))
             for op in et.object_properties:
                 cell = row.get(op.target_column)
                 if _is_null(cell, markers):
@@ -356,7 +354,7 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                 if (key := _cell_text(cell, op.target_column, where, report.errors)) is None:
                     continue
                 target = entity(op.target_namespace, key, schema.namespace_modalities[op.target_namespace])
-                graph.add_triple(subject, Relation(op.relation, RelationKind.OBJECT), target)
+                graph._append(subject, graph._code(op.relation, RelationKind.OBJECT), graph.add_node(target))
             for sa in et.same_as_links:
                 left, right = row.get(sa.source_column), row.get(sa.target_column)
                 if _is_null(left, markers) or _is_null(right, markers):
@@ -367,7 +365,8 @@ def build_graph(schema: Schema, base_dir: str | Path = ".") -> tuple[MultimodalG
                     continue
                 a = entity(et.namespace, left, et.modality)
                 b = entity(sa.target_namespace, right, schema.namespace_modalities[sa.target_namespace])
-                graph.add_triple(a, Relation(SAME_AS, RelationKind.OBJECT), b)
+                code = graph._code(SAME_AS, RelationKind.OBJECT)
+                graph._append(graph.add_node(a), code, graph.add_node(b))
         report.entities[et.name] = report.entities.get(et.name, 0) + count
     return graph, report
 
@@ -420,9 +419,7 @@ _LINE_RE = re.compile(
 
 
 def _node_id(iri: str, lineno: int, parsed: dict[str, NodeId]) -> NodeId:
-    """The id that node IRI `iri` names, parsed at its first line and kept in `parsed`."""
-    if iri in parsed:
-        return parsed[iri]
+    """The id that node IRI `iri`, first met at line `lineno`, names; kept in `parsed`."""
     if not iri.startswith("ns://"):
         raise NTriplesParse(f"line {lineno}: unsupported IRI scheme in {iri!r}")
     ns, _, local = iri[len("ns://") :].partition("/")
@@ -435,8 +432,9 @@ def _node_id(iri: str, lineno: int, parsed: dict[str, NodeId]) -> NodeId:
 def parse_ntriples(text: str) -> MultimodalGraph:
     """Parse the dialect emitted by `to_ntriples`; inverse of it on triple sets.
 
-    Each distinct IRI is parsed at its first line, and each node is built once. A
-    node's modality and value lines may repeat only with the same literal."""
+    Each distinct IRI is parsed at its first line, and each node is built and added
+    once. A node's modality and value lines may repeat only with the same literal.
+    Relation lines become int rows; a repeat keeps its first position."""
     node_ids: dict[str, NodeId] = {}
     modalities: dict[NodeId, str] = {}
     values: dict[NodeId, str | float] = {}
@@ -449,15 +447,13 @@ def parse_ntriples(text: str) -> MultimodalGraph:
         if m is None:
             raise NTriplesParse(f"line {lineno}: malformed N-Triples line: {raw!r}")
         subject_iri, predicate_iri, object_iri, literal, datatype = m.groups()
-        subject = _node_id(subject_iri, lineno, node_ids)
+        subject = node_ids.get(subject_iri) or _node_id(subject_iri, lineno, node_ids)
         if predicate_iri == _META_MODALITY:
             if literal is None:
                 raise NTriplesParse(f"line {lineno}: modality must be a literal")
             modality = _unescape_literal(literal, lineno)
             if modalities.setdefault(subject, modality) != modality:
-                raise NTriplesParse(
-                    f"line {lineno}: node {subject}: modality {modalities[subject]!r} vs {modality!r}"
-                )
+                raise NTriplesParse(f"line {lineno}: node {subject}: modality {modalities[subject]!r} vs {modality!r}")
         elif predicate_iri == _META_VALUE:
             if literal is None:
                 raise NTriplesParse(f"line {lineno}: value must be a literal")
@@ -471,28 +467,36 @@ def parse_ntriples(text: str) -> MultimodalGraph:
             else:
                 value = _unescape_literal(literal, lineno)
             if not same_literal(values.setdefault(subject, value), value):
-                raise NTriplesParse(
-                    f"line {lineno}: node {subject}: conflicting literal {values[subject]!r} vs {value!r}"
-                )
+                raise NTriplesParse(f"line {lineno}: node {subject}: conflicting literal {values[subject]!r} vs {value!r}")
         else:
             if not predicate_iri.startswith(_REL_PREFIX):
                 raise NTriplesParse(f"line {lineno}: unknown predicate {predicate_iri!r}")
             if object_iri is None:
                 raise NTriplesParse(f"line {lineno}: relation triple needs an IRI object")
-            _node_id(object_iri, lineno, node_ids)
+            if object_iri not in node_ids:
+                _node_id(object_iri, lineno, node_ids)
             edges.append((subject_iri, predicate_iri, object_iri, lineno))
 
     graph = MultimodalGraph()
-    for nid, modality in modalities.items():
-        kind = NodeKind.ATTRIBUTE if nid in values else NodeKind.ENTITY
-        graph.add_node(Node(nid, modality, kind, values.get(nid)))
-    nodes = {iri: graph.nodes.get(nid) for iri, nid in node_ids.items()}
-    names = {p: unquote(p[len(_REL_PREFIX) :]) for p in {edge[1] for edge in edges}}
+    at = {nid: graph.add_node(Node(nid, m, NodeKind.ATTRIBUTE if nid in values else NodeKind.ENTITY, values.get(nid)))
+          for nid, m in modalities.items()}
+    position = {iri: at.get(nid, -1) for iri, nid in node_ids.items()}
+    nodes = list(graph.nodes.values())
+    is_entity = [node.kind is NodeKind.ENTITY for node in nodes]
+    codes: dict[tuple[str, bool], int] = {}  # (predicate IRI, entity target) -> relation code
     for subject_iri, predicate_iri, object_iri, lineno in edges:
-        for iri in (object_iri, subject_iri):
-            if nodes[iri] is None:
-                raise NTriplesParse(f"line {lineno}: node {node_ids[iri]} has no modality triple")
-        target = nodes[object_iri]
-        kind = RelationKind.DATA if target.kind is NodeKind.ATTRIBUTE else RelationKind.OBJECT
-        graph.add_triple(nodes[subject_iri], Relation(names[predicate_iri], kind), target)
+        s, t = position[subject_iri], position[object_iri]
+        if s < 0 or t < 0:
+            iri = object_iri if t < 0 else subject_iri
+            raise NTriplesParse(f"line {lineno}: node {node_ids[iri]} has no modality triple")
+        code = codes.get((predicate_iri, is_entity[t]))
+        if code is None or not is_entity[s]:
+            # a relation's first line with this target kind, or one that add_triple
+            # refuses: add_triple checks the kinds, codes the relation and appends
+            name = unquote(predicate_iri[len(_REL_PREFIX) :])
+            kind = RelationKind.OBJECT if is_entity[t] else RelationKind.DATA
+            graph.add_triple(nodes[s], Relation(name, kind), nodes[t])
+            codes[predicate_iri, is_entity[t]] = graph._code(name, kind)
+        else:
+            graph._append(s, code, t)
     return graph

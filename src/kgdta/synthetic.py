@@ -18,15 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .downstream import AffinityDataset, AffinityRow
-from .graph import MultimodalGraph, Relation, RelationKind, attribute_node, entity
+from .graph import MultimodalGraph, RelationKind, attribute_node, entity
 from .util import substream
 
 SMILES_ALPHABET = list("CNOPSFcno123456()=#[]+-")
 AA_ALPHABET = list("ACDEFGHIKLMNPQRSTVWY")
-
-BIND_RELATION = Relation("binding_to", RelationKind.OBJECT)
-SMILES_RELATION = Relation("smiles", RelationKind.DATA)
-SEQUENCE_RELATION = Relation("sequence", RelationKind.DATA)
 
 
 @dataclass
@@ -42,9 +38,14 @@ class PlantedWorld:
     dataset_pairs: list[tuple[int, int]]
 
 
-def _random_string(rng, alphabet, low, high) -> str:
-    length = int(rng.integers(low, high + 1))
-    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=length))
+def _new_string(rng, alphabet, low, high, seen: set[str]) -> str:
+    """A random string not in `seen`, drawn again until it is new; added to `seen`."""
+    while True:
+        length = int(rng.integers(low, high + 1))
+        value = "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=length))
+        if value not in seen:
+            seen.add(value)
+            return value
 
 
 def make_planted_world(
@@ -60,46 +61,34 @@ def make_planted_world(
     drug_latents = rng.normal(size=(n_drugs, latent_dim)) / np.sqrt(latent_dim)
     protein_latents = rng.normal(size=(n_proteins, latent_dim)) / np.sqrt(latent_dim)
 
-    drug_values, protein_values = {}, {}
-    seen = set()
-    for i in range(n_drugs):
-        while True:
-            value = _random_string(rng, SMILES_ALPHABET, 16, 40)
-            if value not in seen:
-                seen.add(value)
-                break
-        drug_values[f"d{i:03d}"] = value
-    for j in range(n_proteins):
-        while True:
-            value = _random_string(rng, AA_ALPHABET, 40, 120)
-            if value not in seen:
-                seen.add(value)
-                break
-        protein_values[f"p{j:03d}"] = value
+    seen: set[str] = set()
+    drug_values = {f"d{i:03d}": _new_string(rng, SMILES_ALPHABET, 16, 40, seen) for i in range(n_drugs)}
+    protein_values = {f"p{j:03d}": _new_string(rng, AA_ALPHABET, 40, 120, seen) for j in range(n_proteins)}
 
-    pairs = [(i, j) for i in range(n_drugs) for j in range(n_proteins)]
-    perm = rng.permutation(len(pairs))
+    # pair k of the universe is drug k // n_proteins with protein k % n_proteins
+    drug_of, protein_of = np.divmod(rng.permutation(n_drugs * n_proteins), n_proteins)
+    pairs = list(zip(drug_of.tolist(), protein_of.tolist()))
     n_kg = int(round(kg_pair_fraction * len(pairs)))
-    kg_pairs = [pairs[int(k)] for k in perm[:n_kg]]
-    dataset_pairs = [pairs[int(k)] for k in perm[n_kg:]]
+    kg_pairs, dataset_pairs = pairs[:n_kg], pairs[n_kg:]
 
     dots = drug_latents @ protein_latents.T
-    kg_dots = np.array([dots[i, j] for i, j in kg_pairs])
+    kg_dots = dots[drug_of[:n_kg], protein_of[:n_kg]]
     threshold = float(np.quantile(kg_dots, 1.0 - edge_density))
 
     graph = MultimodalGraph()
-    drug_nodes, protein_nodes = {}, {}
-    for i, (did, value) in enumerate(drug_values.items()):
-        node = entity("drug", did, "drug")
-        drug_nodes[i] = node
-        graph.add_triple(node, SMILES_RELATION, attribute_node("smiles", value))
-    for j, (pid, value) in enumerate(protein_values.items()):
-        node = entity("prot", pid, "protein")
-        protein_nodes[j] = node
-        graph.add_triple(node, SEQUENCE_RELATION, attribute_node("protein_sequence", value))
-    for i, j in kg_pairs:
-        if dots[i, j] > threshold:
-            graph.add_triple(drug_nodes[i], BIND_RELATION, protein_nodes[j])
+
+    def add(node, relation: str, attribute) -> int:  # an entity and its attribute row: its position
+        at = graph.add_node(node)
+        graph._append(at, graph._code(relation, RelationKind.DATA), graph.add_node(attribute))
+        return at
+
+    drug_at = [add(entity("drug", did, "drug"), "smiles", attribute_node("smiles", value))
+               for did, value in drug_values.items()]
+    protein_at = [add(entity("prot", pid, "protein"), "sequence", attribute_node("protein_sequence", value))
+                  for pid, value in protein_values.items()]
+    bound = kg_dots > threshold
+    for i, j in zip(drug_of[:n_kg][bound].tolist(), protein_of[:n_kg][bound].tolist()):
+        graph._append(drug_at[i], graph._code("binding_to", RelationKind.OBJECT), protein_at[j])
 
     drug_ids = list(drug_values)
     protein_ids = list(protein_values)

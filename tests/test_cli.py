@@ -339,6 +339,8 @@ INVALID_BENCHMARK_FLAGS = {
     "threshold_nan": (["--split", "temporal:nan"], "temporal split needs a finite threshold, got nan"),
     "threshold_inf": (["--split", "temporal:inf"], "temporal split needs a finite threshold, got inf"),
     "fraction_nan": (["--fractions", "nan,0.5,0.5"], "fractions must be finite"),
+    "threshold_empty": (["--split", "temporal:"], "--split temporal:<t> needs a number, got ''"),
+    "fraction_not_a_number": (["--fractions", "a,0.5,0.5"], "--fractions needs a number, got 'a'"),
 }
 
 

@@ -34,3 +34,14 @@ def test_run_planted_experiment(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "ensemble vs best member" in done.stdout
     assert out.with_suffix(".jsonl").stat().st_size > 0
+
+
+def test_run_planted_experiment_world_seed_sets_only_the_world(tmp_path):
+    out = tmp_path / "report"
+    done = run_script(
+        "run_planted_experiment.py", "--drugs", "10", "--proteins", "8", "--epochs", "1",
+        "--steps", "2", "--seeds", "1", "--world-seed", "1", "--seed", "0", "--out", str(out),
+    )
+    assert done.returncode == 0, done.stderr
+    first_line = out.with_suffix(".txt").read_text(encoding="utf-8").splitlines()[0]
+    assert first_line.startswith("dataset: planted-10x8-seed1 ")
