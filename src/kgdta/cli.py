@@ -241,7 +241,7 @@ def _cmd_pretrain(args) -> int:
     if args.partitions == "auto":
         partitions = _auto_partitions(len(graph.entities()))
     else:
-        partitions = int(args.partitions)
+        partitions = _integer(args.partitions, "--partitions")
     cfg = PretrainConfig(
         score_fn=args.score,
         policy=_parse_policy(args),
@@ -319,8 +319,8 @@ def _cmd_infer(args) -> int:
 def _parse_seeds(value: str) -> list[int]:
     if ".." in value:
         lo, hi = value.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in value.split(",") if s]
+        return list(range(_integer(lo, "--seeds"), _integer(hi, "--seeds") + 1))
+    return [_integer(s, "--seeds") for s in value.split(",") if s]
 
 
 def _number(text: str, flag: str) -> float:
@@ -328,6 +328,13 @@ def _number(text: str, flag: str) -> float:
         return float(text)
     except ValueError:
         raise ValueError(f"{flag} needs a number, got {text!r}") from None
+
+
+def _integer(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} needs an integer, got {text!r}") from None
 
 
 def _parse_split(value: str, fractions: tuple, seed: int) -> SplitSpec:
@@ -338,10 +345,10 @@ def _parse_split(value: str, fractions: tuple, seed: int) -> SplitSpec:
     return SplitSpec(value, fractions, seed)
 
 
-def _parse_pair(value: str) -> tuple[int, int]:
-    parts = [int(p) for p in value.split(",") if p]
+def _parse_pair(value: str, flag: str) -> tuple[int, int]:
+    parts = [_integer(p, flag) for p in value.split(",") if p]
     if len(parts) != 2:
-        raise ValueError(f"expected two comma-separated ints, got {value!r}")
+        raise ValueError(f"{flag} needs two comma-separated integers, got {value!r}")
     return (parts[0], parts[1])
 
 
@@ -359,10 +366,11 @@ def _cmd_benchmark(args) -> int:
         steps=steps,
         batch=args.batch,
         seed=args.seed,
-        init_hidden=_parse_pair(args.init_hidden),
-        gnn_hidden=_parse_pair(args.gnn_hidden),
+        init_hidden=_parse_pair(args.init_hidden, "--init-hidden"),
+        gnn_hidden=_parse_pair(args.gnn_hidden, "--gnn-hidden"),
         eval_every=args.eval_every,
     )
+    seeds = _parse_seeds(args.seeds)
 
     paths = [p for p in args.ckpts.split(",") if p]
     if not paths:
@@ -378,7 +386,7 @@ def _cmd_benchmark(args) -> int:
                 )
     graph = _read_ntriples(args.graph) if args.graph else None
     report = run_benchmark(
-        dataset, spec, checkpoints, registry, cfg, seeds=_parse_seeds(args.seeds), graph=graph
+        dataset, spec, checkpoints, registry, cfg, seeds=seeds, graph=graph
     )
     jsonl_path = args.out + ".jsonl"
     text_path = args.out + ".txt"

@@ -63,6 +63,9 @@ class FlowPolicy:
     mode: str  # "unrestricted" | "controlled"
     allowed_inbound: dict[str, frozenset[str]] = field(default_factory=dict)
 
+    # the policy's fields as a hashable value (`allowed_inbound` is a dict), set once
+    key: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.mode not in ("unrestricted", "controlled"):
             raise ValueError(f"unknown flow policy mode {self.mode!r}")
@@ -70,10 +73,8 @@ class FlowPolicy:
             for modality, allowed in self.allowed_inbound.items():
                 if not allowed:
                     raise ValueError(f"controlled policy has empty allowed set for {modality!r}")
-
-    def key(self) -> tuple:
-        """The policy's fields as a hashable value (`allowed_inbound` is a dict)."""
-        return (self.mode, tuple(sorted((m, tuple(sorted(v))) for m, v in self.allowed_inbound.items())))
+        key = (self.mode, tuple(sorted((m, tuple(sorted(v))) for m, v in self.allowed_inbound.items())))
+        object.__setattr__(self, "key", key)  # the dataclass is frozen
 
     @staticmethod
     def unrestricted() -> "FlowPolicy":
@@ -203,12 +204,14 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
     so its arrays are read-only."""
     gi = graph.index()
     n = len(gi.node_ids)
-    rows = np.arange(n) if scope is None else np.unique(nm.as_index(scope))
-    if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+    rows = None if scope is None else np.unique(nm.as_index(scope))
+    if rows is not None and len(rows) and (rows[0] < 0 or rows[-1] >= n):
         raise IndexError(f"scope index out of range for {n} nodes")
-    key = (None if len(rows) == n else rows.tobytes(), policy.key())  # None: every node
+    key = (None if rows is None or len(rows) == n else rows.tobytes(), policy.key)  # None: every node
     if key in gi.mp_cache:
         return gi.mp_cache[key]
+    if rows is None:
+        rows = np.arange(n)
     in_scope = np.zeros(n, dtype=bool)
     in_scope[rows] = True
     into_scope = in_scope[gi.receiver]

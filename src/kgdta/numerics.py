@@ -5,7 +5,8 @@ downstream regressors need, each with a hand-written backward rule, plus Adam an
 central-finite-difference gradient checker that serves as the independent oracle for
 every differentiable composite in the repo.
 
-Tensors wrap numpy arrays; ops never mutate inputs. Determinism matters more than
+Tensors wrap numpy arrays; ops never mutate inputs, but `adam_step` updates the
+parameters in place, through views of one buffer. Determinism matters more than
 speed here: float64 everywhere, no threading assumptions beyond BLAS.
 """
 
@@ -441,66 +442,77 @@ def grad_check(
 
 
 class AdamState:
-    """Adam's moments for one fixed set of parameters, as flat float64 buffers.
-
-    The names, shapes and offsets into the buffers are fixed by the first step.
-    """
+    """Adam's moments `m` and `v`, a gradient buffer `g` and the parameters `p`, each
+    one flat float64 buffer, for one fixed set of parameters; `views` maps each name
+    to its (parameter, gradient) views, shaped as the parameter. The names and shapes
+    are fixed when the state is built; one tensor under two names raises ValueError."""
 
     def __init__(self, params: Mapping[str, Tensor]):
-        self.layout: dict[str, tuple[int, tuple[int, ...]]] = {}
-        size = 0
+        size = sum(p.data.size for p in params.values())
+        self.m, self.v, self.g, self.p = (np.zeros(size) for _ in range(4))
+        self.scratch = np.empty(min(size, _BLOCK))
+        self.views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        names: dict[int, str] = {}  # tensor id -> its first name
+        offset = 0
         for name, p in params.items():
-            self.layout[name] = (size, p.data.shape)
-            size += p.data.size
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+            if names.setdefault(id(p), name) != name:
+                raise ValueError(f"adam: {names[id(p)]!r} and {name!r} are the same tensor")
+            at, shape = slice(offset, offset + p.data.size), p.data.shape
+            self.views[name] = (self.p[at].reshape(shape), self.g[at].reshape(shape))
+            offset = at.stop
         self.step = 0
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_BLOCK = 1 << 14  # elements per pass of the update, so that each pass reads from cache
 
 
 def adam_step(params: Mapping[str, Tensor], state: AdamState | None, lr: float) -> AdamState:
     """Standard Adam update on the gradients `backward` left on each parameter's
     `.grad`, which it consumes: every `.grad` is None afterwards, and a parameter with
     no `.grad` is stepped with a zero gradient; a `.grad` left by an earlier `backward`
-    or `grad_check` is part of the step. Each parameter gets a new `.data` array,
-    a slice of one buffer per step; the arrays it had before are never written."""
+    or `grad_check` is part of the step. The first step copies each parameter into the
+    state's one parameter buffer and rebinds its `.data` to a view of it, as it does
+    for a `.data` rebound since the last step; the arrays so replaced are never
+    written. Every step overwrites those views in place, so keep a copy, not `.data`
+    itself, as a snapshot, and run a tape's `backward` before the next step: after
+    it, the tape would read the stepped values. A refused step changes nothing."""
     if state is None:
         state = AdamState(params)
-    if len(params) != len(state.layout):
-        raise ShapeMismatch(f"adam: {len(params)} params, state holds {len(state.layout)}")
-    # two flat buffers per step, not kept in the state: g holds the gradients, s the
-    # step and then the new parameters
-    g, s = np.empty_like(state.m), np.empty_like(state.m)
+    if len(params) != len(state.views):
+        raise ShapeMismatch(f"adam: {len(params)} params, state holds {len(state.views)}")
     for name, p in params.items():
-        offset, shape = state.layout.get(name, (None, None))
+        shape = state.views[name][0].shape if name in state.views else None
         if shape != p.data.shape:
             raise ShapeMismatch(f"adam: param {name!r} of shape {p.data.shape} does not match the state ({shape})")
         if p.grad is not None and p.grad.shape != shape:
             raise ShapeMismatch(f"adam: grad shape {p.grad.shape} != param shape {shape} ({name})")
-        g[offset : offset + p.data.size] = 0.0 if p.grad is None else p.grad.reshape(-1)
-    state.step += 1
-    t = state.step
-    # the per-element operation sequence of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    # p = p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps), done in place
-    np.multiply(g, 1.0 - _BETA1, out=s)
-    np.multiply(state.m, _BETA1, out=state.m)
-    np.add(state.m, s, out=state.m)
-    np.multiply(g, g, out=g)
-    np.multiply(g, 1.0 - _BETA2, out=g)
-    np.multiply(state.v, _BETA2, out=state.v)
-    np.add(state.v, g, out=state.v)
-    np.divide(state.m, 1.0 - _BETA1**t, out=s)
-    np.multiply(s, lr, out=s)
-    np.divide(state.v, 1.0 - _BETA2**t, out=g)
-    np.sqrt(g, out=g)
-    np.add(g, _EPS, out=g)
-    np.divide(s, g, out=s)
     for name, p in params.items():
-        offset, shape = state.layout[name]
-        new = s[offset : offset + p.data.size]
-        np.subtract(p.data.reshape(-1), new, out=new)
-        p.data = new.reshape(shape)
+        data, grad = state.views[name]
+        if p.data is not data:  # the first step, or a .data rebound since the last one
+            np.copyto(data, p.data)
+            p.data = data
+        np.copyto(grad, 0.0 if p.grad is None else p.grad)
         p.grad = None
+    state.step += 1
+    c1, c2 = 1.0 - _BETA1**state.step, 1.0 - _BETA2**state.step
+    # block by block, the per-element operation sequence of m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*(g*g), p = p - lr * (m / c1) / (sqrt(v / c2) + eps), in place
+    for lo in range(0, len(state.p), _BLOCK):
+        g, m, v, p = (a[lo : lo + _BLOCK] for a in (state.g, state.m, state.v, state.p))
+        s = state.scratch[: len(g)]
+        np.multiply(g, 1.0 - _BETA1, out=s)
+        np.multiply(m, _BETA1, out=m)
+        np.add(m, s, out=m)
+        np.multiply(g, g, out=g)
+        np.multiply(g, 1.0 - _BETA2, out=g)
+        np.multiply(v, _BETA2, out=v)
+        np.add(v, g, out=v)
+        np.divide(m, c1, out=s)
+        np.multiply(s, lr, out=s)
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, _EPS, out=g)
+        np.divide(s, g, out=s)
+        np.subtract(p, s, out=p)
     return state

@@ -167,6 +167,7 @@ INVALID_PRETRAIN_FLAGS = {
     "lr_negative": (["--lr", "-1"], "lr must be finite and > 0"),
     "partitions_0": (["--partitions", "0"], "partitions must be >= 1, got 0"),
     "partitions_negative": (["--partitions", "-2"], "partitions must be >= 1, got -2"),
+    "partitions_not_an_integer": (["--partitions", "two"], "--partitions needs an integer, got 'two'"),
 }
 
 
@@ -341,6 +342,10 @@ INVALID_BENCHMARK_FLAGS = {
     "fraction_nan": (["--fractions", "nan,0.5,0.5"], "fractions must be finite"),
     "threshold_empty": (["--split", "temporal:"], "--split temporal:<t> needs a number, got ''"),
     "fraction_not_a_number": (["--fractions", "a,0.5,0.5"], "--fractions needs a number, got 'a'"),
+    "seeds_not_an_integer": (["--seeds", "a"], "--seeds needs an integer, got 'a'"),
+    "seeds_range_not_an_integer": (["--seeds", "0..x"], "--seeds needs an integer, got 'x'"),
+    "init_hidden_not_an_integer": (["--init-hidden", "x,4"], "--init-hidden needs an integer, got 'x'"),
+    "gnn_hidden_one_size": (["--gnn-hidden", "8"], "--gnn-hidden needs two comma-separated integers, got '8'"),
 }
 
 

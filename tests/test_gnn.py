@@ -688,6 +688,36 @@ def test_build_mp_results_are_cached_per_scope_set_and_policy():
     assert build_mp(g, np.array([1, 3]), FlowPolicy.controlled()) is not first
 
 
+class _CountedSet(frozenset):
+    """A frozenset that counts how often it is iterated, as sorting it does."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_a_warm_whole_graph_build_mp_is_one_cache_lookup(monkeypatch):
+    g = MultimodalGraph()
+    p1, p2 = entity("uniprot", "P1", "protein"), entity("uniprot", "P2", "protein")
+    g.add_triple(p1, SEQ, attribute_node("protein_sequence", "MKTAY"))
+    g.add_triple(p1, BIND, p2)
+    allowed = _CountedSet({SEQ.name})
+    policy = FlowPolicy("controlled", {"protein": allowed})
+    assert allowed.iterations == 1  # the key is made once, with the policy
+    whole = build_mp(g, None, policy)
+    calls = []
+    for name in ("arange", "unique"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _fn=fn, **k: calls.append(_name) or _fn(*a, **k))
+    assert build_mp(g, None, policy) is whole and build_mp(g, None, policy) is whole
+    assert calls == [] and allowed.iterations == 1
+    # a partial scope still checks its rows, and the counters are live
+    assert build_mp(g, np.array([0, 2, 1, 0]), policy) is whole
+    assert calls == ["unique"] and allowed.iterations == 1
+
+
 def test_row_counts_the_scope_nodes_in_index_order_and_is_minus_one_elsewhere():
     from kgdta.pretrain import partition
     from kgdta.synthetic import make_planted_world

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,3 +480,77 @@ def test_fused_adam_state_is_fixed_to_its_parameters():
     p["w"].grad = np.ones(3)
     nm.adam_step({"b": p["b"], "w": p["w"]}, state, lr=0.1)
     assert state.step == 2
+
+
+# -- in-place Adam over one parameter buffer ------------------------------------------------
+
+
+def test_a_warm_adam_step_allocates_less_than_one_block():
+    rng = np.random.default_rng(5)
+    params = {"w": nm.param(rng.normal(size=(1024, 1024))), "b": nm.param(rng.normal(size=1024))}
+    state = nm.adam_step(params, None, lr=0.01)  # the first step builds the buffers
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    tracemalloc.start()
+    try:
+        nm.adam_step(params, state, lr=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nm._BLOCK * 8, peak  # one parameter-sized array would be 8 MB
+
+
+def test_adam_updates_views_of_one_buffer_in_place():
+    rng = np.random.default_rng(6)
+    init = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "s": np.array(0.5)}
+    params = {name: nm.param(x.copy()) for name, x in init.items()}
+    before = {name: p.data for name, p in params.items()}
+    state = nm.adam_step(params, None, lr=0.1)
+    views = {name: p.data for name, p in params.items()}
+    assert all(np.shares_memory(data, state.p) and data is not before[name] for name, data in views.items())
+    assert np.concatenate([data.ravel() for data in views.values()]).tobytes() == state.p.tobytes()
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    nm.adam_step(params, state, lr=0.1)
+    assert all(p.data is views[name] for name, p in params.items())
+    assert not np.array_equal(views["w"], init["w"])
+    assert all(before[name].tobytes() == x.tobytes() for name, x in init.items())  # never written
+
+
+def test_a_rebound_data_is_copied_in_and_never_written():
+    rng = np.random.default_rng(7)
+    init = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    fused = {name: nm.param(x.copy()) for name, x in init.items()}
+    ref = {name: nm.param(x.copy()) for name, x in init.items()}
+    ref_state = {"m": {}, "v": {}, "step": 0}
+    grads = {name: rng.normal(size=x.shape) for name, x in init.items()}
+    for name, grad in grads.items():
+        fused[name].grad = grad
+    state = nm.adam_step(fused, None, lr=0.1)
+    _reference_adam(ref, grads, ref_state, lr=0.1)
+    view, stepped = fused["w"].data, fused["w"].data.copy()
+    fresh = rng.normal(size=(3, 4))
+    kept = fresh.copy()
+    fused["w"].data, ref["w"].data = fresh, fresh.copy()
+    # a refused step rebinds nothing
+    fused["b"].grad = np.ones(5)
+    with pytest.raises(ShapeMismatch):
+        nm.adam_step(fused, state, lr=0.1)
+    assert fused["w"].data is fresh and state.step == 1
+    grads = {name: rng.normal(size=x.shape) for name, x in init.items()}
+    for name, grad in grads.items():
+        fused[name].grad = grad
+    nm.adam_step(fused, state, lr=0.1)
+    _reference_adam(ref, grads, ref_state, lr=0.1)
+    assert fused["w"].data is view and fresh.tobytes() == kept.tobytes()
+    assert not np.array_equal(view, stepped)
+    for name in init:
+        assert fused[name].data.tobytes() == ref[name].data.tobytes(), name
+
+
+def test_adam_state_rejects_one_tensor_under_two_names():
+    t = nm.param(np.ones(3))
+    t.grad = np.ones(3)
+    with pytest.raises(ValueError, match="'a' and 'b' are the same tensor"):
+        nm.adam_step({"a": t, "b": t}, None, lr=0.1)
+    assert np.array_equal(t.data, np.ones(3)) and np.array_equal(t.grad, np.ones(3))
