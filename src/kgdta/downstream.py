@@ -214,7 +214,7 @@ class CheckpointProvider:
             gi = graph.index()
             literal = ~gi.is_entity & np.isin(gi.modalities, [SMILES_MODALITY, SEQUENCE_MODALITY])[gi.modality]
             for s, _, t in gi.triples[literal[gi.triples[:, 2]]].tolist():  # insertion order: the first wins
-                node = graph.nodes[gi.node_ids[t]]
+                node = gi.nodes[t]
                 self._known.setdefault((node.modality, node.value), final[mp.row[s]])
 
     def _embed(self, modality: str, value: str) -> np.ndarray:

@@ -20,7 +20,8 @@ Encoding covers the scope plus its one-hop, flow-permitted in-neighbors only,
 because out-of-scope neighbors at layers >= 1 read from the history (partitioned
 training: one array per layer >= 1, a row per index node) when given and zeros
 otherwise. Full-graph embeddings thus still depend on exactly the two-hop
-neighborhood. Readers of the output find each node's row in `MpGraph.row`.
+neighborhood. `EmbeddingView` is the one reader of rows outside a scope, for the
+encoder's layer >= 1 input and for the pretraining loss alike.
 """
 
 from __future__ import annotations
@@ -183,13 +184,12 @@ class MpGraph:
     `projected` also counts attributes whose only edge into the scope is blocked:
     they send nothing, but their modality must still have a projection. `row`
     maps each index node to its row in `encode_layers`' scope outputs, or -1
-    outside the scope.
+    outside the scope, so closure row i is outside it when `row[closure[i]]` < 0.
     """
 
     node_ids: list[NodeId]
     closure: np.ndarray
     scope_rows: np.ndarray
-    out_rows: np.ndarray
     groups: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     attr_rows: dict[str, np.ndarray]  # non-categorical attribute modality -> row indices
     projected: list[str]  # non-categorical attribute modalities in or next to the scope
@@ -220,9 +220,7 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
     in_closure[gi.sender[live]] = True
     closure = np.flatnonzero(in_closure)
     node_ids = [gi.node_ids[i] for i in closure.tolist()]
-    scope_mask = in_scope[closure]
-    scope_rows = np.flatnonzero(scope_mask)
-    out_rows = np.flatnonzero(~scope_mask)
+    scope_rows = np.flatnonzero(in_scope[closure])
 
     # entities and categorical attributes start at zero; the rest are projected
     modality = np.where(gi.is_entity[closure], -1, gi.modality[closure])
@@ -257,7 +255,6 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
         node_ids=node_ids,
         closure=closure,
         scope_rows=scope_rows,
-        out_rows=out_rows,
         groups=groups,
         attr_rows=attr_rows,
         projected=[gi.modalities[m] for m in codes if gi.modalities[m] != CATEGORICAL],
@@ -269,6 +266,28 @@ def build_mp(graph: MultimodalGraph, scope: np.ndarray | None, policy: FlowPolic
     return mp
 
 
+class EmbeddingView:
+    """One layer's rows by index node, the one reader of rows outside a scope: a
+    node in the scope (`row[node]` >= 0, as in `MpGraph.row`) gives its
+    differentiable row of `h`, any other node its constant row of `stored` (that
+    layer's history array), or zeros when nothing is stored. `encode_layers`
+    builds each partial scope's layer >= 1 input through it, and the pretraining
+    loss reads final-layer rows through it."""
+
+    def __init__(self, h: Tensor, row: np.ndarray, stored: np.ndarray | None = None):
+        self.h, self.row, self.stored = h, row, stored
+
+    def rows(self, nodes: np.ndarray) -> Tensor:
+        rows = self.row.take(nodes)
+        if (inside := rows >= 0).all():
+            return nm.gather_rows(self.h, rows)
+        pos_in, pos_out = np.flatnonzero(inside), np.flatnonzero(~inside)
+        pieces = [(pos_in, nm.gather_rows(self.h, rows[pos_in]))] if len(pos_in) else []
+        if self.stored is not None:
+            pieces.append((pos_out, self.stored[nodes[pos_out]]))
+        return nm.assemble_rows(len(nodes), self.h.data.shape[1], pieces)
+
+
 def encode_layers(
     mp: MpGraph,
     table: EmbeddingTable,
@@ -278,8 +297,8 @@ def encode_layers(
     """Forward pass. Returns per-layer tensors whose rows follow mp.scope_rows order
     for layers >= 1; layer 0 covers the whole closure. `history`, when given, is
     one (index nodes x width) array per layer >= 1; `history[l - 1]` holds layer l
-    of every index node, read for the out-of-scope rows. Other shapes raise
-    ShapeMismatch.
+    of every index node. Other shapes raise ShapeMismatch. A partial scope's layer
+    l >= 1 input is `EmbeddingView(layer l, mp.row, history[l - 1])` over the closure.
 
     Each layer is one `numerics.rgcn_layer` over `mp.groups`: relation r adds
     (A_r h) W_r on its target rows only, where A_r h, the mean of each target's
@@ -308,11 +327,9 @@ def encode_layers(
     for l, layer in enumerate(params.layers):
         if l > 0:
             h_full = outputs[-1]  # when the scope is the whole closure
-            if len(mp.out_rows):
-                fill = [(mp.scope_rows, h_full)]
-                if history is not None:
-                    fill.append((mp.out_rows, history[l - 1][mp.closure[mp.out_rows]]))
-                h_full = nm.assemble_rows(n, dims[l], fill)
+            if len(mp.scope_rows) < n:
+                stored = None if history is None else history[l - 1]
+                h_full = EmbeddingView(h_full, mp.row, stored).rows(mp.closure)
         weights = [layer.weight_for(group[0]) for group in mp.groups]
         outputs.append(nm.rgcn_layer(h_full, layer.w_self, layer.bias, weights, groups, mp.scope_rows))
     return outputs

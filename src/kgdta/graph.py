@@ -122,11 +122,11 @@ def attribute_node(modality: str, value: str | float) -> Node:
 class GraphIndex:
     """Integer view of a graph, shared by everything that walks its structure.
 
-    Node i is `node_ids[i]`, and ints follow canonical (sorted `NodeId`) order, so
-    sorting ints sorts ids. Node i has modality `modalities[modality[i]]`.
-    `triples` holds every triple as a (source, relation code, target) row, in
-    insertion order; a metadata triple (`META_RELATIONS`), which has no code, has
-    relation -1.
+    Node i is `nodes[i]`, with id `node_ids[i]`; ints follow canonical (sorted
+    `NodeId`) order, so sorting ints sorts ids. Node i has modality
+    `modalities[modality[i]]`. `triples` holds every triple as a (source, relation
+    code, target) row, in insertion order; a metadata triple (`META_RELATIONS`),
+    which has no code, has relation -1.
 
     Message edges are the triples with a relation code, each in both directions,
     deduplicated and sorted by (relation, receiver, sender): each relation's edges
@@ -138,6 +138,7 @@ class GraphIndex:
     """
 
     node_ids: list[NodeId]
+    nodes: list[Node]
     position: dict[NodeId, int]
     is_entity: np.ndarray
     modalities: list[str]
@@ -174,6 +175,7 @@ def _build_index(graph: "MultimodalGraph") -> GraphIndex:
     relation, receiver = np.divmod(segments, n)
     return GraphIndex(
         node_ids=node_ids,
+        nodes=nodes,
         position=position,
         is_entity=np.array([node.kind is NodeKind.ENTITY for node in nodes], dtype=bool),
         modalities=modalities,

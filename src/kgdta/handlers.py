@@ -261,8 +261,7 @@ def compute_initial_embeddings(
                 raise KindViolation(f"{node_id}: external {modality!r} vector for an entity or categorical "
                                     "attribute, which has no initial embedding")
     members: dict[str, list[int]] = {}
-    for i, node_id in enumerate(gi.node_ids):
-        node = graph.nodes[node_id]
+    for i, node in enumerate(gi.nodes):
         if node.kind is not NodeKind.ENTITY and node.modality != CATEGORICAL:
             members.setdefault(node.modality, []).append(i)
     row = np.full(len(gi.node_ids), -1, dtype=np.intp)
@@ -271,7 +270,7 @@ def compute_initial_embeddings(
         handler = registry.get(modality)
         given = external.get(modality, {})
         ids = [gi.node_ids[i] for i in nodes]
-        vectors = (given[n] if n in given else handler.embed(graph.nodes[n].value) for n in ids)
+        vectors = (given[nid] if nid in given else handler.embed(gi.nodes[i].value) for i, nid in zip(nodes, ids))
         matrices[modality] = embedding_matrix(handler, ids, vectors, f"modality {modality!r}")
         row[nodes] = np.arange(len(nodes))
     return EmbeddingTable(gi.node_ids, row, matrices)

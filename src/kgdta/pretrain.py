@@ -5,9 +5,9 @@ by default) under one of three triple scorers — a bilinear product, a translat
 distance, or a small classifier network — optionally combined with a regression
 objective that predicts numeric attribute literals from the source entity embedding.
 
-Large graphs train partition by partition: a balance-first multi-seed BFS splits the
-entities, and embeddings of out-of-partition neighbors are read from the history (one
-array per encoder layer >= 1, a row per index node) instead of being recomputed.
+Large graphs train partition by partition: a round-robin multi-seed BFS splits the
+entities, and `gnn.EmbeddingView` reads out-of-partition rows from the history (one
+array per encoder layer >= 1, a row per index node) instead of recomputing them.
 With a single partition this reduces exactly to full-batch training.
 
 Relations named "rdf:type" and "sameAs" are metadata, not domain structure: the graph
@@ -36,6 +36,7 @@ from .errors import (
     UnknownRelation,
 )
 from .gnn import (
+    EmbeddingView,
     FlowPolicy,
     GnnParams,
     RgcnLayer,
@@ -214,31 +215,6 @@ def _relation_groups(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # --- loss ------------------------------------------------------------------------
 
 
-class EmbeddingView:
-    """Final-layer embeddings by index node: differentiable rows of `h` for nodes
-    in scope (`row[node]` >= 0, as in `MpGraph.row`), constant rows of `fallback`
-    (the last history array) or zeros for everything else."""
-
-    def __init__(self, h: Tensor, row: np.ndarray, fallback: np.ndarray | None = None):
-        self.h = h
-        self.row = row
-        self.fallback = fallback
-        self.dim = h.data.shape[1]
-        self.covers_all = bool(row.size) and row.min() >= 0
-
-    def rows(self, nodes: np.ndarray) -> Tensor:
-        rows = self.row.take(nodes)
-        if self.covers_all or (inside := rows >= 0).all():
-            return nm.gather_rows(self.h, rows)
-        pos_in, pos_out = np.flatnonzero(inside), np.flatnonzero(~inside)
-        pieces = []
-        if len(pos_in):
-            pieces.append((pos_in, nm.gather_rows(self.h, rows[pos_in])))
-        if self.fallback is not None:
-            pieces.append((pos_out, self.fallback[nodes[pos_out]]))
-        return nm.assemble_rows(len(nodes), self.dim, pieces)
-
-
 @dataclass
 class RegressionHeads:
     heads: dict[str, tuple[Tensor, Tensor]]  # relation -> (w, b)
@@ -259,7 +235,7 @@ def numeric_triples(graph: MultimodalGraph) -> tuple[np.ndarray, np.ndarray]:
     gi = graph.index()
     numeric = ~gi.is_entity & (np.array(gi.modalities) == NUMBER_MODALITY)[gi.modality]
     rows = gi.triples[numeric[gi.triples[:, 2]] & (gi.triples[:, 1] >= 0)]
-    values = np.array([float(graph.nodes[gi.node_ids[t]].value) for t in rows[:, 2].tolist()])
+    values = np.array([float(gi.nodes[t].value) for t in rows[:, 2].tolist()])
     return rows, values
 
 
@@ -322,9 +298,10 @@ def pretrain_loss(
 def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """The part of every node of `graph.index()`, as an int array.
 
-    Balance-first greedy multi-seed BFS over entities; attribute nodes co-locate
-    with their lexicographically smallest incident entity, or part 0 when none
-    points at them. Entity counts per part differ by at most one."""
+    Multi-seed BFS over entities in round robin: step s gives part s mod k the next
+    unassigned entity from its queue (or the first in index order), so entity
+    counts differ by at most one. Attribute nodes co-locate with their lexicographically
+    smallest incident entity, or part 0 when none points at them."""
     gi = graph.index()
     n_all = len(gi.node_ids)
     entities = np.flatnonzero(gi.is_entity).tolist()  # ints in sorted-id order
@@ -344,11 +321,10 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
 
         seed_rows = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
         queues = [deque([entities[i]]) for i in seed_rows]
-        sizes = [0] * k
         cursor = 0  # scan position for fresh seeds
         assigned = [False] * n_all
-        for _ in range(n):
-            p = min(range(k), key=lambda i: (sizes[i], i))
+        for step in range(n):
+            p = step % k  # round robin: the parts take turns, so sizes differ by at most one
             node = None
             while queues[p]:
                 cand = queues[p].popleft()
@@ -361,7 +337,6 @@ def partition(graph: MultimodalGraph, k: int, rng: np.random.Generator | None = 
                 node = entities[cursor]
             assigned[node] = True
             part[node] = p
-            sizes[p] += 1
             queues[p].extend(u for u in sender[bounds[node] : bounds[node + 1]] if not assigned[u])
 
     # one pass over the triples: the smallest entity pointing at each attribute

@@ -54,12 +54,13 @@ def reference_encode_layers(
         for rel, lo, hi in zip(flat.relations, runs, runs[1:])
         if lo < hi
     ]
+    out_rows = np.flatnonzero(mp.row[mp.closure] < 0)
     h_scope: Tensor | None = None
     for l, layer in enumerate(params.layers):
         if l > 0:
             fill = [(mp.scope_rows, h_scope)]
-            if len(mp.out_rows) and history is not None:
-                fill.append((mp.out_rows, history[l - 1][mp.closure[mp.out_rows]]))
+            if len(out_rows) and history is not None:
+                fill.append((out_rows, history[l - 1][mp.closure[out_rows]]))
             h_full = nm.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
         for rel, sender, receiver, weight in edges:

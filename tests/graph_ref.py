@@ -45,6 +45,7 @@ def reference_index(graph: MultimodalGraph) -> GraphIndex:
     relation, receiver = np.divmod(segments, n)
     return GraphIndex(
         node_ids=node_ids,
+        nodes=nodes,
         position=position,
         is_entity=np.array([node.kind is NodeKind.ENTITY for node in nodes], dtype=bool),
         modalities=modalities,

@@ -27,7 +27,7 @@ from kgdta.downstream import (
     save_affinity_tsv,
     spearman,
 )
-from kgdta.gnn import FlowPolicy, build_mp, encode, encode_layers, init_gnn_params
+from kgdta.gnn import EmbeddingView, FlowPolicy, build_mp, encode, encode_layers, init_gnn_params
 from kgdta.graph import (
     MultimodalGraph,
     Relation,
@@ -41,7 +41,6 @@ from kgdta.handlers import compute_initial_embeddings, default_registry
 from kgdta.pretrain import (
     AdmissibleSets,
     Checkpoint,
-    EmbeddingView,
     LinkFilter,
     PretrainConfig,
     _split_positives,

@@ -269,7 +269,8 @@ def dense_reference(mp, table, params, history=None) -> list[np.ndarray]:
             h = np.zeros((n, dims[l]))
             h[mp.scope_rows] = outputs[-1]
             if history is not None:
-                h[mp.out_rows] = history[l - 1][mp.closure[mp.out_rows]]
+                out_rows = np.flatnonzero(mp.row[mp.closure] < 0)
+                h[out_rows] = history[l - 1][mp.closure[out_rows]]
         z = h @ layer.w_self.data + layer.bias.data
         for rel, A in dense.items():
             z = z + A @ h @ layer.weight_for(rel).data
@@ -376,7 +377,7 @@ def test_groups_are_each_relations_edges_and_distinct_receivers():
         partial = 0
         for scope in scopes:
             mp = build_mp(g, scope, policy)
-            partial += len(mp.out_rows) > 0
+            partial += np.count_nonzero(mp.row[mp.closure] < 0) > 0
             # the messages, straight from the index: edges into the scope the policy keeps
             in_scope = np.zeros(n, dtype=bool)
             in_scope[np.arange(n) if scope is None else scope] = True
@@ -458,7 +459,8 @@ def test_encode_layers_rejects_a_history_of_the_wrong_shape():
     n = len(g.index().node_ids)
     inside = build_mp(g, None, FlowPolicy.unrestricted())  # reads no history row
     partial = build_mp(g, np.array([g.index().position[p1.id]]), FlowPolicy.unrestricted())
-    assert len(inside.out_rows) == 0 and len(partial.out_rows) == 1
+    out_rows = [np.flatnonzero(mp.row[mp.closure] < 0) for mp in (inside, partial)]
+    assert len(out_rows[0]) == 0 and len(out_rows[1]) == 1
     for mp in (inside, partial):
         encode_layers(mp, table, params, [np.zeros((n, 3)), np.zeros((n, 3))])
         for bad in (
@@ -678,7 +680,7 @@ def test_build_mp_results_are_cached_per_scope_set_and_policy():
 
     arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)] + list(first.attr_rows.values())
     group_arrays = [a for group in first.groups for a in group[1:]]
-    assert len(arrays) == 4 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
+    assert len(arrays) == 3 + len(first.attr_rows) and all(not a.flags.writeable for a in arrays)
     assert len(group_arrays) == 4 * len(first.groups) > 0 and all(not a.flags.writeable for a in group_arrays)
     with pytest.raises(ValueError, match="read-only"):
         first.groups[0][1][0] = 0
@@ -733,8 +735,9 @@ def test_row_counts_the_scope_nodes_in_index_order_and_is_minus_one_elsewhere():
         assert np.array_equal(mp.row, want)
         # row r of the scope outputs is closure row scope_rows[r]
         assert np.array_equal(mp.closure[mp.scope_rows[mp.row[inside]]], inside)
-        assert (mp.row[mp.closure[mp.out_rows]] == -1).all()
-        assert len(mp.out_rows) > 0 or scope is None  # the partition reads neighbours outside it
+        out_rows = np.flatnonzero(mp.row[mp.closure] < 0)
+        assert np.array_equal(out_rows, np.setdiff1d(np.arange(len(mp.closure)), mp.scope_rows))
+        assert len(out_rows) > 0 or scope is None  # the partition reads neighbours outside it
 
 
 def test_unseen_relation_uses_default_weight():

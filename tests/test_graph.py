@@ -286,7 +286,7 @@ def graphs_with_same_as(draw):
 
 def assert_index_matches_reference(g):
     got, want = g.index(), reference_index(g)
-    for name in ("node_ids", "position", "modalities", "relations"):
+    for name in ("node_ids", "nodes", "position", "modalities", "relations"):
         assert getattr(got, name) == getattr(want, name), name
     for name in ("is_entity", "modality", "triples", "relation", "receiver", "sender", "weight"):
         a, b = getattr(got, name), getattr(want, name)

@@ -9,12 +9,12 @@ from kg_strategies import graphs
 from kgdta import numerics as nm
 import numerics_ref as ref
 from kgdta.errors import EmptyTrainingSet, ExhaustedCandidates, InvalidK, UnknownRelation
+from kgdta.gnn import EmbeddingView
 from kgdta.graph import MultimodalGraph, NodeId, Relation, RelationKind, Triple, attribute_node, entity
 from kgdta.handlers import compute_initial_embeddings, default_registry
 from kgdta.pretrain import (
     AdmissibleSets,
     Checkpoint,
-    EmbeddingView,
     LinkFilter,
     PretrainConfig,
     ScoreFn,
@@ -503,6 +503,105 @@ def test_gas_k1_matches_full_batch_reference():
         assert abs(result.log[epoch]["train_loss"] - ref_loss) <= 1e-12
     for name, p in named.items():
         assert np.max(np.abs(p.data - trained[name].data)) <= 1e-12, name
+
+
+class HandView:
+    """Final-layer rows by index node, the history rule written out: a node in the
+    scope (`row[node]` >= 0) reads its differentiable row of `h`, any other node
+    its row of `stored`, or zeros when `stored` is None."""
+
+    def __init__(self, h, row, stored=None):
+        self.h, self.row, self.stored = h, row, stored
+
+    def rows(self, nodes):
+        at = self.row[nodes]
+        inside = at >= 0
+        pieces = [(np.flatnonzero(inside), nm.gather_rows(self.h, at[inside]))]
+        if self.stored is not None:
+            pieces.append((np.flatnonzero(~inside), self.stored[nodes[~inside]]))
+        return nm.assemble_rows(len(nodes), self.h.data.shape[1], pieces)
+
+
+@pytest.mark.parametrize("score_fn", ["distmult", "transe", "classifier"])
+def test_gas_k3_matches_a_hand_written_partitioned_loop(score_fn):
+    """Three partitions with the regression objective bit-match a loop that applies
+    the history rule by hand: the reference encoder fills out-of-scope rows from
+    the history, the loss reads rows through `HandView`, the history is written
+    after each partition and validation encodes the whole graph."""
+    from gnn_ref import reference_encode_layers
+    from kgdta.gnn import build_mp, init_gnn_params
+    from kgdta.pretrain import (
+        _attr_modality_dims,
+        _relation_groups,
+        _split_positives,
+        init_regression_heads,
+        model_parameters,
+        trainable_relations,
+    )
+
+    world, _ = small_world()
+    graph, table = with_protein_lengths(world.graph)
+    k = 3
+    cfg = PretrainConfig(score_fn=score_fn, epochs=3, lr=1e-2, seed=9, partitions=k, regression=True, **SMALL_DIMS)
+    result = train(graph, table, cfg)
+
+    gi = graph.index()
+    filtered = rows_where(graph, lambda t: cfg.link_filter.admits(t.relation.name))
+    train_at, val_at = _split_positives(len(filtered), cfg)
+    train_pos, val_pos = filtered[train_at], filtered[val_at]
+    assert len(val_pos)
+    sets = AdmissibleSets.from_rows(filtered, len(gi.node_ids), len(gi.relations))
+    forbidden = sets.keys(filtered)
+    relations = trainable_relations(graph)
+    params = init_gnn_params(
+        _attr_modality_dims(table), relations, substream(cfg.seed, "init"),
+        cfg.proj_dim, cfg.hidden_dim, cfg.out_dim,
+    )
+    fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"),
+                       cfg.clf_hidden, cfg.margin)
+    reg_rows, reg_values = numeric_triples(graph)
+    reg_relations = [gi.relations[code] for code, _ in _relation_groups(reg_rows[:, 1])]
+    regression = init_regression_heads(reg_relations, cfg.out_dim, substream(cfg.seed, "init_reg"), cfg.reg_lambda)
+    named = model_parameters(params, fn, regression)
+
+    part = partition(graph, k, substream(cfg.seed, "partition"))
+    history = [np.zeros((len(gi.node_ids), d)) for d in (cfg.hidden_dim, cfg.out_dim)]
+    state, log, reads = None, [], 0
+    for epoch in range(cfg.epochs):
+        epoch_rows = []
+        for p in range(k):
+            scope = np.flatnonzero(part == p)
+            mp = build_mp(graph, scope, cfg.policy)
+            reads += np.count_nonzero(mp.row[mp.closure] < 0)
+            layers = reference_encode_layers(mp, table, params, history)
+            view = HandView(layers[-1], mp.row, history[-1])
+            pos = train_pos[part[train_pos[:, 0]] == p]
+            in_part = part[reg_rows[:, 0]] == p
+            train_loss = None
+            if len(pos) or in_part.any():
+                negs = sample_negatives(pos, sets, 1, substream(cfg.seed, "neg", epoch, p), forbidden)
+                loss = pretrain_loss(pos, negs, view, fn, gi.relations, regression,
+                                     (reg_rows[in_part], reg_values[in_part]))
+                nm.backward(loss)
+                state = nm.adam_step(named, state, cfg.lr)
+                train_loss = float(loss.data)
+            for stored, h_layer in zip(history, layers[1:]):
+                stored[scope] = h_layer.data
+            epoch_rows.append({"epoch": epoch, "partition": p, "train_loss": train_loss})
+        whole = build_mp(graph, None, cfg.policy)
+        view = HandView(reference_encode_layers(whole, table, params)[-1], whole.row)
+        negs = sample_negatives(val_pos, sets, 1, substream(cfg.seed, "valneg", epoch), forbidden)
+        val_loss = float(pretrain_loss(val_pos, negs, view, fn, gi.relations).data)
+        log += [{**row, "val_loss": val_loss} for row in epoch_rows]
+
+    assert reads > 0  # the partitions read rows outside their scope
+    assert result.log == log
+    trained = result.named_parameters()
+    assert list(trained) == list(named)
+    for name, p in named.items():
+        assert p.data.tobytes() == trained[name].data.tobytes(), name
+    for got, want in zip(result.history, history):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("score_fn", ["distmult", "classifier"])
