@@ -169,38 +169,53 @@ def sample_negatives(
 ) -> np.ndarray:
     """`ratio` corruptions per positive row, resampling one endpoint uniformly from
     the relation's admissible set; never emits a row whose key (`sets.keys`) is in
-    `forbidden` (default: the given positives)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if forbidden is None:
-        forbidden = sets.keys(positives)
-    out = [
-        _corrupt(s, r, t, sets, forbidden, rng)
-        for s, r, t in positives.tolist()
-        for _ in range(ratio)
-    ]
+    `forbidden` (default: the given positives).
+
+    Per try, the top bit of a 32-bit word picks the end (1: target, 0: source) and
+    `_below` draws the index by multiply-shift with rejection; 32 failed tries fall back
+    to a `_below` draw from the admissible complement, sources first. Words come in
+    blocks that leave `rng` past the last one used: pass one not drawn from again."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    forbidden = sets.keys(positives) if forbidden is None else forbidden
+    words = _words(rng, min(2 * ratio * len(positives) + 64, 8192))
+    n, stride = sets.n_nodes, sets.n_relations * sets.n_nodes
+    out = []
+    for s, r, t in positives.tolist():
+        sources, targets = sets.by_relation[r]
+        base = r * n  # key = (source * R + r) * N + target
+        for _ in range(ratio):
+            for _ in range(32):
+                if next(words) >> 31:
+                    cand = (s, r, int(targets[_below(words, len(targets))]))
+                else:
+                    cand = (int(sources[_below(words, len(sources))]), r, t)
+                if cand[0] * stride + base + cand[2] not in forbidden:
+                    break
+            else:
+                pool = [(u, r, t) for u in sources.tolist() if u * stride + base + t not in forbidden]
+                pool += [(s, r, v) for v in targets.tolist() if s * stride + base + v not in forbidden]
+                if not pool:
+                    raise ExhaustedCandidates(f"no admissible corruption exists for triple row {(s, r, t)}")
+                cand = pool[_below(words, len(pool))]
+            out.append(cand)
     return np.array(out, dtype=np.intp).reshape(-1, 3)
 
 
-def _corrupt(s: int, r: int, t: int, sets: AdmissibleSets, forbidden: set[int], rng) -> tuple[int, int, int]:
-    sources, targets = sets.by_relation[r]
-    n, base = sets.n_nodes, r * sets.n_nodes  # key = (source * R + r) * N + target
-    stride = sets.n_relations * n
-    for _ in range(32):
-        if int(rng.integers(0, 2)) == 0:
-            cand = (int(sources[int(rng.integers(len(sources)))]), r, t)
-        else:
-            cand = (s, r, int(targets[int(rng.integers(len(targets)))]))
-        if cand[0] * stride + base + cand[2] not in forbidden:
-            return cand
-    # rejection failed: enumerate the admissible complement exactly, sources first
-    pool = [(u, r, t) for u in sources.tolist() if u * stride + base + t not in forbidden]
-    pool += [(s, r, v) for v in targets.tolist() if s * stride + base + v not in forbidden]
-    if not pool:
-        raise ExhaustedCandidates(
-            f"no admissible corruption exists for triple row {(s, r, t)} (degenerate fixture?)"
-        )
-    return pool[int(rng.integers(len(pool)))]
+def _words(rng: np.random.Generator, size: int):
+    """Uniform 32-bit words as ints, drawn from `rng` `size` at a time as they are used."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=size, dtype=np.uint32).tolist()
+
+
+def _below(words, n: int) -> int:
+    """A uniform int in [0, n), n <= 2**32, from the words `Generator.integers(n)` spends (Lemire 2019)."""
+    if n == 1:
+        return 0
+    threshold = (1 << 32) % n  # == (2**32 - n) % n
+    while True:
+        m = next(words) * n
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
 
 
 def _relation_groups(codes: np.ndarray) -> list[tuple[int, np.ndarray]]:

@@ -18,6 +18,8 @@ from kgdta.pretrain import (
     LinkFilter,
     PretrainConfig,
     ScoreFn,
+    _below,
+    _words,
     checkpoint_from_json,
     checkpoint_to_json,
     evaluate_link_auc,
@@ -175,6 +177,19 @@ def test_negatives_always_admissible(g, seed):
         assert key not in keys
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 2**31 + 1, 3 * 2**30])
+def test_word_rule_draws_what_generator_integers_draws(n):
+    # 2**31 + 1 and 3 * 2**30 reject about one word in two and one in four; blocks of
+    # 1, 3 and 64 words make draws, rejected ones included, cross block boundaries
+    for seed in range(4):
+        for size in (1, 3, 64):
+            want = np.random.default_rng(seed)
+            words = _words(np.random.default_rng(seed), size)
+            assert [_below(words, n) for _ in range(300)] == [int(want.integers(n)) for _ in range(300)]
+            # interleaved with coins, as the sampler draws them
+            assert [_below(words, m) for m in (2, n) * 50] == [int(want.integers(m)) for m in (2, n) * 50]
+
+
 def reference_sample_negatives(positives, ratio, rng, forbidden, fallbacks):
     """The sampler written over `Triple`s and NodeId-key sets, as a loop-form oracle;
     appends to `fallbacks` each positive whose rejection loop gave up."""
@@ -261,6 +276,56 @@ def test_int_sampler_matches_the_reference_when_candidates_are_exhausted():
     with pytest.raises(ExhaustedCandidates):
         reference_sample_negatives(positives, 1, substream(0, "neg"), {t.key for t in positives}, [])
     assert_sampler_matches_reference(g, positives, {t.key for t in positives}, 1, 0)
+
+
+class CountingGenerator:
+    """Forwards `integers` to a generator and keeps the size of each call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def integers(self, *args, size=None, **kwargs):
+        self.sizes.append(size)
+        return self.rng.integers(*args, size=size, **kwargs)
+
+
+def test_int_sampler_matches_the_reference_across_word_block_refills():
+    # half of the 60x60 pairs are positives, so about half the tries are rejected and
+    # ratio 3 spends several blocks of words in one call
+    g = bipartite_graph(60, 60, [(i, j) for i in range(60) for j in range(60) if (i + j) % 2 == 0])
+    positives = g.triples()
+    for seed in range(2):
+        assert_sampler_matches_reference(g, positives, {t.key for t in positives}, 3, seed)
+    gi = g.index()
+    rng = CountingGenerator(substream(0, "neg"))
+    sample_negatives(gi.triples, AdmissibleSets.from_rows(gi.triples, len(gi.node_ids), len(gi.relations)), 3, rng)
+    assert len(rng.sizes) >= 3 and max(rng.sizes) <= 8192
+
+
+def test_int_sampler_matches_the_reference_when_a_side_has_one_candidate():
+    # target_of has the single source d0, so a source-side try draws from one candidate
+    # and spends no word; only three of its triples are forbidden, so it has negatives.
+    # binds rows come between, so a word spent there would shift every later draw.
+    g = MultimodalGraph()
+    drugs = [entity("drugbank", f"d{i}", "drug") for i in range(6)]
+    proteins = [entity("uniprot", f"p{j}", "protein") for j in range(6)]
+    binds = Relation("binds", RelationKind.OBJECT)
+    for j in range(6):
+        g.add_triple(drugs[0], TARGET_OF, proteins[j])
+        g.add_triple(drugs[j], binds, proteins[(j + 1) % 6])
+    positives = g.triples()
+    forbidden = {t.key for t in positives if t.relation == binds or t.target in {p.id for p in proteins[:3]}}
+    for seed in range(20):
+        assert_sampler_matches_reference(g, positives, forbidden, 2, seed)
+    # the complement of (d0, p0) is the one row (d59, p0), so the fallback draws from a
+    # pool of one, which spends no word either
+    n = 60
+    pairs = [(0, 0)] + [(i, 0) for i in range(1, n - 1)] + [(0, j) for j in range(1, n - 1)] + [(n - 1, 1)]
+    g = bipartite_graph(n, n - 1, pairs)
+    fallbacks = []
+    for seed in range(8):
+        fallbacks += assert_sampler_matches_reference(g, g.triples(), {t.key for t in g.triples()}, 2, seed)
+    assert fallbacks
 
 
 # --- loss ------------------------------------------------------------------------
