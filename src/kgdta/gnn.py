@@ -21,7 +21,8 @@ because out-of-scope neighbors at layers >= 1 read from the history (partitioned
 training: one array per layer >= 1, a row per index node) when given and zeros
 otherwise. Full-graph embeddings thus still depend on exactly the two-hop
 neighborhood. `EmbeddingView` is the one reader of rows outside a scope, for the
-encoder's layer >= 1 input and for the pretraining loss alike.
+encoder's layer >= 1 input and for the pretraining loss alike; its rule is
+`numerics.node_rows`, which the DistMult and TransE scorer ops share.
 """
 
 from __future__ import annotations
@@ -270,22 +271,15 @@ class EmbeddingView:
     """One layer's rows by index node, the one reader of rows outside a scope: a
     node in the scope (`row[node]` >= 0, as in `MpGraph.row`) gives its
     differentiable row of `h`, any other node its constant row of `stored` (that
-    layer's history array), or zeros when nothing is stored. `encode_layers`
-    builds each partial scope's layer >= 1 input through it, and the pretraining
-    loss reads final-layer rows through it."""
+    layer's history array), or zeros when nothing is stored. `rows` serves the
+    encoder (each partial scope's layer >= 1 input), the classifier scorer and the
+    regression heads; the DistMult and TransE ops read its arrays by the same rule."""
 
     def __init__(self, h: Tensor, row: np.ndarray, stored: np.ndarray | None = None):
         self.h, self.row, self.stored = h, row, stored
 
     def rows(self, nodes: np.ndarray) -> Tensor:
-        rows = self.row.take(nodes)
-        if (inside := rows >= 0).all():
-            return nm.gather_rows(self.h, rows)
-        pos_in, pos_out = np.flatnonzero(inside), np.flatnonzero(~inside)
-        pieces = [(pos_in, nm.gather_rows(self.h, rows[pos_in]))] if len(pos_in) else []
-        if self.stored is not None:
-            pieces.append((pos_out, self.stored[nodes[pos_out]]))
-        return nm.assemble_rows(len(nodes), self.h.data.shape[1], pieces)
+        return nm.node_rows(self.h, self.row, self.stored, nodes)
 
 
 def encode_layers(

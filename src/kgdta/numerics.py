@@ -89,22 +89,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
-
-
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     return _make(a.data * c, (a,), lambda g: (g * c,))
@@ -315,18 +299,79 @@ def rowsum(a) -> Tensor:
     return _make(a.data.sum(axis=1), (a,), lambda g: (np.repeat(g[:, None], n_cols, axis=1),))
 
 
-def l2norm_rows(a) -> Tensor:
-    """Euclidean norm of each row of an (n, m) tensor. Subgradient 0 at the origin."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"l2norm_rows needs a 2-d tensor, got {a.data.shape}")
-    norms = np.sqrt((a.data * a.data).sum(axis=1))
+# -- rows by node -------------------------------------------------------------------
+
+
+def _read_rows(h: Tensor, row: np.ndarray, stored: np.ndarray | None, nodes: np.ndarray):
+    """The nodes' rows as a fresh array, and their rows of h (< 0: outside the scope)."""
+    at = row.take(nodes)
+    if (at >= 0).all():
+        return h.data.take(at, axis=0), at
+    out = np.zeros((len(nodes), h.data.shape[1])) if stored is None else stored.take(nodes, axis=0)
+    out[at >= 0] = h.data.take(at[at >= 0], axis=0)
+    return out, at
+
+
+def _scatter_rows(at: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray | None:
+    """`_scatter_add` of the rows of `values` whose node has a row of h; None if none has."""
+    if not (inside := at >= 0).all():
+        at, values = at[inside], values[inside]
+    return _scatter_add(at, values, n_rows) if len(at) else None
+
+
+def node_rows(h: Tensor, row: np.ndarray, stored: np.ndarray | None, nodes) -> Tensor:
+    """Row `row[node]` of h for each node where that is >= 0 (the node is in the scope),
+    else the constant row `stored[node]`, which gets no gradient, or zeros when `stored`
+    is None. A non-integer node array raises IndexError."""
+    data, at = _read_rows(h, row, stored, as_index(nodes))
+    return _make(data, (h,), lambda g: (_scatter_rows(at, g, len(h.data)),))
+
+
+def distmult_rows(h: Tensor, row: np.ndarray, stored: np.ndarray | None, w: Tensor, src, tgt) -> Tensor:
+    """One relation group's DistMult logits, sum_k s_k w_k t_k for each pair of rows
+    (s, t) that `node_rows` reads for (src[e], tgt[e]). The tape keeps the node arrays,
+    not the rows: the backward reads them again and does the float operations of
+    rowsum(mul(mul(rows(src), w), rows(tgt))) in that chain's order. h is a parent
+    twice, so the tape adds the source rows' gradient into h's, then the target rows',
+    as it did for the chain's two gathers, and every sum keeps its bytes."""
+    src, tgt = as_index(src), as_index(tgt)
+    logits = (_read_rows(h, row, stored, src)[0] * w.data * _read_rows(h, row, stored, tgt)[0]).sum(axis=1)
 
     def grad_fn(g):
-        safe = np.where(norms > 0.0, norms, 1.0)
-        return (g[:, None] * a.data / safe[:, None],)
+        (s, at_s), (t, at_t) = _read_rows(h, row, stored, src), _read_rows(h, row, stored, tgt)
+        t *= g[:, None]  # the gradient at s * w
+        gw = (t * s).sum(axis=0)
+        t *= w.data
+        gs = _scatter_rows(at_s, t, len(h.data))
+        del t
+        s *= w.data
+        s *= g[:, None]
+        return gs, _scatter_rows(at_t, s, len(h.data)), gw
 
-    return _make(norms, (a,), grad_fn)
+    return _make(logits, (h, h, w), grad_fn)
+
+
+def transe_rows(h: Tensor, row: np.ndarray, stored: np.ndarray | None, w: Tensor, src, tgt, margin: float) -> Tensor:
+    """One relation group's TransE logits, margin - |s + w - t| for each pair, kept on
+    the tape and differentiated as in `distmult_rows`, after the chain
+    sub(margin, l2norm_rows(sub(add(rows(src), w), rows(tgt)))). The norm's subgradient
+    at 0 is 0."""
+    src, tgt = as_index(src), as_index(tgt)
+    d = _read_rows(h, row, stored, src)[0] + w.data - _read_rows(h, row, stored, tgt)[0]
+    logits = np.asarray(margin, dtype=np.float64) - np.sqrt((d * d).sum(axis=1))
+
+    def grad_fn(g):
+        (d, at_s), (t, at_t) = _read_rows(h, row, stored, src), _read_rows(h, row, stored, tgt)
+        d += w.data  # d: the source rows, then s + w - t in place
+        d -= t
+        del t
+        norms = np.sqrt((d * d).sum(axis=1))
+        d *= (-g)[:, None]
+        d /= np.where(norms > 0.0, norms, 1.0)[:, None]  # the gradient at s + w - t
+        gw, gs = d.sum(axis=0), _scatter_rows(at_s, d, len(h.data))
+        return gs, _scatter_rows(at_t, np.negative(d, out=d), len(h.data)), gw
+
+    return _make(logits, (h, h, w), grad_fn)
 
 
 # -- losses -------------------------------------------------------------------

@@ -118,19 +118,18 @@ def init_score_fn(
     return ScoreFn(kind, rel_emb, margin, clf)
 
 
-def score_logits(fn: ScoreFn, relation: str, h_src: Tensor, h_tgt: Tensor) -> Tensor:
-    """Batched pre-sigmoid scores for triples sharing one relation; rows align."""
+def score_logits(fn: ScoreFn, relation: str, view: EmbeddingView, src: np.ndarray, tgt: np.ndarray) -> Tensor:
+    """Pre-sigmoid scores of the triples (src[e], relation, tgt[e]), rows read through
+    `view`. DistMult and TransE are one tape op each, on the view's arrays."""
     w = fn.rel_emb.get(relation)
     if w is None:
         raise UnknownRelation(relation)
-    n = h_src.data.shape[0]
     if fn.kind == "distmult":
-        return nm.rowsum(nm.mul(nm.mul(h_src, w), h_tgt))
+        return nm.distmult_rows(view.h, view.row, view.stored, w, src, tgt)
     if fn.kind == "transe":
-        dist = nm.l2norm_rows(nm.sub(nm.add(h_src, w), h_tgt))
-        return nm.sub(fn.margin, dist)
-    w_tiled = nm.matmul(nm.constant(np.ones((n, 1))), nm.reshape(w, (1, -1)))
-    x = nm.concat_cols([h_src, h_tgt, w_tiled])
+        return nm.transe_rows(view.h, view.row, view.stored, w, src, tgt, fn.margin)
+    w_tiled = nm.matmul(nm.constant(np.ones((len(src), 1))), nm.reshape(w, (1, -1)))
+    x = nm.concat_cols([view.rows(src), view.rows(tgt), w_tiled])
     hidden = nm.relu(nm.add(nm.matmul(x, fn.clf["w1"]), fn.clf["b1"]))
     return nm.rowsum(nm.add(nm.matmul(hidden, fn.clf["w2"]), fn.clf["b2"]))
 
@@ -288,8 +287,7 @@ def pretrain_loss(
     labels[: len(positives)] = 1.0
     loss = nm.constant(np.array(0.0))
     for code, at in _relation_groups(batch[:, 1]):
-        group = batch.take(at, axis=0)
-        logits = score_logits(fn, relations[code], view.rows(group[:, 0]), view.rows(group[:, 2]))
+        logits = score_logits(fn, relations[code], view, batch[at, 0], batch[at, 2])
         group_loss = nm.bce_with_logits(logits, labels[at])
         loss = nm.add(loss, nm.scale(group_loss, len(at) / total_examples))
 
@@ -458,8 +456,7 @@ def score_triples(view: EmbeddingView, fn: ScoreFn, rows: np.ndarray, relations:
     """Probabilities for a batch of (source, relation code, target) int rows."""
     out = np.zeros(len(rows))
     for code, at in _relation_groups(rows[:, 1]):
-        h_src, h_tgt = view.rows(rows[at, 0]), view.rows(rows[at, 2])
-        out[at] = nm.sigmoid(score_logits(fn, relations[code], h_src, h_tgt)).data
+        out[at] = nm.sigmoid(score_logits(fn, relations[code], view, rows[at, 0], rows[at, 2])).data
     return out
 
 

@@ -1,12 +1,69 @@
-"""Autodiff ops that only the tests use: whole-tensor reductions for building
-probe losses; `bce`, the probability-space reference that
-`kgdta.numerics.bce_with_logits` is checked against; and `segment_sum`, the
-per-relation scatter of the reference encoder in `gnn_ref`."""
+"""Autodiff ops that only the tests use: whole-tensor reductions and elementwise
+`mul`/`sub` for building probe losses; `bce`, the probability-space reference that
+`kgdta.numerics.bce_with_logits` is checked against; `segment_sum`, the
+per-relation scatter of the reference encoder in `gnn_ref`; and the op chains that
+`kgdta.numerics.node_rows`, `distmult_rows` and `transe_rows` replaced, which they
+are checked against byte for byte."""
 
 import numpy as np
 
+from kgdta import numerics as nm
 from kgdta.errors import ShapeMismatch
-from kgdta.numerics import Tensor, _as_tensor, _make, _scatter_add
+from kgdta.numerics import Tensor, _as_tensor, _make, _scatter_add, _unbroadcast
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data - b.data
+    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data * b.data
+    return _make(
+        data,
+        (a, b),
+        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
+    )
+
+
+def l2norm_rows(a) -> Tensor:
+    """Euclidean norm of each row of an (n, m) tensor. Subgradient 0 at the origin."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"l2norm_rows needs a 2-d tensor, got {a.data.shape}")
+    norms = np.sqrt((a.data * a.data).sum(axis=1))
+
+    def grad_fn(g):
+        safe = np.where(norms > 0.0, norms, 1.0)
+        return (g[:, None] * a.data / safe[:, None],)
+
+    return _make(norms, (a,), grad_fn)
+
+
+def gathered_rows(h: Tensor, row: np.ndarray, stored, nodes: np.ndarray) -> Tensor:
+    """`nm.node_rows` as a chain: a gather of the rows in the scope, and a block of
+    the stored rows, or zeros, for the others, assembled in node order."""
+    rows = row.take(nodes)
+    if (inside := rows >= 0).all():
+        return nm.gather_rows(h, rows)
+    pos_in, pos_out = np.flatnonzero(inside), np.flatnonzero(~inside)
+    pieces = [(pos_in, nm.gather_rows(h, rows[pos_in]))] if len(pos_in) else []
+    if stored is not None:
+        pieces.append((pos_out, stored[nodes[pos_out]]))
+    return nm.assemble_rows(len(nodes), h.data.shape[1], pieces)
+
+
+def distmult_chain(h: Tensor, row: np.ndarray, stored, w: Tensor, src, tgt) -> Tensor:
+    """`nm.distmult_rows` as the chain of separate ops it does the work of."""
+    return nm.rowsum(mul(mul(gathered_rows(h, row, stored, src), w), gathered_rows(h, row, stored, tgt)))
+
+
+def transe_chain(h: Tensor, row: np.ndarray, stored, w: Tensor, src, tgt, margin: float) -> Tensor:
+    """`nm.transe_rows` as the chain of separate ops it does the work of."""
+    moved = nm.add(gathered_rows(h, row, stored, src), w)
+    return sub(margin, l2norm_rows(sub(moved, gathered_rows(h, row, stored, tgt))))
 
 
 def sum_all(a) -> Tensor:

@@ -344,7 +344,7 @@ def test_relation_groups_match_the_full_width_reference_bit_for_bit():
         runs = []
         for encoder in (encode_layers, reference_encode_layers):
             layers = encoder(mp, table, params, hist)
-            nm.backward(ref.sum_all(nm.mul(layers[-1], nm.constant(probe))))
+            nm.backward(ref.sum_all(ref.mul(layers[-1], nm.constant(probe))))
             grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in named.values()]
             runs.append([layer.data for layer in layers] + grads)
             for p in named.values():
@@ -810,7 +810,7 @@ def test_encode_gradients_pass_finite_differences():
     def f(p):
         mp = build_mp(g, None, FlowPolicy.unrestricted())
         layers = encode_layers(mp, table, params)
-        return ref.mean(nm.mul(layers[-1], layers[-1]))
+        return ref.mean(ref.mul(layers[-1], layers[-1]))
 
     assert nm.grad_check(f, named) < 1e-4
 

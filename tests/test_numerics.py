@@ -37,7 +37,7 @@ def test_grad_check_square():
     params = {"x": nm.param(np.array(3.0))}
 
     def f(p):
-        return nm.mul(p["x"], p["x"])
+        return ref.mul(p["x"], p["x"])
 
     err = nm.grad_check(f, params)
     assert err < 1e-8
@@ -68,11 +68,11 @@ def test_grad_check_composite_ops():
 
     def f(p):
         h = nm.relu(nm.add(nm.matmul(nm.constant(X), p["W1"]), p["b1"]))
-        h2 = nm.concat_cols([h, nm.mul(h, p["w"])])
+        h2 = nm.concat_cols([h, ref.mul(h, p["w"])])
         score = nm.rowsum(nm.matmul(h2, p["W2"]))
         part = nm.gather_rows(h2, idx)
         loss_a = nm.bce_with_logits(score, labels)
-        loss_b = nm.mse(nm.l2norm_rows(part), y[idx])
+        loss_b = nm.mse(ref.l2norm_rows(part), y[idx])
         asm = nm.assemble_rows(6, 6, [(np.array([1, 3, 5]), part), (np.array([0]), np.ones((1, 6)))])
         loss_c = ref.mean(nm.sigmoid(asm))
         return nm.add(nm.add(loss_a, loss_b), loss_c)
@@ -82,10 +82,10 @@ def test_grad_check_composite_ops():
 
 def test_l2norm_rows_values_and_zero_row():
     t = nm.constant([[3.0, 4.0], [0.0, 0.0]])
-    out = nm.l2norm_rows(t)
+    out = ref.l2norm_rows(t)
     assert np.allclose(out.data, [5.0, 0.0])
     p = nm.param(np.array([[0.0, 0.0]]))
-    loss = ref.sum_all(nm.l2norm_rows(p))
+    loss = ref.sum_all(ref.l2norm_rows(p))
     nm.backward(loss)
     assert np.array_equal(p.grad, [[0.0, 0.0]])  # subgradient at the origin is 0
 
@@ -104,7 +104,7 @@ def test_backward_requires_scalar():
 
 def test_grad_accumulates_over_reuse():
     x = nm.param(np.array(2.0))
-    y = nm.add(nm.mul(x, x), nm.scale(x, 3.0))  # x^2 + 3x -> dy/dx = 2x + 3 = 7
+    y = nm.add(ref.mul(x, x), nm.scale(x, 3.0))  # x^2 + 3x -> dy/dx = 2x + 3 = 7
     nm.backward(y)
     assert abs(x.grad - 7.0) < 1e-12
 
@@ -121,7 +121,7 @@ def test_adam_zero_gradient_leaves_params():
 
 def test_adam_descends_on_square():
     p = {"x": nm.param(np.array(1.0))}
-    loss = nm.mul(p["x"], p["x"])
+    loss = ref.mul(p["x"], p["x"])
     nm.backward(loss)
     nm.adam_step(p, None, lr=0.1)
     assert p["x"].data < 1.0
@@ -133,7 +133,7 @@ def test_adam_deterministic():
         p = {"w": nm.param(rng.normal(size=(4,)))}
         state = None
         for _ in range(25):
-            loss = ref.sum_all(nm.mul(p["w"], p["w"]))
+            loss = ref.sum_all(ref.mul(p["w"], p["w"]))
             nm.backward(loss)
             state = nm.adam_step(p, state, lr=0.05)
         return p["w"].data.copy()
@@ -150,7 +150,7 @@ def test_adam_shape_mismatch():
 
 def test_adam_step_consumes_grad():
     p = {"w": nm.param(np.array([1.0, -2.0])), "idle": nm.param(np.array([0.5]))}
-    nm.backward(ref.sum_all(nm.mul(p["w"], p["w"])))
+    nm.backward(ref.sum_all(ref.mul(p["w"], p["w"])))
     assert p["idle"].grad is None
     state = nm.adam_step(p, None, lr=0.1)
     assert isinstance(state, nm.AdamState) and state.step == 1
@@ -217,7 +217,7 @@ def test_segment_sum_is_a_sparse_product_and_passes_finite_differences():
     probe = rng.normal(size=(5, 3))
 
     def f(p):
-        return ref.sum_all(nm.mul(ref.segment_sum(p["a"], rows, segments, weights, 5), nm.constant(probe)))
+        return ref.sum_all(ref.mul(ref.segment_sum(p["a"], rows, segments, weights, 5), nm.constant(probe)))
 
     assert nm.grad_check(f, params) < 1e-8
     # the backward pass is the transposed scatter
@@ -282,7 +282,7 @@ def test_gather_rows_backward_is_bit_identical_to_add_at(case):
     n_rows, _, width, rows, _, seed = case
     p = nm.param(_values(seed, (n_rows, width)))
     probe = _values(seed + 1, (len(rows), width))
-    nm.backward(ref.sum_all(nm.mul(nm.gather_rows(p, rows), nm.constant(probe))))
+    nm.backward(ref.sum_all(ref.mul(nm.gather_rows(p, rows), nm.constant(probe))))
     assert p.grad.tobytes() == _add_at_reference(rows, probe, n_rows).tobytes()
 
 
@@ -375,7 +375,7 @@ def test_rgcn_layer_is_the_layer_formula_and_passes_finite_differences():
     assert (z[out_rows] < 0).any() and (z[out_rows] > 0).any()  # both sides of the relu are exercised
 
     def f(p):
-        return ref.sum_all(nm.mul(layer(p), nm.constant(probe)))
+        return ref.sum_all(ref.mul(layer(p), nm.constant(probe)))
 
     assert nm.grad_check(f, params) < 1e-6
     # a constant h (a closure with no projected attribute) gets no gradient
@@ -400,6 +400,125 @@ def test_rgcn_layer_rejects_mismatched_operand_shapes():
             nm.rgcn_layer(*args, out_rows)
 
 
+# -- rows by node, and the scorers that read them ---------------------------------------
+
+# nodes 1, 2, 4 and 6 are in the scope, at rows 2, 0, 3 and 1 of h; nodes 0, 3 and 5 are not
+_ROW = np.array([-1, 2, 0, -1, 3, -1, 1])
+# every node on both sides, node 4 in a pair with itself, pairs in and out of the scope
+_SRC = np.array([0, 1, 2, 3, 4, 5, 6, 4])
+_TGT = np.array([4, 3, 6, 1, 0, 2, 5, 4])
+
+
+def _scorer_case(seed):
+    rng = np.random.default_rng(seed)
+    h, w = nm.param(rng.normal(size=(4, 3))), nm.param(rng.normal(size=3))
+    return h, rng.normal(size=(7, 3)), w, rng.normal(size=len(_SRC))
+
+
+def _rows_by_hand(h, stored, nodes):
+    """Each node's row: its row of h in the scope, else its stored row, or zeros."""
+    outside = np.zeros((7, h.shape[1])) if stored is None else stored
+    return np.array([h[_ROW[v]] if _ROW[v] >= 0 else outside[v] for v in nodes])
+
+
+_SCORERS = {
+    "distmult": (nm.distmult_rows, ref.distmult_chain),
+    "transe": (
+        lambda *args: nm.transe_rows(*args, margin=1.5),
+        lambda *args: ref.transe_chain(*args, margin=1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("with_stored", [True, False])
+def test_node_rows_reads_scope_rows_then_stored_rows_or_zeros(with_stored):
+    h, stored, _, probe = _scorer_case(0)
+    stored = stored if with_stored else None
+    kept = None if stored is None else stored.copy()
+    out = nm.node_rows(h, _ROW, stored, _SRC)
+    assert out.data.tobytes() == _rows_by_hand(h.data, stored, _SRC).tobytes()
+    probe = probe[:, None] * np.arange(1.0, 4.0)
+
+    def f(p):
+        return ref.sum_all(ref.mul(nm.node_rows(p["h"], _ROW, stored, _SRC), nm.constant(probe)))
+
+    assert nm.grad_check(f, {"h": h}) < 1e-8
+    # only the rows read from h get a gradient, each its probe rows
+    want = np.zeros_like(h.data)
+    for e, v in enumerate(_SRC):
+        if _ROW[v] >= 0:
+            want[_ROW[v]] += probe[e]
+    assert np.allclose(h.grad, want, rtol=0, atol=1e-12)
+    assert stored is None or stored.tobytes() == kept.tobytes()
+    # a node array that reads no row of h gives no gradient
+    h.grad = None
+    nm.backward(ref.sum_all(nm.node_rows(h, _ROW, stored, np.array([0, 3]))))
+    assert h.grad is None
+
+
+@pytest.mark.parametrize("with_stored", [True, False])
+@pytest.mark.parametrize("kind", ["distmult", "transe"])
+def test_scorer_op_values_and_gradients(kind, with_stored):
+    h, stored, w, probe = _scorer_case(1)
+    stored = stored if with_stored else None
+    op = _SCORERS[kind][0]
+    s, t = _rows_by_hand(h.data, stored, _SRC), _rows_by_hand(h.data, stored, _TGT)
+    if kind == "distmult":
+        want = (s * w.data * t).sum(axis=1)
+    else:
+        want = 1.5 - np.linalg.norm(s + w.data - t, axis=1)
+    assert np.allclose(op(h, _ROW, stored, w, _SRC, _TGT).data, want, rtol=0, atol=1e-12)
+
+    def f(p):
+        return ref.sum_all(ref.mul(op(p["h"], _ROW, stored, p["w"], _SRC, _TGT), nm.constant(probe)))
+
+    # finite differences vary h, not `stored`: a gradient that a read of node 0, 3 or 5
+    # sent into some row of h would show here
+    assert nm.grad_check(f, {"h": h, "w": w}) < 1e-6
+
+
+@pytest.mark.parametrize("with_stored", [True, False])
+@pytest.mark.parametrize("kind", ["distmult", "transe"])
+def test_scorer_ops_give_the_bytes_of_the_op_chains_through_the_tape(kind, with_stored):
+    """Three groups over one h, each a loss term, as in the pretraining loss: h's
+    gradient sums two scatters per group in tape order, which the one-op scorers keep."""
+    op, chain = _SCORERS[kind]
+    grads = []
+    for score in (op, chain):
+        h, stored, _, _ = _scorer_case(2)
+        stored = stored if with_stored else None
+        rng = np.random.default_rng(3)
+        loss, logits, ws = nm.constant(np.array(0.0)), [], []
+        for shift in range(3):
+            w = nm.param(_values(10 + shift, 3))
+            src, tgt = np.roll(_SRC, shift), np.roll(_TGT, -shift)
+            logits.append(score(h, _ROW, stored, w, src, tgt))
+            term = nm.bce_with_logits(logits[-1], (rng.random(len(src)) > 0.5).astype(float))
+            loss, ws = nm.add(loss, nm.scale(term, 0.3 + shift)), ws + [w]
+        nm.backward(loss)
+        grads.append([x.data.tobytes() for x in logits] + [h.grad.tobytes()] + [w.grad.tobytes() for w in ws])
+    assert grads[0] == grads[1]
+
+
+def test_scorer_transe_gradient_is_zero_at_an_exact_translation():
+    h = nm.param(np.array([[0.5, -1.0], [0.75, -0.5]]))
+    w = nm.param(np.array([0.25, 0.5]))  # row 0 + w == row 1, exactly
+    nm.backward(ref.sum_all(nm.transe_rows(h, np.arange(2), None, w, [0], [1], margin=1.0)))
+    assert not h.grad.any() and not w.grad.any()
+
+
+@pytest.mark.parametrize("bad", [np.array([0.0, 1.0]), np.array([True, False])])
+def test_row_ops_reject_a_non_integer_node_array(bad):
+    h, stored, w, _ = _scorer_case(4)
+    good = np.array([1, 2])
+    with pytest.raises(IndexError):
+        nm.node_rows(h, _ROW, stored, bad)
+    for op in (nm.distmult_rows, _SCORERS["transe"][0]):
+        for src, tgt in ((bad, good), (good, bad)):
+            with pytest.raises(IndexError):
+                op(h, _ROW, stored, w, src, tgt)
+
+
 # -- matmul with a constant operand -----------------------------------------------------
 
 
@@ -411,12 +530,12 @@ def test_matmul_skips_the_gradient_of_a_constant_operand():
     out = nm.matmul(x, w)
     grad_x, _ = out._grad_fn(probe)
     assert grad_x is None  # no product is spent on the constant's gradient
-    nm.backward(ref.sum_all(nm.mul(out, nm.constant(probe))))
+    nm.backward(ref.sum_all(ref.mul(out, nm.constant(probe))))
     assert x.grad is None
     assert w.grad.tobytes() == (x.data.T @ probe).tobytes()
 
     w2 = nm.param(w.data.copy())
-    nm.backward(ref.sum_all(nm.mul(nm.matmul(w2.data.T.copy(), w2), nm.constant(probe[:3]))))
+    nm.backward(ref.sum_all(ref.mul(nm.matmul(w2.data.T.copy(), w2), nm.constant(probe[:3]))))
     assert w2.grad.tobytes() == (w2.data @ probe[:3]).tobytes()
 
     square = {"a": nm.param(rng.normal(size=(3, 3)))}

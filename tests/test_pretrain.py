@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,13 +47,15 @@ def simple_fn(kind, w, **kwargs):
     return ScoreFn(kind, {"r": nm.param(np.array(w, dtype=np.float64))}, **kwargs)
 
 
-def one_row(v) -> nm.Tensor:
-    return nm.constant(np.asarray(v, dtype=np.float64).reshape(1, -1))
+def one_pair(s, t) -> tuple[EmbeddingView, np.ndarray, np.ndarray]:
+    """A view over the two rows s and t, and the node arrays that pair them."""
+    h = nm.constant(np.array([s, t], dtype=np.float64))
+    return EmbeddingView(h, np.arange(2)), np.array([0]), np.array([1])
 
 
 def test_distmult_zero_gives_half():
     fn = simple_fn("distmult", [0.0, 0.0, 0.0])
-    logits = score_logits(fn, "r", one_row(np.zeros(3)), one_row(np.zeros(3)))
+    logits = score_logits(fn, "r", *one_pair(np.zeros(3), np.zeros(3)))
     assert nm.sigmoid(logits).data[0] == 0.5
 
 
@@ -60,21 +63,21 @@ def test_transe_exact_translation():
     h = np.array([0.3, -0.2])
     w = np.array([0.1, 0.4])
     fn = simple_fn("transe", w, margin=1.0)
-    logits = score_logits(fn, "r", one_row(h), one_row(h + w))
+    logits = score_logits(fn, "r", *one_pair(h, h + w))
     assert abs(nm.sigmoid(logits).data[0] - SIGMOID_1) < 1e-12
 
 
 def test_distmult_toy_trilinear():
     fn = simple_fn("distmult", [1.0, 1.0])
     # sum_i h_i * w_i * t_i = 1*1*1 + 0*1*0 = 1
-    logits = score_logits(fn, "r", one_row([1.0, 0.0]), one_row([1.0, 0.0]))
+    logits = score_logits(fn, "r", *one_pair([1.0, 0.0], [1.0, 0.0]))
     assert abs(nm.sigmoid(logits).data[0] - SIGMOID_1) < 1e-12
 
 
 def test_unknown_relation():
     fn = simple_fn("distmult", [0.0])
     with pytest.raises(UnknownRelation):
-        score_logits(fn, "nope", one_row([0.0]), one_row([0.0]))
+        score_logits(fn, "nope", *one_pair([0.0], [0.0]))
 
 
 @given(st.integers(0, 2), st.integers(0, 10_000))
@@ -82,7 +85,7 @@ def test_scores_strictly_in_unit_interval(kind_idx, seed):
     kind = ("distmult", "transe", "classifier")[kind_idx]
     rng = np.random.default_rng(seed)
     fn = init_score_fn(kind, ["r"], 6, rng, clf_hidden=8)
-    logits = score_logits(fn, "r", one_row(rng.normal(size=6) * 3), one_row(rng.normal(size=6) * 3))
+    logits = score_logits(fn, "r", *one_pair(rng.normal(size=6) * 3, rng.normal(size=6) * 3))
     val = nm.sigmoid(logits).data[0]
     assert 0.0 < val < 1.0
 
@@ -346,7 +349,7 @@ def test_view_reads_scope_rows_then_history_then_zeros():
     want = [[10, 11, 12], [1, 2, 3], [0, 0, 0], [20, 21, 22], [10, 11, 12], [0, 0, 0]]
     assert np.array_equal(out.data, np.array(want, dtype=np.float64))
     probe = np.arange(18.0).reshape(6, 3)
-    nm.backward(ref.sum_all(nm.mul(out, nm.constant(probe))))
+    nm.backward(ref.sum_all(ref.mul(out, nm.constant(probe))))
     assert np.array_equal(h.grad, np.stack([probe[0] + probe[4], probe[3]]))
     assert np.array_equal(history[1][1:3], [[1, 2, 3], [4, 5, 6]])
     assert not history[0].any()
@@ -393,6 +396,50 @@ def test_exact_regression_head_contributes_zero():
     with_reg = float(pretrain_loss(rows[:1], rows[:0], view, fn, relations, heads, reg_triples).data)
     without = float(pretrain_loss(rows[:1], rows[:0], view, fn, relations).data)
     assert abs(with_reg - without) < 1e-15
+
+
+def chain_scorers(monkeypatch):
+    """Read rows and score DistMult and TransE through the op chains that
+    `nm.node_rows`, `nm.distmult_rows` and `nm.transe_rows` replaced."""
+    monkeypatch.setattr(nm, "node_rows", ref.gathered_rows)
+    monkeypatch.setattr(nm, "distmult_rows", ref.distmult_chain)
+    monkeypatch.setattr(nm, "transe_rows", ref.transe_chain)
+
+
+@pytest.mark.parametrize("score_fn", ["distmult", "transe"])
+def test_the_loss_tape_keeps_no_row_array(monkeypatch, score_fn):
+    """Between `pretrain_loss` and `backward`, n triples of one relation hold less
+    memory than one (n, out_dim) float64 array, where the op chains held four or
+    more; the backward still gives the chains' gradients, bit for bit."""
+    n, d, n_nodes = 4000, 32, 600
+    rng = np.random.default_rng(0)
+    ends = rng.integers(0, n_nodes, (2, n))
+    positives = np.stack([ends[0], np.zeros(n, dtype=np.intp), ends[1]], axis=1)
+    in_scope = np.arange(n_nodes) % 4 != 0  # a quarter of the rows come from the history
+    row = np.where(in_scope, np.cumsum(in_scope) - 1, -1)
+    h0, stored = rng.normal(size=(in_scope.sum(), d)), rng.normal(size=(n_nodes, d))
+
+    def traced_loss():
+        h, fn = nm.param(h0.copy()), init_score_fn(score_fn, ["r"], d, np.random.default_rng(1))
+        view = EmbeddingView(h, row, stored)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = pretrain_loss(positives, positives[:0], view, fn, ["r"])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nm.backward(loss)
+        return grown, h.grad.tobytes(), fn.rel_emb["r"].grad.tobytes()
+
+    grown, h_grad, w_grad = traced_loss()
+    with monkeypatch.context() as m:
+        chain_scorers(m)
+        chain_grown, chain_h_grad, chain_w_grad = traced_loss()
+    one_array = n * d * 8
+    assert grown < one_array, grown
+    assert chain_grown > 4 * one_array, chain_grown  # the measure sees the chains' tape
+    assert h_grad == chain_h_grad and w_grad == chain_w_grad
 
 
 # --- partitioning -------------------------------------------------------------------
@@ -591,8 +638,9 @@ class HandView:
 def test_gas_k3_matches_a_hand_written_partitioned_loop(score_fn):
     """Three partitions with the regression objective bit-match a loop that applies
     the history rule by hand: the reference encoder fills out-of-scope rows from
-    the history, the loss reads rows through `HandView`, the history is written
-    after each partition and validation encodes the whole graph."""
+    the history, the loss reads rows through `HandView` (the DistMult and TransE
+    ops through its arrays), the history is written after each partition and
+    validation encodes the whole graph."""
     from gnn_ref import reference_encode_layers
     from kgdta.gnn import build_mp, init_gnn_params
     from kgdta.pretrain import (
@@ -667,6 +715,33 @@ def test_gas_k3_matches_a_hand_written_partitioned_loop(score_fn):
         assert p.data.tobytes() == trained[name].data.tobytes(), name
     for got, want in zip(result.history, history):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+@pytest.mark.parametrize("score_fn", ["distmult", "transe"])
+def test_one_op_scorers_train_the_bytes_of_the_op_chains(monkeypatch, score_fn, partitions):
+    """Training with every link, five relations and the regression heads writes the
+    same checkpoint, log, history and AUC as training through the op chains. A ring
+    of drug similarities puts every drug on both sides of one relation, so h's
+    gradient sums source and target scatters of one group and of several."""
+    world, _ = small_world()
+    drugs = [n for n in world.graph.entities() if n.modality == "drug"]
+    for a, b in zip(drugs, drugs[1:] + drugs[:1]):
+        world.graph.add_triple(a, Relation("similar_to", RelationKind.OBJECT), b)
+    graph, table = with_protein_lengths(world.graph)
+    cfg = PretrainConfig(score_fn=score_fn, epochs=3, lr=1e-2, seed=4, partitions=partitions,
+                         regression=True, **SMALL_DIMS)
+    runs = []
+    for chains in (False, True):
+        with monkeypatch.context() as m:
+            if chains:
+                chain_scorers(m)
+            result = train(graph, table, cfg)
+            auc = evaluate_link_auc(graph, table, result, seed=5)
+        runs.append((checkpoint_to_json(Checkpoint.from_result(result)), result.log,
+                     [a.tobytes() for a in result.history], auc))
+    assert len(result.relations) == 5 and result.regression is not None
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("score_fn", ["distmult", "classifier"])
@@ -852,7 +927,7 @@ def test_warm_start_after_grad_check_on_its_parameters_trains_the_same():
     clean = checkpoint_to_json(Checkpoint.from_result(train(world.graph, table, cfg, warm_start=phase1)))
     # grad_check leaves its analytic gradients on .grad of the warm-start parameters
     name, tensor = next(iter(phase1.named_parameters().items()))
-    nm.grad_check(lambda p: ref.sum_all(nm.mul(p[name], p[name])), {name: tensor})
+    nm.grad_check(lambda p: ref.sum_all(ref.mul(p[name], p[name])), {name: tensor})
     assert tensor.grad is not None
     after = checkpoint_to_json(Checkpoint.from_result(train(world.graph, table, cfg, warm_start=phase1)))
     assert after == clean
