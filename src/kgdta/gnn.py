@@ -1,10 +1,11 @@
 """Inductive multi-relational graph encoder.
 
-Per-modality linear projections bring attribute embeddings into a common space;
-entities and categorical attributes start at zero. Two relational graph-convolution
-layers then propagate messages along triples (treated as undirected labeled edges,
-one weight matrix per relation plus a shared self-loop weight and a default weight
-for relations unseen at fit time), averaging over neighbors per relation:
+Per-modality linear projections, all in one tape op (`numerics.projection`), bring
+attribute embeddings into a common space; entities and categorical attributes start
+at zero. Two relational graph-convolution layers then propagate messages along
+triples (treated as undirected labeled edges, one weight matrix per relation plus a
+shared self-loop weight and a default weight for relations unseen at fit time),
+averaging over neighbors per relation:
 
     h_{l+1}(v) = relu( W_self h_l(v) + sum_r mean_{u in N_r(v)} W_r h_l(u) + b )
 
@@ -294,9 +295,10 @@ def encode_layers(
     of every index node. Other shapes raise ShapeMismatch. A partial scope's layer
     l >= 1 input is `EmbeddingView(layer l, mp.row, history[l - 1])` over the closure.
 
-    Each layer is one `numerics.rgcn_layer` over `mp.groups`: relation r adds
-    (A_r h) W_r on its target rows only, where A_r h, the mean of each target's
-    messages under r, is a block with a row per target."""
+    Layer 0 is one `numerics.projection`; each R-GCN layer after it is one
+    `numerics.rgcn_layer` over `mp.groups`: relation r adds (A_r h) W_r on its target
+    rows only, where A_r h, the mean of each target's messages under r, is a block
+    with a row per target."""
     for modality in mp.projected:
         if modality not in params.projections:
             raise MissingProjection(modality)
@@ -312,18 +314,15 @@ def encode_layers(
         at = table.row[mp.closure[rows]]
         if at.min() < 0:
             raise ValueError(f"the initial table has no row for a {modality!r} node")
-        X = table.matrices[modality][at]
-        pieces.append((rows, nm.add(nm.matmul(nm.constant(X), w), b)))
-    h_full = nm.assemble_rows(n, params.proj_dim, pieces)
+        pieces.append((rows, table.matrices[modality][at], w, b))
 
-    outputs: list[Tensor] = [h_full]
+    outputs: list[Tensor] = [nm.projection(n, params.proj_dim, pieces)]
     groups = [group[1:] for group in mp.groups]
     for l, layer in enumerate(params.layers):
-        if l > 0:
-            h_full = outputs[-1]  # when the scope is the whole closure
-            if len(mp.scope_rows) < n:
-                stored = None if history is None else history[l - 1]
-                h_full = EmbeddingView(h_full, mp.row, stored).rows(mp.closure)
+        h_full = outputs[-1]  # layer 0, or a later layer when the scope is the whole closure
+        if l > 0 and len(mp.scope_rows) < n:
+            stored = None if history is None else history[l - 1]
+            h_full = EmbeddingView(h_full, mp.row, stored).rows(mp.closure)
         weights = [layer.weight_for(group[0]) for group in mp.groups]
         outputs.append(nm.rgcn_layer(h_full, layer.w_self, layer.bias, weights, groups, mp.scope_rows))
     return outputs

@@ -188,51 +188,27 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make(a.data.take(idx, axis=0), (a,), lambda g: (_scatter_add(idx, g, n_rows),))
 
 
-def assemble_rows(
-    n_rows: int,
-    width: int,
-    pieces: Sequence[tuple[np.ndarray, "Tensor | np.ndarray"]],
-) -> Tensor:
-    """Build an (n_rows, width) matrix from row-index/block pairs; uncovered rows are zero.
-
-    Blocks may be plain arrays (constants, e.g. historical embeddings) or tensors, in
-    which case gradients route back to the block rows. Each block must be
-    (len(idx), width) (ShapeMismatch). Each piece's indices must be integers and lie
-    in [0, n_rows) (IndexError) and be strictly increasing (ValueError), and no row
-    may be covered twice (ValueError): a later block would overwrite it while both
-    got its gradient.
-    """
+def projection(n_rows: int, width: int, pieces: Sequence[tuple[np.ndarray, np.ndarray, Tensor, Tensor]]) -> Tensor:
+    """An (n_rows, width) matrix whose rows `rows` are X @ w + b for each piece
+    (rows, X, w, b), X a constant (len(rows), k) block, w (k, width) and b (width,);
+    rows no piece covers are zero. One tape op with the float operations of the
+    matmul, add and row-assembly chain it replaced, so both give equal bytes. Operand
+    shapes are checked (ShapeMismatch); the rows are trusted (distinct, in range),
+    because `gnn.build_mp` makes them once and freezes them."""
     data = np.zeros((n_rows, width), dtype=np.float64)
-    parents: list[Tensor] = []
-    spans: list[tuple[np.ndarray, int]] = []  # (idx, parent position or -1)
-    seen, covered = np.zeros(n_rows, dtype=bool), 0  # rows written, and writes made
-    for idx, block in pieces:
-        idx = as_index(idx)
-        if len(idx) > 1 and np.count_nonzero(idx[1:] <= idx[:-1]):  # cheaper than .any() on small arrays
-            raise ValueError("row indices must be strictly increasing")
-        if len(idx) and (idx[0] < 0 or idx[-1] >= n_rows):  # increasing: its ends show the range
-            raise IndexError(f"row index out of range for {n_rows} rows")
-        if len(pieces) > 1:
-            seen[idx] = True
-            covered += len(idx)
-        tensor = isinstance(block, Tensor)
-        values = block.data if tensor else np.asarray(block, dtype=np.float64)
-        if values.shape != (len(idx), width):  # numpy would broadcast a (1, width) block
-            raise ShapeMismatch(f"assemble_rows: a {values.shape} block at {len(idx)} rows of width {width}")
-        data[idx] = values
-        if tensor:
-            spans.append((idx, len(parents)))
-            parents.append(block)
-    if np.count_nonzero(seen) != covered:
-        raise ValueError("assemble_rows covers a row twice")
+    for rows, X, w, b in pieces:
+        if X.ndim != 2 or len(X) != len(rows) or w.data.shape != (X.shape[1], width) or b.data.shape != (width,):
+            raise ShapeMismatch(f"projection: {len(rows)} rows, X {X.shape}, w {w.data.shape}, b {b.data.shape}")
+        data[rows] = X @ w.data + b.data
 
     def grad_fn(g):
-        grads: list[np.ndarray | None] = [None] * len(parents)
-        for idx, pos in spans:
-            grads[pos] = g[idx]
+        grads = []
+        for rows, X, _, _ in pieces:
+            gp = g[rows]
+            grads += [X.T @ gp, gp.sum(axis=0)]
         return tuple(grads)
 
-    return _make(data, parents, grad_fn)
+    return _make(data, [t for *_, w, b in pieces for t in (w, b)], grad_fn)
 
 
 def rgcn_layer(

@@ -102,7 +102,6 @@ def init_score_fn(
     dim: int,
     rng: np.random.Generator,
     clf_hidden: int = 128,
-    margin: float = 1.0,
 ) -> ScoreFn:
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score function {kind!r} (expected one of {SCORE_KINDS})")
@@ -115,7 +114,7 @@ def init_score_fn(
             "w2": nm.param(nm.glorot(rng, clf_hidden, 1)),
             "b2": nm.param(np.zeros(1)),
         }
-    return ScoreFn(kind, rel_emb, margin, clf)
+    return ScoreFn(kind, rel_emb, clf=clf)
 
 
 def score_logits(fn: ScoreFn, relation: str, view: EmbeddingView, src: np.ndarray, tgt: np.ndarray) -> Tensor:
@@ -382,7 +381,6 @@ class PretrainConfig:
     hidden_dim: int = 128
     out_dim: int = 128
     clf_hidden: int = 128
-    margin: float = 1.0
 
     def __post_init__(self):
         sizes = (self.proj_dim, self.hidden_dim, self.out_dim, self.clf_hidden)
@@ -505,9 +503,7 @@ def train(
         cfg.hidden_dim,
         cfg.out_dim,
     )
-    fn = init_score_fn(
-        cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"), cfg.clf_hidden, cfg.margin
-    )
+    fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"), cfg.clf_hidden)
     regression = None
     reg_rows, reg_values = rows[:0], np.zeros(0)
     if cfg.regression:

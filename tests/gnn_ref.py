@@ -38,12 +38,11 @@ def reference_encode_layers(
     history: list[np.ndarray] | None = None,
 ) -> list[Tensor]:
     n = len(mp.node_ids)
-    pieces = []
-    for modality, rows in mp.attr_rows.items():
-        w, b = params.projections[modality]
-        X = table.matrices[modality][table.row[mp.closure[rows]]]
-        pieces.append((rows, nm.add(nm.matmul(nm.constant(X), w), b)))
-    h_full = nm.assemble_rows(n, params.proj_dim, pieces)
+    pieces = [
+        (rows, table.matrices[modality][table.row[mp.closure[rows]]], *params.projections[modality])
+        for modality, rows in mp.attr_rows.items()
+    ]
+    h_full = ref.projection_chain(n, params.proj_dim, pieces)
 
     outputs: list[Tensor] = [h_full]
     dims = [params.proj_dim, params.hidden_dim, params.out_dim]
@@ -61,7 +60,7 @@ def reference_encode_layers(
             fill = [(mp.scope_rows, h_scope)]
             if len(out_rows) and history is not None:
                 fill.append((out_rows, history[l - 1][mp.closure[out_rows]]))
-            h_full = nm.assemble_rows(n, dims[l], fill)
+            h_full = ref.assemble_rows(n, dims[l], fill)
         z = nm.matmul(h_full, layer.w_self)
         for rel, sender, receiver, weight in edges:
             mean = ref.segment_sum(h_full, sender, receiver, weight, n)

@@ -215,7 +215,7 @@ def test_03_gas_consistency():
     params = init_gnn_params(_attr_modality_dims(table), relations,
                              substream(cfg.seed, "init"), cfg.proj_dim, cfg.hidden_dim, cfg.out_dim)
     fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"),
-                       cfg.clf_hidden, cfg.margin)
+                       cfg.clf_hidden)
     named = {**params.named_parameters(), **fn.named_parameters()}
     state = None
     mp = build_mp(graph, None, cfg.policy)

@@ -360,6 +360,46 @@ def test_relation_groups_match_the_full_width_reference_bit_for_bit():
     assert exact > 0
 
 
+def test_one_op_projection_encodes_the_bytes_of_the_op_chain(monkeypatch):
+    """Layer 0 as one `numerics.projection` gives the layers and parameter gradients
+    of the matmul, add and `assemble_rows` chain it replaced, bit for bit: two
+    projected modalities and a categorical attribute, which starts at zero, over the
+    whole graph and over a partial scope that reads the history."""
+    from kgdta.pretrain import partition, trainable_relations
+    from kgdta.synthetic import make_planted_world
+
+    g = make_planted_world(n_drugs=10, n_proteins=8, seed=2).graph
+    proteins = [node for node in g.entities() if node.modality == "protein"]
+    for i, prot in enumerate(proteins):
+        g.add_triple(prot, Relation("family", RelationKind.DATA), attribute_node("categorical", f"f{i % 3}"))
+    table = compute_initial_embeddings(g, default_registry(sequence_dim=8, text_dim=8, fingerprint_dim=16))
+    dims = {m: table.matrices[m].shape[1] for m in table.matrices}
+    params = init_gnn_params(dims, trainable_relations(g), substream(5, "init"), 16, 12, 12)
+    named = params.named_parameters()
+    n = len(g.nodes)
+    history = [substream(5, "history", l).normal(size=(n, 12)) for l in range(2)]
+    part = partition(g, 3, substream(5, "partition"))
+    for scope, hist in ((None, None), (np.flatnonzero(part == 1), history)):
+        mp = build_mp(g, scope, FlowPolicy.unrestricted())
+        assert sorted(mp.attr_rows) == ["protein_sequence", "smiles"]
+        assert any(g.nodes[nid].modality == "categorical" for nid in mp.node_ids)
+        assert scope is None or (mp.row[mp.closure] < 0).any()  # the history is read
+        probe = substream(5, "probe").normal(size=(len(mp.scope_rows), params.out_dim))
+        runs = []
+        for chain in (False, True):
+            with monkeypatch.context() as m:
+                if chain:
+                    m.setattr(nm, "projection", ref.projection_chain)
+                layers = encode_layers(mp, table, params, hist)
+            nm.backward(ref.sum_all(ref.mul(layers[-1], nm.constant(probe))))
+            assert all(named[f"proj/{m}/{k}"].grad is not None for m in dims for k in "wb")
+            grads = [None if p.grad is None else p.grad.tobytes() for p in named.values()]
+            runs.append([layer.data.tobytes() for layer in layers] + grads)
+            for p in named.values():
+                p.grad = None
+        assert runs[0] == runs[1]
+
+
 def test_groups_are_each_relations_edges_and_distinct_receivers():
     """Also the invariants `numerics.rgcn_layer` trusts without checking them, and
     that no group array can be made writeable again."""

@@ -73,7 +73,7 @@ def test_grad_check_composite_ops():
         part = nm.gather_rows(h2, idx)
         loss_a = nm.bce_with_logits(score, labels)
         loss_b = nm.mse(ref.l2norm_rows(part), y[idx])
-        asm = nm.assemble_rows(6, 6, [(np.array([1, 3, 5]), part), (np.array([0]), np.ones((1, 6)))])
+        asm = ref.assemble_rows(6, 6, [(np.array([1, 3, 5]), part), (np.array([0]), np.ones((1, 6)))])
         loss_c = ref.mean(nm.sigmoid(asm))
         return nm.add(nm.add(loss_a, loss_b), loss_c)
 
@@ -299,17 +299,17 @@ def test_scatter_rejects_out_of_range_and_negative_indices(bad):
 def test_assemble_rows_rejects_out_of_range_unsorted_and_twice_covered_rows():
     t = nm.param(np.ones((1, 2)))
     with pytest.raises(IndexError):  # numpy would fill row 2 from the end
-        nm.assemble_rows(3, 2, [(np.array([-1]), t)])
+        ref.assemble_rows(3, 2, [(np.array([-1]), t)])
     with pytest.raises(IndexError):
-        nm.assemble_rows(3, 2, [(np.array([3]), np.zeros((1, 2)))])
+        ref.assemble_rows(3, 2, [(np.array([3]), np.zeros((1, 2)))])
     # a repeated row keeps one block row but would hand its gradient to both
     with pytest.raises(ValueError):
-        nm.assemble_rows(3, 2, [(np.array([1, 1]), nm.param(np.ones((2, 2))))])
+        ref.assemble_rows(3, 2, [(np.array([1, 1]), nm.param(np.ones((2, 2))))])
     with pytest.raises(ValueError):
-        nm.assemble_rows(3, 2, [(np.array([0, 1]), np.zeros((2, 2))), (np.array([1]), t)])
+        ref.assemble_rows(3, 2, [(np.array([0, 1]), np.zeros((2, 2))), (np.array([1]), t)])
     with pytest.raises(ValueError):  # each piece's rows in increasing order
-        nm.assemble_rows(3, 2, [(np.array([2, 0]), np.zeros((2, 2)))])
-    out = nm.assemble_rows(3, 2, [(np.array([2]), t), (np.array([0]), np.full((1, 2), 2.0))])
+        ref.assemble_rows(3, 2, [(np.array([2, 0]), np.zeros((2, 2)))])
+    out = ref.assemble_rows(3, 2, [(np.array([2]), t), (np.array([0]), np.full((1, 2), 2.0))])
     assert np.array_equal(out.data, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
@@ -317,9 +317,9 @@ def test_assemble_rows_rejects_a_block_of_the_wrong_shape():
     # a (1, 3) block at two rows would broadcast into both and hand back a (2, 3) gradient
     for block in (nm.param(np.ones((1, 3))), np.ones((1, 3)), np.ones((3, 3)), np.ones((2, 2)), np.ones(3)):
         with pytest.raises(ShapeMismatch):
-            nm.assemble_rows(3, 3, [(np.array([0, 2]), block)])
+            ref.assemble_rows(3, 3, [(np.array([0, 2]), block)])
     with pytest.raises(ShapeMismatch):
-        nm.assemble_rows(3, 3, [(np.array([1]), np.ones(3))])
+        ref.assemble_rows(3, 3, [(np.array([1]), np.ones(3))])
 
 
 def test_non_integer_row_indices_raise_and_empty_ones_pass():
@@ -328,10 +328,81 @@ def test_non_integer_row_indices_raise_and_empty_ones_pass():
         with pytest.raises(IndexError):  # numpy would cast them to rows 1, 0, 1 / 0, 2 / 0
             nm.gather_rows(a, idx)
         with pytest.raises(IndexError):
-            nm.assemble_rows(3, 2, [(idx, np.ones((len(idx), 2)))])
+            ref.assemble_rows(3, 2, [(idx, np.ones((len(idx), 2)))])
     assert nm.gather_rows(a, np.asarray([])).shape == (0, 2)  # np.asarray([]) is float64
-    assert not nm.assemble_rows(3, 2, [(np.asarray([]), np.ones((0, 2)))]).data.any()
+    assert not ref.assemble_rows(3, 2, [(np.asarray([]), np.ones((0, 2)))]).data.any()
     assert np.array_equal(nm.gather_rows(a, np.array([2, 0], dtype=np.uint8)).data, [[4.0, 5.0], [0.0, 1.0]])
+
+
+# -- the encoder's input projection as one tape op ---------------------------------------
+
+
+def _projection_case(values):
+    """Seven rows of width 3: a piece of input width 4 at rows 0, 2 and 5, a one-row
+    piece of input width 2 at row 3, and rows 1, 4 and 6 that no piece covers. The
+    parameters and inputs come from `values(seed, shape)`."""
+    params = {"w_a": nm.param(values(0, (4, 3))), "b_a": nm.param(values(1, 3)),
+              "w_b": nm.param(values(2, (2, 3))), "b_b": nm.param(values(3, 3))}
+    inputs = [(np.array([0, 2, 5]), values(4, (3, 4)), "a"), (np.array([3]), values(5, (1, 2)), "b")]
+    return params, inputs
+
+
+def _pieces(p, inputs):
+    return [(rows, X, p[f"w_{k}"], p[f"b_{k}"]) for rows, X, k in inputs]
+
+
+def _normal(seed, shape):
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def test_projection_is_each_pieces_affine_map_and_passes_finite_differences():
+    params, inputs = _projection_case(_normal)
+    want = np.zeros((7, 3))
+    for rows, X, w, b in _pieces(params, inputs):
+        want[rows] = X @ w.data + b.data
+    out = nm.projection(7, 3, _pieces(params, inputs))
+    assert out.data.tobytes() == want.tobytes() and not out.data[[1, 4, 6]].any()
+    probe = _normal(6, (7, 3))
+
+    def f(p):
+        return ref.sum_all(ref.mul(nm.sigmoid(nm.projection(7, 3, _pieces(p, inputs))), nm.constant(probe)))
+
+    assert nm.grad_check(f, params) < 1e-6
+    assert all(p.grad.any() for p in params.values())
+
+
+def test_projection_gives_the_bytes_of_the_op_chain():
+    """Values and gradients equal the matmul, add and `assemble_rows` chain's, with
+    magnitudes spread so that any change in summation order shows."""
+    runs = []
+    for project in (nm.projection, ref.projection_chain):
+        params, inputs = _projection_case(_values)
+        out = project(7, 3, _pieces(params, inputs))
+        nm.backward(ref.sum_all(ref.mul(nm.sigmoid(out), nm.constant(_values(6, (7, 3))))))
+        runs.append([out.data.tobytes()] + [p.grad.tobytes() for p in params.values()])
+    assert runs[0] == runs[1]
+
+
+def test_projection_of_no_pieces_is_a_constant_zero_block():
+    out = nm.projection(4, 3, [])
+    assert out.shape == (4, 3) and not out.data.any() and not out.requires_grad
+
+
+def test_projection_rejects_operands_of_the_wrong_shape():
+    params, inputs = _projection_case(_normal)
+    rows, X, _ = inputs[0]
+    w, b = params["w_a"], params["b_a"]
+    for piece in (
+        (rows, X, nm.param(np.ones((3, 3))), b),  # w's rows differ from X's width
+        (rows, X, nm.param(np.ones((4, 2))), b),  # w's width differs from the output's
+        (rows, X, nm.param(np.ones(4)), b),
+        (rows, X, w, nm.param(np.ones(2))),
+        (rows, X, w, nm.param(np.ones((1, 3)))),  # numpy would broadcast a (1, width) b
+        (rows, X[:1], w, b),  # numpy would broadcast X's one row into all three
+        (rows, X[0], w, b),
+    ):
+        with pytest.raises(ShapeMismatch):
+            nm.projection(7, 3, [piece])
 
 
 # -- one R-GCN layer as one tape op ---------------------------------------------------------

@@ -596,7 +596,7 @@ def test_gas_k1_matches_full_batch_reference():
         cfg.proj_dim, cfg.hidden_dim, cfg.out_dim,
     )
     fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"),
-                       cfg.clf_hidden, cfg.margin)
+                       cfg.clf_hidden)
     named = {**params.named_parameters(), **fn.named_parameters()}
     state = None
     losses = []
@@ -631,7 +631,7 @@ class HandView:
         pieces = [(np.flatnonzero(inside), nm.gather_rows(self.h, at[inside]))]
         if self.stored is not None:
             pieces.append((np.flatnonzero(~inside), self.stored[nodes[~inside]]))
-        return nm.assemble_rows(len(nodes), self.h.data.shape[1], pieces)
+        return ref.assemble_rows(len(nodes), self.h.data.shape[1], pieces)
 
 
 @pytest.mark.parametrize("score_fn", ["distmult", "transe", "classifier"])
@@ -671,7 +671,7 @@ def test_gas_k3_matches_a_hand_written_partitioned_loop(score_fn):
         cfg.proj_dim, cfg.hidden_dim, cfg.out_dim,
     )
     fn = init_score_fn(cfg.score_fn, relations, cfg.out_dim, substream(cfg.seed, "init_score"),
-                       cfg.clf_hidden, cfg.margin)
+                       cfg.clf_hidden)
     reg_rows, reg_values = numeric_triples(graph)
     reg_relations = [gi.relations[code] for code, _ in _relation_groups(reg_rows[:, 1])]
     regression = init_regression_heads(reg_relations, cfg.out_dim, substream(cfg.seed, "init_reg"), cfg.reg_lambda)
@@ -731,17 +731,42 @@ def test_one_op_scorers_train_the_bytes_of_the_op_chains(monkeypatch, score_fn, 
     graph, table = with_protein_lengths(world.graph)
     cfg = PretrainConfig(score_fn=score_fn, epochs=3, lr=1e-2, seed=4, partitions=partitions,
                          regression=True, **SMALL_DIMS)
+    runs, result = trained_with_and_without(monkeypatch, chain_scorers, graph, table, cfg)
+    assert len(result.relations) == 5 and result.regression is not None
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_one_op_projection_trains_the_bytes_of_the_op_chain(monkeypatch, partitions):
+    """Training with layer 0 as one `numerics.projection` writes the same checkpoint,
+    log, history and AUC as training through the matmul, add and `assemble_rows`
+    chain: two projected modalities, and a categorical attribute that starts at zero."""
+    world, _ = small_world()
+    family = Relation("family", RelationKind.DATA)
+    proteins = [n for n in world.graph.entities() if n.modality == "protein"]
+    for i, prot in enumerate(proteins):
+        world.graph.add_triple(prot, family, attribute_node("categorical", f"f{i % 3}"))
+    table = compute_initial_embeddings(world.graph, small_registry())
+    assert sorted(table.matrices) == ["protein_sequence", "smiles"]
+    cfg = PretrainConfig(score_fn="classifier", epochs=3, lr=1e-2, seed=4, partitions=partitions, **SMALL_DIMS)
+    runs, _ = trained_with_and_without(
+        monkeypatch, lambda m: m.setattr(nm, "projection", ref.projection_chain), world.graph, table, cfg)
+    assert runs[0] == runs[1]
+
+
+def trained_with_and_without(monkeypatch, patch, graph, table, cfg):
+    """(checkpoint JSON, log, history bytes, link AUC) of a training run, then of one
+    with `patch` applied to the monkeypatch context, and the last run's result."""
     runs = []
-    for chains in (False, True):
+    for patched in (False, True):
         with monkeypatch.context() as m:
-            if chains:
-                chain_scorers(m)
+            if patched:
+                patch(m)
             result = train(graph, table, cfg)
             auc = evaluate_link_auc(graph, table, result, seed=5)
         runs.append((checkpoint_to_json(Checkpoint.from_result(result)), result.log,
                      [a.tobytes() for a in result.history], auc))
-    assert len(result.relations) == 5 and result.regression is not None
-    assert runs[0] == runs[1]
+    return runs, result
 
 
 @pytest.mark.parametrize("score_fn", ["distmult", "classifier"])
@@ -808,7 +833,7 @@ def test_restricted_filter_trains_only_selected_relations():
 
     fresh = init_score_fn(
         cfg.score_fn, result.relations, cfg.out_dim, substream(cfg.seed, "init_score"),
-        cfg.clf_hidden, cfg.margin,
+        cfg.clf_hidden,
     )
     # scorer embeddings of filtered-out relations never receive gradient
     assert np.array_equal(result.score_fn.rel_emb["smiles"].data, fresh.rel_emb["smiles"].data)
